@@ -5,13 +5,22 @@ Each subcommand materializes one experiment kind from a YAML config file
 manifest (spec hash, seed, wall time, artifact list, error record). Runs are
 reproducible: identical spec + seed produce byte-identical CSVs regardless of
 --jobs.
+
+Each kind declares every key it reads once, with its type and default. A run
+first resolves the given parameters: unread keys are rejected, and missing
+required keys and non-finite numbers are reported by name. The manifest's
+``parameters`` holds the resolved values, defaults included, and
+``spec_hash`` covers them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,20 +39,10 @@ from .signals import ConstantSupply, PwmSignal, SinusoidSupply
 from .transient import (VacConfig, VacStimulus, simulate_vac, sweep,
                         trace_metrics)
 
-__all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError", "run", "main"]
+__all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError", "resolve",
+           "run", "main"]
 
 MANIFEST_NAME = "run_manifest.json"
-
-# The six stimulus rows of the weighted-adder reference table.
-VAC_TABLE_ROWS = [
-    {"duties": [0.70, 0.80, 0.90], "weights": [7, 7, 7]},
-    {"duties": [0.50, 0.50, 0.50], "weights": [1, 2, 4]},
-    {"duties": [0.20, 0.60, 0.80], "weights": [5, 6, 7]},
-    {"duties": [0.95, 0.90, 0.80], "weights": [7, 6, 6]},
-    {"duties": [0.30, 0.40, 0.50], "weights": [1, 4, 2]},
-    {"duties": [0.80, 0.20, 0.50], "weights": [7, 3, 4]},
-]
-
 
 class ConfigError(ValueError):
     pass
@@ -70,18 +69,143 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# parameter tables
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config key: its kind (see _coerce), its default, and the choice it
+    hangs on. `default` is a value, REQUIRED, or a function of (the values
+    resolved so far, the context); `when=(key, values)` makes the key read
+    only while that earlier key holds one of `values` - otherwise it resolves
+    to None and may not be given."""
+
+    kind: object
+    default: object = REQUIRED
+    when: tuple | None = None
+
+
+def _coerce(kind, value, name: str, ctx: dict):
+    """`value` as `kind`: float, int (both finite), str, a tuple of allowed
+    values, [kind] for a list, a table for a mapping, or a function
+    (value, name) -> value."""
+    if isinstance(kind, dict):
+        return _resolve(kind, value, name, ctx)
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_coerce(kind[0], v, f"{name}[{i}]", {**ctx, "index": i})
+                for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
+        return value
+    if kind is str:
+        return str(value)
+    if kind not in (float, int):
+        return kind(value, name)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind is int and number != int(number):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return kind(number)
+
+
+def _resolve(table: dict, given, where: str, ctx: dict) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where}: parameters must be a mapping, got {given!r}")
+    unknown = set(given) - set(table)
+    if unknown:
+        raise ConfigError(f"{where}: unknown parameter key(s): {sorted(unknown)}")
+    p = {}
+    for key, prm in table.items():
+        name = f"{where}.{key}"
+        if prm.when is not None and p[prm.when[0]] not in prm.when[1]:
+            if given.get(key) is not None:
+                raise ConfigError(f"{name} is read only when {prm.when[0]} is "
+                                  f"one of {list(prm.when[1])}")
+            p[key] = None
+            continue
+        default = prm.default(p, ctx) if callable(prm.default) else prm.default
+        value = given[key] if key in given else default
+        if value is REQUIRED:
+            raise ConfigError(f"{where}: missing required parameter key {key!r}")
+        p[key] = (None if value is None and default is None
+                  else _coerce(prm.kind, value, name, {**ctx, **p}))
+    return p
+
+
+VDD = Param(float, 2.5)
+FREQUENCY = Param(float, 100e6)
+N_K = {"n": Param(int, 3), "k": Param(int, 3)}
+DUTIES = Param([float], lambda p, ctx: [0.5] * p["n"])
+MAX_WEIGHTS = Param([int], lambda p, ctx: [2 ** p["k"] - 1] * p["n"])
+
+CONVERTERS = {"compensated": conv.ConverterModel.compensated,
+              "raw": conv.ConverterModel.raw,
+              "identity": conv.ConverterModel.identity}
+CONVERTER = Param(tuple(CONVERTERS), "compensated")
+
+
+def _vac_params(preset: str = "small", r_unit=REQUIRED, c_out=REQUIRED) -> dict:
+    """The VAC preset keys; only the custom preset reads r_unit and c_out."""
+    custom = ("preset", ("custom",))
+    return {"preset": Param(("small", "large", "custom"), preset), **N_K,
+            "compensation_threshold": Param(float, 0.0),
+            "r_unit": Param(float, r_unit, when=custom),
+            "c_out": Param(float, c_out, when=custom)}
+
+
+def _vac_config(p: dict) -> VacConfig:
+    if p["preset"] == "custom":
+        return VacConfig(p["n"], p["k"], p["r_unit"], p["c_out"],
+                         p["compensation_threshold"])
+    return getattr(VacConfig, p["preset"])(p["n"], p["k"], p["compensation_threshold"])
+
+
+# One training run; train-sweep resolves each of its configs against it, with
+# the sweep's subsample as default and the run's seed plus the config's index.
+TRAIN_PARAMS = {
+    # "784/300/10" or [784, 300, 10]
+    "topology": Param(lambda value, name: _coerce(
+        [int], value.split("/") if isinstance(value, str) else value, name, {})),
+    "activation": Param(tuple(a.value for a in nn.ActivationKind)),
+    "mode": Param(("fp", "integer"), "fp"),
+    "learning_rate": Param(float, 0.01),
+    "epochs": Param(int, 30),
+    "batch": Param(int, 32),
+    "max_weight": Param(int, when=("mode", ("integer",))),
+    "initial_weight": Param(float, None),
+    "subsample": Param(int, lambda p, ctx: ctx.get("subsample")),
+    "seed": Param(int, lambda p, ctx: ctx["seed"] + ctx["index"]),
+}
+
+KINDS = {}  # kind -> (parameter table, runner)
+
+
+def _kind(name: str, params: dict, **bound):
+    def register(runner):
+        KINDS[name] = (params, functools.partial(runner, **bound))
+        return runner
+    return register
+
+
+# ---------------------------------------------------------------------------
+# experiment kinds
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 
@@ -92,86 +216,34 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
-
-
-def _as_int(value, key: str) -> int:
-    f = _as_float(value, key)
-    if f != int(f):
-        raise ConfigError(f"parameter {key!r} must be an integer, got {value!r}")
-    return int(f)
-
-
-def _validate_keys(params: dict, kind: str, required: set[str], optional: set[str]) -> None:
-    unknown = set(params) - required - optional
-    if unknown:
-        raise ConfigError(f"{kind}: unknown parameter key(s): {sorted(unknown)}")
-    missing = required - set(params)
-    if missing:
-        raise ConfigError(f"{kind}: missing required parameter key(s): {sorted(missing)}")
-
-
-def _preset_config(params: dict, default_threshold: float = 0.0) -> VacConfig:
-    name = params.get("preset", "small")
-    n = _as_int(params.get("n", 3), "n")
-    k = _as_int(params.get("k", 3), "k")
-    thr = _as_float(params.get("compensation_threshold", default_threshold),
-                    "compensation_threshold")
-    if name == "small":
-        return VacConfig.small(n=n, k=k, compensation_threshold=thr)
-    if name == "large":
-        return VacConfig.large(n=n, k=k, compensation_threshold=thr)
-    if name == "custom":
-        return VacConfig(n=n, k=k,
-                         r_unit=_as_float(params["r_unit"], "r_unit"),
-                         c_out=_as_float(params["c_out"], "c_out"),
-                         compensation_threshold=thr)
-    raise ConfigError(f"unknown preset {name!r}")
-
-
-def _weight_vector(weights, k: int) -> WeightVector:
-    return WeightVector(tuple(int(w) for w in weights), k)
-
-
-def _converter_from(params: dict) -> conv.ConverterModel:
-    mode = params.get("converter", "compensated")
-    if mode == "compensated":
-        return conv.ConverterModel.compensated()
-    if mode == "raw":
-        return conv.ConverterModel.raw()
-    if mode == "identity":
-        return conv.ConverterModel.identity()
-    raise ConfigError(f"unknown converter {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# experiment kinds
-# ---------------------------------------------------------------------------
-
+@_kind("vac-table", {
+    **_vac_params(),
+    "vdd": VDD,
+    "frequency": FREQUENCY,
+    "horizon": Param(float, 20e-6),
+    # the six stimulus rows of the weighted-adder reference table
+    "rows": Param([{"duties": Param([float]), "weights": Param([int])}], [
+        {"duties": [0.70, 0.80, 0.90], "weights": [7, 7, 7]},
+        {"duties": [0.50, 0.50, 0.50], "weights": [1, 2, 4]},
+        {"duties": [0.20, 0.60, 0.80], "weights": [5, 6, 7]},
+        {"duties": [0.95, 0.90, 0.80], "weights": [7, 6, 6]},
+        {"duties": [0.30, 0.40, 0.50], "weights": [1, 4, 2]},
+        {"duties": [0.80, 0.20, 0.50], "weights": [7, 3, 4]},
+    ]),
+})
 def _run_vac_table(spec: ExperimentSpec) -> list[str]:
     p = spec.parameters
-    _validate_keys(p, "vac-table",
-                   required=set(),
-                   optional={"vdd", "frequency", "horizon", "rows", "preset",
-                             "n", "k", "compensation_threshold", "r_unit", "c_out"})
-    vdd = _as_float(p.get("vdd", 2.5), "vdd")
-    freq = _as_float(p.get("frequency", 100e6), "frequency")
-    cfg = _preset_config(p)
-    horizon = _as_float(p.get("horizon", 20e-6), "horizon")
-    rows_in = p.get("rows", VAC_TABLE_ROWS)
+    vdd, freq = p["vdd"], p["frequency"]
+    cfg = _vac_config(p)
     supply = ConstantSupply(vdd)
 
     out_rows = []
-    for row in rows_in:
-        duties = [float(d) for d in row["duties"]]
-        w = _weight_vector(row["weights"], cfg.k)
+    for row in p["rows"]:
+        duties = row["duties"]
+        w = WeightVector(tuple(row["weights"]), cfg.k)
         v_theory = vac_equilibrium(duties, w, vdd)
         sigs = [PwmSignal(freq, d) for d in duties]
-        trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=0.0)
+        trace = simulate_vac(cfg, sigs, w, supply, p["horizon"], v0=0.0)
         metrics = trace_metrics(trace, cfg, supply, cycle_period=1.0 / freq)
         rel = abs(metrics.average_v - v_theory) / v_theory * 100.0 if v_theory else 0.0
         flat = []
@@ -179,35 +251,34 @@ def _run_vac_table(spec: ExperimentSpec) -> list[str]:
             flat.extend([d, wi])
         out_rows.append(flat + [v_theory, metrics.average_v, rel])
 
-    n = cfg.n
     header = []
-    for i in range(1, n + 1):
+    for i in range(1, cfg.n + 1):
         header.extend([f"duty{i}", f"weight{i}"])
     header += ["v_theory_V", "v_sim_V", "rel_diff_pct"]
     _write_csv(spec.output_dir / "vac_table.csv", header, out_rows)
     return ["vac_table.csv"]
 
 
+def _sweep_params(axis: str) -> dict:
+    """The sweep keys; the swept axis is set by the grid, not by a key."""
+    table = {**_vac_params(), "duties": DUTIES, "weights": MAX_WEIGHTS,
+             "frequency": FREQUENCY, "vdd": VDD, "v0": Param(float, 0.0),
+             "grid": Param([float])}
+    del table[axis]
+    return table
+
+
+@_kind("sweep-freq", _sweep_params("frequency"), axis="frequency")
+@_kind("sweep-vdd", _sweep_params("vdd"), axis="vdd")
 def _run_sweep(spec: ExperimentSpec, axis: str) -> list[str]:
     p = spec.parameters
-    kind = f"sweep-{'vdd' if axis == 'vdd' else 'freq'}"
-    _validate_keys(p, kind,
-                   required={"grid"},
-                   optional={"preset", "n", "k", "compensation_threshold",
-                             "r_unit", "c_out", "duties", "weights",
-                             "frequency", "vdd", "v0"})
-    cfg = _preset_config(p)
-    duties = tuple(float(d) for d in p.get("duties", [0.5] * cfg.n))
-    weights = _weight_vector(p.get("weights", [2 ** cfg.k - 1] * cfg.n), cfg.k)
-    stim = VacStimulus(
-        duties=duties,
-        frequency=_as_float(p.get("frequency", 100e6), "frequency"),
-        w=weights,
-        vdd=_as_float(p.get("vdd", 2.5), "vdd"),
-        v0=_as_float(p.get("v0", 0.0), "v0"),
-    )
-    grid = [_as_float(v, "grid") for v in p["grid"]]
-    points = sweep(cfg, stim, axis, grid, jobs=spec.jobs)
+    cfg = _vac_config(p)
+    # the swept axis has no key; sweep() sets it per grid point
+    fixed = {key: p[key] if key != axis else None for key in ("frequency", "vdd")}
+    stim = VacStimulus(duties=tuple(p["duties"]),
+                       w=WeightVector(tuple(p["weights"]), cfg.k),
+                       v0=p["v0"], **fixed)
+    points = sweep(cfg, stim, axis, p["grid"], jobs=spec.jobs)
     rows = []
     for pt in points:
         if pt.metrics is None:
@@ -224,36 +295,32 @@ def _run_sweep(spec: ExperimentSpec, axis: str) -> list[str]:
     return [name]
 
 
+# The reference dynamic run pairs the small-VAC resistors with the large
+# capacitor.
+@_kind("dynamic-vdd", {
+    **_vac_params("custom", r_unit=100e3, c_out=100e-12),
+    "duties": DUTIES,
+    "weights_a": MAX_WEIGHTS,
+    "weights_b": Param([int], lambda p, ctx: [2] * p["n"]),
+    "frequency": FREQUENCY,
+    "supply_mean": Param(float, 2.5),
+    "supply_amplitude": Param(float, 0.7),
+    "supply_period": Param(float, 10e-6),
+    "horizon": Param(float, lambda p, ctx: 4 * p["supply_period"]),
+    "converter": dataclasses.replace(CONVERTER, default="raw"),
+})
 def _run_dynamic_vdd(spec: ExperimentSpec) -> list[str]:
     p = spec.parameters
-    _validate_keys(p, "dynamic-vdd",
-                   required=set(),
-                   optional={"preset", "n", "k", "compensation_threshold",
-                             "r_unit", "c_out", "duties", "weights_a",
-                             "weights_b", "frequency", "horizon",
-                             "supply_mean", "supply_amplitude", "supply_period",
-                             "converter"})
-    if "preset" not in p and "r_unit" not in p:
-        # reference dynamic run: small-VAC resistors with the large capacitor
-        p = dict(p)
-        p.update({"preset": "custom", "r_unit": 100e3, "c_out": 100e-12})
-    cfg = _preset_config(p)
-    duties = [float(d) for d in p.get("duties", [0.5] * cfg.n)]
-    top = 2 ** cfg.k - 1
-    w_a = _weight_vector(p.get("weights_a", [top] * cfg.n), cfg.k)
-    w_b = _weight_vector(p.get("weights_b", [2] * cfg.n), cfg.k)
-    freq = _as_float(p.get("frequency", 100e6), "frequency")
-    supply = SinusoidSupply(
-        mean=_as_float(p.get("supply_mean", 2.5), "supply_mean"),
-        amplitude=_as_float(p.get("supply_amplitude", 0.7), "supply_amplitude"),
-        period=_as_float(p.get("supply_period", 10e-6), "supply_period"),
-    )
-    horizon = _as_float(p.get("horizon", 4 * supply.period), "horizon")
-    pcfg = PerceptronConfig(vac=cfg, converter=_converter_from(p) if "converter" in p
-                            else conv.ConverterModel.raw(), frequency=freq)
+    cfg = _vac_config(p)
+    duties, freq, horizon = p["duties"], p["frequency"], p["horizon"]
+    supply = SinusoidSupply(mean=p["supply_mean"], amplitude=p["supply_amplitude"],
+                            period=p["supply_period"])
+    pcfg = PerceptronConfig(vac=cfg, converter=CONVERTERS[p["converter"]](),
+                            frequency=freq)
 
     artifacts = []
-    for tag, w in (("region_a", w_a), ("region_b", w_b)):
+    for tag, weights in (("region_a", p["weights_a"]), ("region_b", p["weights_b"])):
+        w = WeightVector(tuple(weights), cfg.k)
         sigs = [PwmSignal(freq, d) for d in duties]
         trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=0.0)
         name = f"dynamic_trace_{tag}.csv"
@@ -270,23 +337,22 @@ def _run_dynamic_vdd(spec: ExperimentSpec) -> list[str]:
     return artifacts
 
 
+@_kind("response-curve", {
+    **N_K,
+    "converter": CONVERTER,
+    "vdd": VDD,
+    "depths": Param([int], [1, 2, 3]),
+    "grid_points": Param(int, 21),
+})
 def _run_response_curve(spec: ExperimentSpec) -> list[str]:
     p = spec.parameters
-    _validate_keys(p, "response-curve",
-                   required=set(),
-                   optional={"depths", "grid_points", "converter", "vdd",
-                             "n", "k", "path"})
-    depths = [int(d) for d in p.get("depths", [1, 2, 3])]
-    n_points = _as_int(p.get("grid_points", 21), "grid_points")
-    vdd = _as_float(p.get("vdd", 2.5), "vdd")
-    cfg = PerceptronConfig.behavioral(n=_as_int(p.get("n", 3), "n"),
-                                      k=_as_int(p.get("k", 3), "k"),
-                                      converter=_converter_from(p))
-    grid = np.linspace(0.0, 1.0, n_points)
+    cfg = PerceptronConfig.behavioral(n=p["n"], k=p["k"],
+                                      converter=CONVERTERS[p["converter"]]())
+    grid = np.linspace(0.0, 1.0, p["grid_points"])
     rows = []
     dev_rows = []
-    for depth in depths:
-        curve = response_curve(cfg, [float(x) for x in grid], depth, vdd=vdd)
+    for depth in p["depths"]:
+        curve = response_curve(cfg, [float(x) for x in grid], depth, vdd=p["vdd"])
         for x, y in curve.rows():
             rows.append([x, ("no-oscillation" if conv.is_no_oscillation(y) else y),
                          depth])
@@ -298,32 +364,27 @@ def _run_response_curve(spec: ExperimentSpec) -> list[str]:
     return ["response_curve.csv", "response_deviation.csv"]
 
 
+@_kind("fit", {
+    "source": Param(("exact", "behavioral", "transient"), "behavioral"),
+    "points": Param(int, 20),
+    "grid_hi": Param(float, 0.9),
+    "vdd": Param(float, 2.5, when=("source", ("behavioral", "transient"))),
+    "frequency": Param(float, 100e6, when=("source", ("transient",))),
+})
 def _run_fit(spec: ExperimentSpec) -> list[str]:
     p = spec.parameters
-    _validate_keys(p, "fit",
-                   required=set(),
-                   optional={"source", "points", "grid_hi", "vdd", "frequency"})
-    source = p.get("source", "behavioral")
-    n_points = _as_int(p.get("points", 20), "points")
-    grid_hi = _as_float(p.get("grid_hi", 0.9), "grid_hi")
-    vdd = _as_float(p.get("vdd", 2.5), "vdd")
-    xs = np.linspace(0.0, grid_hi, n_points)
-    model = conv.ConverterModel.compensated()
-    if source == "exact":
-        ys = model.cubic_percent(xs) / 100.0
-    elif source in ("behavioral", "transient"):
+    xs = np.linspace(0.0, p["grid_hi"], p["points"])
+    if p["source"] == "exact":
+        ys = conv.ConverterModel.compensated().cubic_percent(xs) / 100.0
+    else:
         pcfg = PerceptronConfig.behavioral()
-        if source == "transient":
-            pcfg = PerceptronConfig(vac=pcfg.vac, converter=pcfg.converter,
-                                    path="transient",
-                                    frequency=_as_float(p.get("frequency", 100e6),
-                                                        "frequency"))
+        if p["source"] == "transient":
+            pcfg = dataclasses.replace(pcfg, path="transient",
+                                       frequency=p["frequency"])
         w = pcfg.max_weights()
         ys = np.array([
-            float(perceptron_eval(pcfg, [float(x)] * pcfg.vac.n, w, vdd))
+            float(perceptron_eval(pcfg, [float(x)] * pcfg.vac.n, w, p["vdd"]))
             for x in xs])
-    else:
-        raise ConfigError(f"unknown fit source {source!r}")
     result = conv.fit_cubic(xs, ys)
     _write_csv(spec.output_dir / "fit_data.csv", ["x", "y"],
                [[float(x), float(y)] for x, y in zip(xs, ys)])
@@ -333,11 +394,9 @@ def _run_fit(spec: ExperimentSpec) -> list[str]:
     return ["fit_data.csv", "fit.csv"]
 
 
+@_kind("fixed-points", {"converter": CONVERTER})
 def _run_fixed_points(spec: ExperimentSpec) -> list[str]:
-    p = spec.parameters
-    _validate_keys(p, "fixed-points", required=set(), optional={"converter"})
-    model = _converter_from(p)
-    scan = conv.find_fixed_points(model)
+    scan = conv.find_fixed_points(CONVERTERS[spec.parameters["converter"]]())
     rows = [[pt.x, pt.stability] for pt in scan.points]
     if scan.degenerate:
         rows = [[scan.degenerate_interval[0], "degenerate-interval-start"],
@@ -346,52 +405,21 @@ def _run_fixed_points(spec: ExperimentSpec) -> list[str]:
     return ["fixed_points.csv"]
 
 
-TRAIN_KEYS_REQUIRED = {"topology", "activation"}
-TRAIN_KEYS_OPTIONAL = {"learning_rate", "epochs", "batch", "mode", "max_weight",
-                       "initial_weight", "subsample", "seed"}
-
-
-def _train_config(p: dict, seed: int) -> nn.NetworkConfig:
-    topo = p["topology"]
-    if isinstance(topo, str):
-        sizes = tuple(int(s) for s in topo.split("/"))
-    else:
-        sizes = tuple(int(s) for s in topo)
-    act = nn.ActivationKind(p["activation"])
-    return nn.NetworkConfig(
-        layer_sizes=sizes,
-        activation=act,
-        learning_rate=_as_float(p.get("learning_rate", 0.01), "learning_rate"),
-        epochs=_as_int(p.get("epochs", 30), "epochs"),
-        batch=_as_int(p.get("batch", 32), "batch"),
-        seed=_as_int(p.get("seed", seed), "seed"),
-        mode=p.get("mode", "fp"),
-        max_weight=(_as_int(p["max_weight"], "max_weight")
-                    if p.get("max_weight") is not None else None),
-        initial_weight=(_as_float(p["initial_weight"], "initial_weight")
-                        if p.get("initial_weight") is not None else None),
-    )
-
-
-def _load_splits(spec: ExperimentSpec, subsample_n, subsample_seed: int):
-    data_dir = mnist.find_data_dir(spec.data_dir)
-    if data_dir is None:
+def _train_one(args):
+    p, subsample_seed, data_dir = args
+    found = mnist.find_data_dir(data_dir)
+    if found is None:
         raise MissingDatasetError(
             "MNIST IDX files not found; pass --data-dir or set "
             f"${mnist.DATA_DIR_ENV}")
-    train_ds = mnist.load_mnist(data_dir, "train")
-    test_ds = mnist.load_mnist(data_dir, "test")
-    if subsample_n:
-        train_ds = mnist.subsample(train_ds, int(subsample_n), subsample_seed)
-    return train_ds, test_ds
-
-
-def _train_one(args):
-    cfg_params, seed, data_dir, subsample_n = args
-    spec_like = ExperimentSpec(kind="train", parameters={}, output_dir=Path("."),
-                               seed=seed, data_dir=data_dir)
-    train_ds, test_ds = _load_splits(spec_like, subsample_n, seed)
-    cfg = _train_config(cfg_params, seed)
+    train_ds = mnist.load_mnist(found, "train")
+    test_ds = mnist.load_mnist(found, "test")
+    if p["subsample"]:
+        train_ds = mnist.subsample(train_ds, p["subsample"], subsample_seed)
+    # the other training keys are NetworkConfig fields
+    fields = {k: v for k, v in p.items() if k not in ("topology", "activation", "subsample")}
+    cfg = nn.NetworkConfig(layer_sizes=tuple(p["topology"]),
+                           activation=nn.ActivationKind(p["activation"]), **fields)
     net = nn.Network.from_config(cfg)
     report = nn.train(net, train_ds, test_ds, cfg)
     row = report.csv_row()
@@ -404,11 +432,9 @@ TRAIN_HEADER = ["topology", "activation", "mode", "learning_rate",
                 "train_error", "test_error"]
 
 
+@_kind("train", TRAIN_PARAMS)
 def _run_train(spec: ExperimentSpec) -> list[str]:
-    p = spec.parameters
-    _validate_keys(p, "train", required=TRAIN_KEYS_REQUIRED,
-                   optional=TRAIN_KEYS_OPTIONAL)
-    row = _train_one((p, spec.seed, spec.data_dir, p.get("subsample")))
+    row = _train_one((spec.parameters, spec.seed, spec.data_dir))
     _write_csv(spec.output_dir / "train.csv", TRAIN_HEADER,
                [[row[k] for k in TRAIN_HEADER]])
     _write_csv(spec.output_dir / "train_label_counts.csv", ["class", "count"],
@@ -416,15 +442,11 @@ def _run_train(spec: ExperimentSpec) -> list[str]:
     return ["train.csv", "train_label_counts.csv"]
 
 
+@_kind("train-sweep", {"subsample": Param(int, None),
+                       "configs": Param([TRAIN_PARAMS])})
 def _run_train_sweep(spec: ExperimentSpec) -> list[str]:
-    p = spec.parameters
-    _validate_keys(p, "train-sweep", required={"configs"}, optional={"subsample"})
-    tasks = []
-    for i, cfg_params in enumerate(p["configs"]):
-        _validate_keys(cfg_params, f"train-sweep.configs[{i}]",
-                       required=TRAIN_KEYS_REQUIRED, optional=TRAIN_KEYS_OPTIONAL)
-        sub = cfg_params.get("subsample", p.get("subsample"))
-        tasks.append((cfg_params, spec.seed + i, spec.data_dir, sub))
+    tasks = [(cfg, spec.seed + i, spec.data_dir)
+             for i, cfg in enumerate(spec.parameters["configs"])]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             rows = list(pool.map(_train_one, tasks))
@@ -435,12 +457,12 @@ def _run_train_sweep(spec: ExperimentSpec) -> list[str]:
     return ["train_sweep.csv"]
 
 
+@_kind("report", {
+    "search_dir": Param(str, lambda p, ctx: str(ctx["output_dir"].parent))})
 def _run_report(spec: ExperimentSpec) -> list[str]:
-    p = spec.parameters
-    _validate_keys(p, "report", required=set(), optional={"search_dir"})
-    base = Path(p.get("search_dir", spec.output_dir.parent))
     rows = []
-    for manifest_path in sorted(base.glob(f"**/{MANIFEST_NAME}")):
+    for manifest_path in sorted(Path(spec.parameters["search_dir"]).glob(
+            f"**/{MANIFEST_NAME}")):
         try:
             data = json.loads(manifest_path.read_text())
         except json.JSONDecodeError:
@@ -461,25 +483,20 @@ def _run_report(spec: ExperimentSpec) -> list[str]:
     return ["report.csv"]
 
 
-RUNNERS = {
-    "vac-table": _run_vac_table,
-    "sweep-vdd": lambda s: _run_sweep(s, "vdd"),
-    "sweep-freq": lambda s: _run_sweep(s, "frequency"),
-    "dynamic-vdd": _run_dynamic_vdd,
-    "response-curve": _run_response_curve,
-    "fit": _run_fit,
-    "fixed-points": _run_fixed_points,
-    "train": _run_train,
-    "train-sweep": _run_train_sweep,
-    "report": _run_report,
-}
+def resolve(spec: ExperimentSpec) -> dict:
+    """The parameters of `spec` checked, coerced and completed with defaults;
+    a ConfigError names the offending key."""
+    if spec.kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
+    ctx = {"seed": spec.seed, "index": 0, "output_dir": spec.output_dir}
+    return _resolve(KINDS[spec.kind][0], spec.parameters, spec.kind, ctx)
 
 
 def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment; always writes a manifest, raises nothing.
 
     Returns the manifest dict; status is "ok" or "error" with a distinct
-    error class name.
+    error class name. It records the resolved parameters, once they resolve.
     """
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -494,10 +511,9 @@ def run(spec: ExperimentSpec) -> dict:
         "wall_time_s": None,
     }
     try:
-        runner = RUNNERS.get(spec.kind)
-        if runner is None:
-            raise ConfigError(f"unknown experiment kind {spec.kind!r}")
-        manifest["artifacts"] = runner(spec)
+        spec = dataclasses.replace(spec, parameters=resolve(spec))
+        manifest.update(spec_hash=spec.spec_hash(), parameters=spec.parameters)
+        manifest["artifacts"] = KINDS[spec.kind][1](spec)
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
@@ -516,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pwmperc",
         description="PWM perceptron experiment runner (CSV artifacts + manifest)")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in RUNNERS:
+    for kind in KINDS:
         k = sub.add_parser(kind, help=f"run the {kind} experiment")
         k.add_argument("--config", type=Path, default=None,
                        help="YAML parameter file")
@@ -534,22 +550,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    params = {}
+    params = None
     if args.config is not None:
         try:
-            loaded = yaml.safe_load(Path(args.config).read_text())
+            params = yaml.safe_load(Path(args.config).read_text())
         except FileNotFoundError:
             print(f"error: config file not found: {args.config}", file=sys.stderr)
             return 2
         except yaml.YAMLError as exc:
             print(f"error: cannot parse config: {exc}", file=sys.stderr)
             return 2
-        if loaded is not None:
-            if not isinstance(loaded, dict):
-                print("error: config must be a mapping", file=sys.stderr)
-                return 2
-            params = loaded
-    if getattr(args, "subsample", None) is not None:
+    params = {} if params is None else params  # no file, or an empty one
+    # a config that is not a mapping fails to resolve, with exit code 2
+    if getattr(args, "subsample", None) is not None and isinstance(params, dict):
         params["subsample"] = args.subsample
 
     spec = ExperimentSpec(

@@ -102,7 +102,6 @@ class NetworkConfig:
     mode: str = "fp"                    # "fp" | "integer"
     max_weight: int | None = None       # integer mode bound (e.g. 63 -> k=6)
     initial_weight: float | None = None  # integer magnitude, or FP init scale
-    use_bias: bool = False              # the cell bank has no bias path
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
@@ -112,17 +111,9 @@ class NetworkConfig:
             raise ValueError("learning_rate must be > 0")
         if self.mode not in ("fp", "integer"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.use_bias:
-            raise ValueError("bias terms have no circuit realization here; "
-                             "use_bias must stay False")
         if self.mode == "integer":
             if self.max_weight is None or self.max_weight < 1:
                 raise ValueError("integer mode needs max_weight >= 1")
-
-    @property
-    def k_equivalent(self) -> int:
-        """Bits such that max_weight <= 2^k - 1 (exact for 2^k-1 bounds)."""
-        return max(1, math.ceil(math.log2(self.max_weight + 1)))
 
     def topology(self) -> str:
         return "/".join(str(s) for s in self.layer_sizes)
@@ -137,7 +128,6 @@ class Layer:
     """
 
     weights: np.ndarray
-    n_in: int
     normalizer: float          # n_in * max_weight in integer mode, 1.0 in FP
 
     def pre_activation(self, x: np.ndarray) -> np.ndarray:
@@ -163,7 +153,7 @@ class Network:
                          else 1.0 / math.sqrt(n_in))
                 w = rng.uniform(-scale, scale, size=(n_out, n_in))
                 norm = 1.0
-            layers.append(Layer(weights=w, n_in=n_in, normalizer=norm))
+            layers.append(Layer(weights=w, normalizer=norm))
         return cls(layers, cfg)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -92,7 +92,6 @@ class TransientTrace:
     times: np.ndarray          # event boundaries plus uniform samples
     v_cap: np.ndarray
     vdd: np.ndarray            # supply value at `times`
-    events: np.ndarray         # merged input-edge timestamps
     tau: float
     g_unit: float              # conductance of one unit cell, 1/r_unit
     seg_t0: np.ndarray
@@ -185,9 +184,6 @@ def simulate_vac(cfg: VacConfig,
         parts.append(supply.breakpoints_in(0.0, horizon))
     boundaries = np.unique(np.concatenate(parts))
     boundaries = boundaries[(boundaries >= 0.0) & (boundaries <= horizon)]
-
-    input_events = np.unique(np.concatenate(
-        [sig.edges_in(0.0, horizon) for sig in inputs])) if inputs else np.empty(0)
 
     # per-segment pull-down unit counts, from input states at segment midpoints
     t0s = boundaries[:-1]
@@ -285,7 +281,7 @@ def simulate_vac(cfg: VacConfig,
 
     trace = TransientTrace(
         times=np.empty(0), v_cap=np.empty(0), vdd=np.empty(0),
-        events=input_events, tau=tau, g_unit=g,
+        tau=tau, g_unit=g,
         seg_t0=seg_t0, seg_t1=seg_t1, seg_v0=seg_v0, seg_v1=seg_v1,
         seg_veq=seg_veq, seg_vdd=seg_vdd, seg_up=seg_up, seg_dn=seg_dn,
         seg_clamped=seg_clamped,

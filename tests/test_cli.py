@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,28 @@ import yaml
 
 from pwmperc import cli
 from pwmperc.cli import ExperimentSpec, run
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# Every reference config with its experiment kind.
+CONFIG_KINDS = {
+    "dynamic_vdd": "dynamic-vdd",
+    "fit_behavioral": "fit",
+    "fit_transient": "fit",
+    "response_curve": "response-curve",
+    "sweep_freq_large": "sweep-freq",
+    "sweep_freq_small": "sweep-freq",
+    "sweep_vdd": "sweep-vdd",
+    "train_fp_784_10": "train",
+    "train_int_784_10": "train",
+    "train_sweep_fp_depths": "train-sweep",
+}
+NON_MNIST_CONFIGS = sorted(name for name, kind in CONFIG_KINDS.items()
+                           if not kind.startswith("train"))
+
+
+def load_config(name):
+    return yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
 
 
 def make_spec(kind, params, tmp_path, seed=0, jobs=1, data_dir=None,
@@ -135,6 +158,10 @@ class TestOtherKinds:
             assert (spec.output_dir / name).exists()
         header, _ = read_rows(spec.output_dir / "dynamic_trace_region_a.csv")
         assert header == ["time_s", "v_cap_V", "vdd_V"]
+        for name in manifest["artifacts"]:
+            _, rows = read_rows(spec.output_dir / name)
+            for cell in (c for r in rows for c in r if c):
+                float(cell)  # plain numbers, no numpy reprs
 
     def test_report_collates_manifests(self, tmp_path):
         run(make_spec("fixed-points", {}, tmp_path, sub="runs/fp"))
@@ -205,6 +232,10 @@ class TestMainEntry:
         code = cli.main(["vac-table", "--config", str(cfg),
                          "--out", str(tmp_path / "o")])
         assert code == 2
+        cfg.write_text("- 1\n- 2\n")  # not a mapping
+        code = cli.main(["vac-table", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
 
     def test_main_missing_config_file(self, tmp_path):
         code = cli.main(["vac-table", "--config", str(tmp_path / "none.yaml"),
@@ -223,3 +254,90 @@ class TestMainEntry:
         assert code == 0
         manifest = json.loads((tmp_path / "o" / cli.MANIFEST_NAME).read_text())
         assert manifest["parameters"]["subsample"] == 500
+
+
+class TestParameters:
+    def test_every_config_has_a_kind(self):
+        assert {p.stem for p in CONFIG_DIR.glob("*.yaml")} == set(CONFIG_KINDS)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_KINDS))
+    def test_config_resolves_to_a_fixed_point(self, name, tmp_path):
+        kind = CONFIG_KINDS[name]
+        resolved = cli.resolve(make_spec(kind, load_config(name), tmp_path))
+        assert cli.resolve(make_spec(kind, resolved, tmp_path)) == resolved
+
+    @pytest.mark.parametrize("name", NON_MNIST_CONFIGS)
+    def test_manifest_parameters_rerun_identically(self, name, tmp_path):
+        kind = CONFIG_KINDS[name]
+        first = run(make_spec(kind, load_config(name), tmp_path, sub="a"))
+        assert first["status"] == "ok"
+        recorded = json.loads((tmp_path / "a" / cli.MANIFEST_NAME).read_text())
+        cfg = tmp_path / "resolved.yaml"
+        cfg.write_text(yaml.safe_dump(recorded["parameters"]))
+        assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        again = json.loads((tmp_path / "b" / cli.MANIFEST_NAME).read_text())
+        assert again["parameters"] == recorded["parameters"]
+        assert again["spec_hash"] == first["spec_hash"]
+        for artifact in first["artifacts"]:
+            assert (tmp_path / "a" / artifact).read_bytes() == \
+                (tmp_path / "b" / artifact).read_bytes()
+
+    @pytest.mark.parametrize("kind, explicit", [
+        ("vac-table", {"vdd": 2.5, "preset": "small"}),
+        ("fixed-points", {"converter": "compensated"}),
+        ("response-curve", {"grid_points": 21, "depths": [1, 2, 3], "n": 3}),
+    ])
+    def test_defaults_hash_like_explicit_values(self, kind, explicit, tmp_path):
+        implicit = run(make_spec(kind, {}, tmp_path, sub="a"))
+        given = run(make_spec(kind, explicit, tmp_path, sub="b"))
+        assert implicit["status"] == given["status"] == "ok"
+        assert implicit["parameters"] == given["parameters"]
+        assert implicit["spec_hash"] == given["spec_hash"]
+
+    def test_train_sweep_configs_take_the_sweep_defaults(self, tmp_path):
+        params = {"subsample": 500, "configs": [
+            {"topology": "784/10", "activation": "relu"},
+            {"topology": [784, 10], "activation": "relu", "subsample": 100,
+             "seed": 9}]}
+        resolved = cli.resolve(make_spec("train-sweep", params, tmp_path, seed=4))
+        assert [(c["topology"], c["subsample"], c["seed"])
+                for c in resolved["configs"]] == [([784, 10], 500, 4),
+                                                  ([784, 10], 100, 9)]
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("response-curve", {"path": "transient"}, "path"),
+        ("vac-table", {"r_unit": 1e5}, "r_unit"),
+        ("sweep-freq", {"grid": [1e6], "c_out": 1e-10}, "c_out"),
+        ("sweep-vdd", {"grid": [1.0], "vdd": 3.0}, "vdd"),
+        ("vac-table", {"preset": "custom", "r_unit": 1e5}, "c_out"),
+        ("fit", {"source": "exact", "frequency": 1e8}, "frequency"),
+        ("train", {"topology": "784/10", "activation": "relu",
+                   "max_weight": 63}, "max_weight"),
+        ("train", {"topology": "784/10", "activation": "relu",
+                   "mode": "integer"}, "max_weight"),
+        ("train-sweep", {"configs": [{"topology": "784/10", "activation": "tanh"}]},
+         "activation"),
+    ])
+    def test_unread_or_missing_key_named(self, kind, params, key, tmp_path):
+        manifest = run(make_spec(kind, params, tmp_path))
+        assert manifest["status"] == "error"
+        assert manifest["error"]["class"] == "ConfigError"
+        assert key in manifest["error"]["message"]
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("sweep-vdd", {"frequency": math.nan, "grid": [1.0, 2.0]}, "frequency"),
+        ("sweep-vdd", {"grid": [1.0, math.inf]}, "grid"),
+        ("vac-table", {"vdd": -math.inf}, "vdd"),
+        ("response-curve", {"grid_points": math.nan}, "grid_points"),
+        ("response-curve", {"n": math.inf}, "n"),
+        ("train", {"topology": "784/10", "activation": "relu",
+                   "epochs": math.nan}, "epochs"),
+    ])
+    def test_non_finite_rejected_by_name(self, kind, params, key, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(params))  # as .nan / .inf
+        assert cli.main([kind, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        manifest = json.loads((tmp_path / "o" / cli.MANIFEST_NAME).read_text())
+        assert manifest["error"]["class"] == "ConfigError"
+        assert key in manifest["error"]["message"]

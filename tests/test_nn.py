@@ -95,12 +95,6 @@ class TestActivationDerivs:
             checked += 1
 
 
-def test_bias_option_exists_but_stays_disabled():
-    with pytest.raises(ValueError):
-        NetworkConfig(layer_sizes=(2, 2), activation=ActivationKind.RELU,
-                      learning_rate=0.01, use_bias=True)
-
-
 class TestForward:
     def test_single_layer_pwm_stage(self):
         cfg = NetworkConfig(layer_sizes=(3, 1),
