@@ -27,7 +27,7 @@ from .perceptron import (PerceptronConfig, chain_eval, dynamic_duty_trace,
 from .signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
                       SinusoidSupply, SupplyProfile, with_random_phases)
 from .transient import (FloatingNodeError, TraceMetrics, TransientTrace,
-                        VacConfig, VacStimulus, default_horizon, simulate_vac,
+                        VacConfig, VacStimulus, simulate_vac, steady_state,
                         sweep, trace_metrics)
 
 __version__ = "0.1.0"

@@ -33,14 +33,14 @@ import yaml
 from . import converter as conv
 from . import mnist, nn
 from .analytic import WeightVector, vac_equilibrium
-from .perceptron import (PerceptronConfig, dynamic_duty_trace, perceptron_eval,
+from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
-from .signals import ConstantSupply, PwmSignal, SinusoidSupply
-from .transient import (VacConfig, VacStimulus, simulate_vac, sweep,
-                        trace_metrics)
+from .signals import PwmSignal, SinusoidSupply
+from .transient import (VacConfig, VacStimulus, simulate_vac, steady_state,
+                        sweep)
 
-__all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError", "resolve",
-           "run", "main"]
+__all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
+           "SweepFailedError", "resolve", "run", "main"]
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -50,6 +50,14 @@ class ConfigError(ValueError):
 
 class MissingDatasetError(FileNotFoundError):
     pass
+
+
+class SweepFailedError(RuntimeError):
+    """Every point of a sweep failed; its CSV, error rows only, is written."""
+
+    def __init__(self, message: str, artifacts: list[str]):
+        super().__init__(message)
+        self.artifacts = artifacts
 
 
 @dataclass
@@ -220,7 +228,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     **_vac_params(),
     "vdd": VDD,
     "frequency": FREQUENCY,
-    "horizon": Param(float, 20e-6),
     # the six stimulus rows of the weighted-adder reference table
     "rows": Param([{"duties": Param([float]), "weights": Param([int])}], [
         {"duties": [0.70, 0.80, 0.90], "weights": [7, 7, 7]},
@@ -235,16 +242,13 @@ def _run_vac_table(spec: ExperimentSpec) -> list[str]:
     p = spec.parameters
     vdd, freq = p["vdd"], p["frequency"]
     cfg = _vac_config(p)
-    supply = ConstantSupply(vdd)
 
     out_rows = []
     for row in p["rows"]:
         duties = row["duties"]
         w = WeightVector(tuple(row["weights"]), cfg.k)
         v_theory = vac_equilibrium(duties, w, vdd)
-        sigs = [PwmSignal(freq, d) for d in duties]
-        trace = simulate_vac(cfg, sigs, w, supply, p["horizon"], v0=0.0)
-        metrics = trace_metrics(trace, cfg, supply, cycle_period=1.0 / freq)
+        metrics = steady_state(cfg, VacStimulus(tuple(duties), freq, w, vdd=vdd))
         rel = abs(metrics.average_v - v_theory) / v_theory * 100.0 if v_theory else 0.0
         flat = []
         for d, wi in zip(duties, w.weights):
@@ -292,6 +296,9 @@ def _run_sweep(spec: ExperimentSpec, axis: str) -> list[str]:
                [axis, "average_v_V", "ratio_v_over_vdd", "swing_V",
                 "charge_time_s", "avg_power_W", "error"],
                rows)
+    if all(pt.metrics is None for pt in points):
+        raise SweepFailedError(f"all {len(points)} sweep points failed; first: "
+                               f"{points[0].error}", [name])
     return [name]
 
 
@@ -326,8 +333,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec) -> list[str]:
         name = f"dynamic_trace_{tag}.csv"
         trace.write_csv(spec.output_dir / name)
         artifacts.append(name)
-        ts, out = dynamic_duty_trace(pcfg, duties, w, supply, horizon)
-        ratio = [trace.value_at(float(t)) / supply.value_at(float(t)) for t in ts]
+        ts, out, ratio = duty_samples(pcfg, trace, supply)
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,
                    ["time_s", "duty_out", "v_over_vdd"],
@@ -517,6 +523,8 @@ def run(spec: ExperimentSpec) -> dict:
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SweepFailedError):
+            manifest["artifacts"] = exc.artifacts
     manifest["wall_time_s"] = time.time() - started
     (spec.output_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, default=str) + "\n")

@@ -16,8 +16,9 @@ import numpy as np
 from .analytic import WeightVector, vac_equilibrium
 from .converter import (NO_OSCILLATION, ConverterModel, is_no_oscillation,
                         v_to_dc)
-from .signals import ConstantSupply, PwmSignal, SupplyProfile
-from .transient import VacConfig, default_horizon, simulate_vac, trace_metrics
+from .signals import PwmSignal, SupplyProfile
+from .transient import (TransientTrace, VacConfig, VacStimulus, simulate_vac,
+                        steady_state)
 
 __all__ = [
     "PerceptronConfig",
@@ -26,6 +27,7 @@ __all__ = [
     "chain_eval",
     "response_curve",
     "dynamic_duty_trace",
+    "duty_samples",
 ]
 
 
@@ -57,19 +59,14 @@ def perceptron_eval(cfg: PerceptronConfig, duties: list[float],
     """Output duty cycle of one perceptron, or NO_OSCILLATION (raw converter).
 
     behavioral: v_to_dc(vac_equilibrium(duties, w, vdd)). transient: the
-    simulated steady-state average capacitor voltage replaces the analytic
-    equilibrium.
+    average capacitor voltage of the periodic steady state replaces the
+    analytic equilibrium.
     """
     if cfg.path == "behavioral":
         v = vac_equilibrium(duties, w, vdd)
     else:
-        supply = ConstantSupply(vdd)
-        sigs = [PwmSignal(cfg.frequency, d) for d in duties]
-        horizon = default_horizon(cfg.vac, [cfg.frequency])
-        trace = simulate_vac(cfg.vac, sigs, w, supply, horizon, v0=cfg.v0)
-        metrics = trace_metrics(trace, cfg.vac, supply,
-                                cycle_period=1.0 / cfg.frequency)
-        v = metrics.average_v
+        stim = VacStimulus(tuple(duties), cfg.frequency, w, vdd=vdd, v0=cfg.v0)
+        v = steady_state(cfg.vac, stim).average_v
     return v_to_dc(v, vdd, cfg.converter)
 
 
@@ -126,10 +123,25 @@ def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
     """
     sigs = [PwmSignal(cfg.frequency, d) for d in duties]
     trace = simulate_vac(cfg.vac, sigs, w, supply, horizon, v0=cfg.v0)
-    ts = np.linspace(0.0, horizon, n_samples)
-    out = np.empty(n_samples)
-    for i, t in enumerate(ts):
-        dc = v_to_dc(trace.value_at(float(t)), supply.value_at(float(t)),
-                     cfg.converter)
-        out[i] = np.nan if is_no_oscillation(dc) else dc
+    ts, out, _ = duty_samples(cfg, trace, supply, n_samples)
     return ts, out
+
+
+def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
+                 supply: SupplyProfile, n_samples: int = 400):
+    """Converter output and v_cap/vdd at n_samples times evenly spread over
+    the trace's horizon.
+
+    Returns (times, duty_out, v_over_vdd), duty_out NaN where the raw
+    oscillator stalls.
+    """
+    ts = np.linspace(0.0, trace.horizon, n_samples)
+    out = np.empty(n_samples)
+    ratio = np.empty(n_samples)
+    for i, t in enumerate(ts):
+        v = trace.value_at(float(t))
+        vdd = supply.value_at(float(t))
+        dc = v_to_dc(v, vdd, cfg.converter)
+        out[i] = np.nan if is_no_oscillation(dc) else dc
+        ratio[i] = v / vdd
+    return ts, out, ratio

@@ -11,10 +11,21 @@ period.
 The optional compensation clamp floors the capacitor voltage at the PMOS
 threshold: a segment whose exponential would cross below the threshold is
 split at the crossing and held flat afterwards.
+
+Two entry points share the timeline and that segment rule:
+
+* steady_state - a constant supply and inputs of one common frequency. The
+  periodic steady state is solved exactly over one input period (the period
+  map's fixed point), with no long run and no drift check. The sweeps, the
+  vac-table and the perceptron transient path use it.
+* simulate_vac + trace_metrics - any supply, including time-varying ones:
+  the trace over a given horizon, and metrics of its last part with a
+  chunk-to-chunk drift check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,9 +44,12 @@ __all__ = [
     "FloatingNodeError",
     "simulate_vac",
     "trace_metrics",
+    "steady_state",
     "sweep",
-    "default_horizon",
 ]
+
+
+DRIFT_LIMIT = 1e-3       # relative drift above which metrics are unreliable
 
 
 class FloatingNodeError(ValueError):
@@ -55,6 +69,9 @@ class VacConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n} k={self.k}")
+        for name in ("r_unit", "c_out", "compensation_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.r_unit <= 0 or self.c_out <= 0:
             raise ValueError("r_unit and c_out must be > 0")
         if self.compensation_threshold < 0:
@@ -129,7 +146,8 @@ class TransientTrace:
 
 @dataclass(frozen=True)
 class TraceMetrics:
-    """Steady-state cycle metrics of a transient run."""
+    """Steady-state cycle metrics of a transient run or of the exact
+    periodic steady state."""
 
     average_v: float
     swing: float               # steady-state max - min
@@ -139,25 +157,16 @@ class TraceMetrics:
     drift: float = 0.0
 
 
-def simulate_vac(cfg: VacConfig,
-                 inputs: list[PwmSignal],
-                 w: WeightVector,
-                 supply: SupplyProfile,
-                 horizon: float,
-                 v0: float = 0.0,
-                 n_uniform_samples: int = 512) -> TransientTrace:
-    """Solve the capacitor voltage over [0, horizon].
-
-    Fails fast on a floating node (all weights zero, clamp off) and on an
-    input-count mismatch. v0 must sit inside [0, max supply].
-    """
+def _check_run(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
+               supply: SupplyProfile, v0: float) -> None:
+    """The input checks shared by simulate_vac and steady_state."""
     if len(inputs) != cfg.n:
         raise ValueError(f"config expects {cfg.n} inputs, got {len(inputs)}")
     if w.n != cfg.n or w.k != cfg.k:
         raise ValueError(f"weight vector ({w.n} inputs, k={w.k}) does not match "
                          f"config (n={cfg.n}, k={cfg.k})")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not math.isfinite(v0):
+        raise ValueError(f"v0 must be finite, got {v0}")
     if not 0.0 <= v0 <= supply.max_value():
         raise ValueError(f"v0={v0} outside [0, {supply.max_value()}]")
     if cfg.compensation_threshold >= supply.min_value():
@@ -169,12 +178,13 @@ def simulate_vac(cfg: VacConfig,
             "all weights are zero and the compensation clamp is off; "
             "the capacitor node floats")
 
-    n_units = cfg.total_units
-    g = 1.0 / cfg.r_unit
-    tau = cfg.tau
-    v_th = cfg.compensation_threshold
 
-    # --- timeline: input edges + supply sub-steps/breakpoints ---
+def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
+              supply: SupplyProfile, horizon: float):
+    """Timeline of [0, horizon]: input edges plus supply sub-steps and
+    breakpoints. Returns per-segment start, end, divider equilibrium, supply,
+    pull-up and pull-down unit counts."""
+    n_units = cfg.total_units
     parts = [np.array([0.0, horizon])]
     for sig in inputs:
         parts.append(sig.edges_in(0.0, horizon))
@@ -207,8 +217,14 @@ def simulate_vac(cfg: VacConfig,
         vdd_seg = np.array([supply.value_at(float(t)) for t in t0s])
 
     veq_seg = vdd_seg * (up_units / n_units)
+    return t0s, t1s, veq_seg, vdd_seg, up_units, dn_units
 
-    # --- walk segments, splitting where the clamp engages ---
+
+def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
+    """Solve `segments` from v0 (raised to the clamp threshold), splitting a
+    segment where the clamp engages. The returned trace holds no samples."""
+    tau = cfg.tau
+    v_th = cfg.compensation_threshold
     out_t0: list[float] = []
     out_t1: list[float] = []
     out_v0: list[float] = []
@@ -220,12 +236,7 @@ def simulate_vac(cfg: VacConfig,
     out_clamped: list[bool] = []
 
     v = max(float(v0), v_th) if v_th > 0.0 else float(v0)
-    t0_l = t0s.tolist()
-    t1_l = t1s.tolist()
-    veq_l = veq_seg.tolist()
-    vdd_l = vdd_seg.tolist()
-    up_l = up_units.tolist()
-    dn_l = dn_units.tolist()
+    t0_l, t1_l, veq_l, vdd_l, up_l, dn_l = (a.tolist() for a in segments)
     exp = math.exp
     log = math.log
 
@@ -269,23 +280,35 @@ def simulate_vac(cfg: VacConfig,
         out_clamped.append(False)
         v = v_end
 
-    seg_t0 = np.array(out_t0)
-    seg_t1 = np.array(out_t1)
-    seg_v0 = np.array(out_v0)
-    seg_v1 = np.array(out_v1)
-    seg_veq = np.array(out_veq)
-    seg_vdd = np.array(out_vdd)
-    seg_up = np.array(out_up, dtype=np.int64)
-    seg_dn = np.array(out_dn, dtype=np.int64)
-    seg_clamped = np.array(out_clamped, dtype=bool)
-
-    trace = TransientTrace(
+    return TransientTrace(
         times=np.empty(0), v_cap=np.empty(0), vdd=np.empty(0),
-        tau=tau, g_unit=g,
-        seg_t0=seg_t0, seg_t1=seg_t1, seg_v0=seg_v0, seg_v1=seg_v1,
-        seg_veq=seg_veq, seg_vdd=seg_vdd, seg_up=seg_up, seg_dn=seg_dn,
-        seg_clamped=seg_clamped,
+        tau=tau, g_unit=1.0 / cfg.r_unit,
+        seg_t0=np.array(out_t0), seg_t1=np.array(out_t1),
+        seg_v0=np.array(out_v0), seg_v1=np.array(out_v1),
+        seg_veq=np.array(out_veq), seg_vdd=np.array(out_vdd),
+        seg_up=np.array(out_up, dtype=np.int64),
+        seg_dn=np.array(out_dn, dtype=np.int64),
+        seg_clamped=np.array(out_clamped, dtype=bool),
     )
+
+
+def simulate_vac(cfg: VacConfig,
+                 inputs: list[PwmSignal],
+                 w: WeightVector,
+                 supply: SupplyProfile,
+                 horizon: float,
+                 v0: float = 0.0,
+                 n_uniform_samples: int = 512) -> TransientTrace:
+    """Solve the capacitor voltage over [0, horizon].
+
+    Fails fast on a floating node (all weights zero, clamp off) and on an
+    input-count mismatch. v0 must sit inside [0, max supply].
+    """
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    _check_run(cfg, inputs, w, supply, v0)
+    trace = _walk(cfg, _segments(cfg, inputs, w, supply, horizon), v0)
+    seg_t0, seg_v0, seg_v1 = trace.seg_t0, trace.seg_v0, trace.seg_v1
 
     # sampled waveform: all segment boundaries, densified with uniform samples
     boundary_ts = np.append(seg_t0, horizon)
@@ -344,7 +367,7 @@ def _window_integrals(trace: TransientTrace, w_lo: float, w_hi: float):
 def trace_metrics(trace: TransientTrace, cfg: VacConfig,
                   supply: SupplyProfile,
                   steady_fraction: float = 0.25,
-                  drift_limit: float = 1e-3,
+                  drift_limit: float = DRIFT_LIMIT,
                   cycle_period: float | None = None) -> TraceMetrics:
     """Steady-state average, ripple swing, charge time, and supply power.
 
@@ -413,13 +436,113 @@ def _first_crossing(trace: TransientTrace, level: float) -> float | None:
     return None
 
 
-def default_horizon(cfg: VacConfig, frequencies: list[float]) -> float:
-    """Simulation horizon: whole periods of the slowest input, long enough
-    that the last-quarter window sits past ~18 time constants."""
-    t_slow = 1.0 / min(frequencies)
-    n_periods = max(20, math.ceil(24.0 * cfg.tau / t_slow))
-    n_periods = ((n_periods + 3) // 4) * 4
-    return n_periods * t_slow
+def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
+    """Exact periodic steady state of a constant supply and inputs of one
+    common frequency.
+
+    One input period is cut into the segments simulate_vac would use, and
+    the periodic start voltage v* = F(v*) of the period map F is solved
+    directly: without the clamp F is affine, v -> A*v + B with
+    A = exp(-T/tau); where the clamp can engage, F is monotone with slope at
+    most A, and v* is bisected on [threshold, vdd]. Average, swing and power
+    are the closed-form integrals over that one period; the charge time is
+    the first crossing of the average from v0. `drift` is the relative
+    fixed-point residual |F(v*) - v*| / average.
+    """
+    supply = ConstantSupply(stimulus.vdd)
+    inputs = stimulus.signals()
+    _check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
+    period = 1.0 / stimulus.frequency
+    segments = _segments(cfg, inputs, stimulus.w, supply, period)
+    pss = _walk(cfg, segments, _fixed_point(cfg, segments, period, stimulus.vdd))
+    v_int, p_int, vmin, vmax = _window_integrals(pss, 0.0, period)
+    average_v = v_int / period
+    drift = abs(float(pss.seg_v1[-1] - pss.seg_v0[0])) / max(abs(average_v), 1e-30)
+    return TraceMetrics(
+        average_v=average_v, swing=max(vmax - vmin, 0.0),
+        charge_time=_charge_time(cfg, segments, pss, average_v, stimulus.v0),
+        avg_power=p_int / period, reliable=drift < DRIFT_LIMIT, drift=drift)
+
+
+def _clamp_can_engage(cfg: VacConfig, segments) -> bool:
+    """True when some segment pulls toward a voltage below the clamp
+    threshold, the only segments on which _walk clamps."""
+    v_th = cfg.compensation_threshold
+    return v_th > 0.0 and bool(np.any(segments[2] < v_th))
+
+
+def _fixed_point(cfg: VacConfig, segments, period: float, vdd: float) -> float:
+    """The start voltage v* = F(v*) of the one-period map F of `segments`."""
+    t0s, t1s, veq = segments[:3]
+    tau = cfg.tau
+    if not _clamp_can_engage(cfg, segments):
+        # B = F(0): each segment's pull toward veq, decayed over the rest of
+        # the period; every term is >= 0, so the sum loses no precision
+        b = float(np.sum(veq * -np.expm1(-(t1s - t0s) / tau)
+                         * np.exp(-(period - t1s) / tau)))
+        return b / -math.expm1(-period / tau)
+    # F(v_th) >= v_th and F(vdd) <= vdd; bisect until the bracket is one ulp
+    lo, hi = cfg.compensation_threshold, vdd
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if _walk(cfg, segments, mid).seg_v1[-1] >= mid:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _charge_time(cfg: VacConfig, segments, pss: TransientTrace, level: float,
+                 v0: float) -> float | None:
+    """First time the voltage reaches `level` from v0 (raised to the clamp
+    threshold, as _walk does), given the steady-state period `pss`.
+
+    Every deviation from the steady state decays at least as fast as
+    e^(-t/tau), so after m_hi periods the voltage has crossed wherever the
+    steady state goes past the level by more than the remaining deviation.
+    Without the clamp, period m starts at v* + (v_start - v*)*A^m exactly
+    and the first crossing period is bisected; with it, whole periods are
+    walked from v_start.
+    """
+    v_th = cfg.compensation_threshold
+    v = max(float(v0), v_th) if v_th > 0.0 else float(v0)
+    if v == level:
+        return 0.0
+    tau = cfg.tau
+    period = pss.horizon
+    v_star = float(pss.seg_v0[0])
+    delta = v - v_star
+    ends = np.append(pss.seg_v0, pss.seg_v1[-1])
+    # how far the steady state goes past the level, on the far side from v
+    gap = float(np.max((level - ends) if v > level else (ends - level)))
+    gap = max(gap, 4.0 * math.ulp(max(abs(level), abs(delta))))
+    m_hi = max(0, math.ceil(math.log(abs(delta) / gap) * tau / period)) if delta else 0
+    if _clamp_can_engage(cfg, segments):
+        for m in range(m_hi + 1):
+            trace = _walk(cfg, segments, v)
+            t = _first_crossing(trace, level)
+            if t is not None:
+                return m * period + t
+            v = float(trace.seg_v1[-1])
+        return None
+
+    def crossing(m: int) -> float | None:
+        start = v if m == 0 else v_star + delta * math.exp(-m * period / tau)
+        return _first_crossing(_walk(cfg, segments, start), level)
+
+    lo, hi = -1, m_hi            # no crossing before period lo + 1
+    t_hi = crossing(hi)
+    if t_hi is None:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t_mid = crossing(mid)
+        if t_mid is None:
+            lo = mid
+        else:
+            hi, t_hi = mid, t_mid
+    return hi * period + t_hi
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +551,19 @@ def default_horizon(cfg: VacConfig, frequencies: list[float]) -> float:
 
 @dataclass(frozen=True)
 class VacStimulus:
-    """One VAC stimulus: duties, frequencies (scalar or per-input), weights."""
+    """One VAC stimulus under a constant supply: duties and phases of inputs
+    sharing one frequency, weights, supply and initial voltage."""
 
     duties: tuple[float, ...]
-    frequency: float | tuple[float, ...]
+    frequency: float
     w: WeightVector
     vdd: float = 2.5
     v0: float = 0.0
     phases: tuple[float, ...] | None = None
 
-    def frequencies(self) -> list[float]:
-        if isinstance(self.frequency, (int, float)):
-            return [float(self.frequency)] * len(self.duties)
-        return [float(f) for f in self.frequency]
-
     def signals(self) -> list[PwmSignal]:
-        freqs = self.frequencies()
         phases = self.phases or (0.0,) * len(self.duties)
-        return [PwmSignal(f, d, p) for f, d, p in zip(freqs, self.duties, phases)]
+        return [PwmSignal(self.frequency, d, p) for d, p in zip(self.duties, phases)]
 
 
 @dataclass(frozen=True)
@@ -459,20 +577,10 @@ class SweepPoint:
 def _sweep_one(args) -> SweepPoint:
     cfg, stim, axis, value = args
     try:
-        if axis == "vdd":
-            stim = VacStimulus(stim.duties, stim.frequency, stim.w,
-                               vdd=float(value), v0=stim.v0, phases=stim.phases)
-        elif axis == "frequency":
-            stim = VacStimulus(stim.duties, float(value), stim.w,
-                               vdd=stim.vdd, v0=stim.v0, phases=stim.phases)
-        else:
+        if axis not in ("vdd", "frequency"):
             raise ValueError(f"unknown sweep axis {axis!r}")
-        supply = ConstantSupply(stim.vdd)
-        sigs = stim.signals()
-        horizon = default_horizon(cfg, stim.frequencies())
-        trace = simulate_vac(cfg, sigs, stim.w, supply, horizon, v0=stim.v0)
-        metrics = trace_metrics(trace, cfg, supply,
-                                cycle_period=1.0 / min(stim.frequencies()))
+        stim = dataclasses.replace(stim, **{axis: float(value)})
+        metrics = steady_state(cfg, stim)
         return SweepPoint(float(value), metrics, metrics.average_v / stim.vdd)
     except Exception as exc:  # recorded, not fatal
         return SweepPoint(float(value), None, None,
@@ -481,7 +589,7 @@ def _sweep_one(args) -> SweepPoint:
 
 def sweep(cfg: VacConfig, stimulus: VacStimulus, axis: str,
           grid: list[float], jobs: int = 1) -> list[SweepPoint]:
-    """One simulate+metrics per grid point; failures are recorded per point.
+    """One steady_state per grid point; failures are recorded per point.
 
     Results are ordered by grid index whatever the worker count, so output is
     parallelism-invariant.

@@ -22,9 +22,7 @@ from pwmperc.analytic import WeightVector, vac_equilibrium
 from pwmperc.converter import ConverterModel, find_fixed_points, fit_cubic, stage_map
 from pwmperc.nn import ActivationKind, Network, NetworkConfig
 from pwmperc.perceptron import PerceptronConfig, perceptron_eval, response_curve
-from pwmperc.signals import ConstantSupply, PwmSignal
-from pwmperc.transient import (VacConfig, VacStimulus, default_horizon,
-                               simulate_vac, sweep, trace_metrics)
+from pwmperc.transient import VacConfig, VacStimulus, steady_state, sweep
 
 SUBSAMPLE_MODE = os.environ.get("PWMPERC_ACCEPT_SUBSAMPLE", "") not in ("", "0")
 BAND_RELAX = 3.0 if SUBSAMPLE_MODE else 0.0
@@ -47,13 +45,9 @@ def _line(tag: str, ok: bool, detail: str):
     return ok
 
 
-def _simulate_table_row(duties, weights, vdd=2.5, freq=100e6, horizon=20e-6):
-    cfg = VacConfig.small()
-    w = WeightVector(weights, 3)
-    sigs = [PwmSignal(freq, d) for d in duties]
-    trace = simulate_vac(cfg, sigs, w, ConstantSupply(vdd), horizon, v0=0.0)
-    return trace_metrics(trace, cfg, ConstantSupply(vdd),
-                         cycle_period=1.0 / freq).average_v
+def _simulate_table_row(duties, weights, vdd=2.5, freq=100e6):
+    stim = VacStimulus(tuple(duties), freq, WeightVector(weights, 3), vdd=vdd)
+    return steady_state(VacConfig.small(), stim).average_v
 
 
 # --------------------------------------------------------------------------
@@ -149,11 +143,8 @@ def test_criterion_04_charge_time():
     start = time.monotonic()
 
     def charge(cfg, freq):
-        sigs = [PwmSignal(freq, 0.5)] * 3
-        sup = ConstantSupply(2.5)
-        trace = simulate_vac(cfg, sigs, W777, sup,
-                             default_horizon(cfg, [freq]), v0=2.5)
-        return trace_metrics(trace, cfg, sup, cycle_period=1.0 / freq).charge_time
+        stim = VacStimulus((0.5,) * 3, freq, W777, v0=2.5)
+        return steady_state(cfg, stim).charge_time
 
     t_small = charge(VacConfig.small(), 100e6)
     t_large = charge(VacConfig.large(), 1e6)
@@ -177,11 +168,8 @@ def test_criterion_05_power_band():
     powers = {}
     for name, cfg in (("small", VacConfig.small()), ("large", VacConfig.large())):
         freq = 100e6 if name == "small" else 1e6
-        sigs = [PwmSignal(freq, 0.5)] * 3
-        sup = ConstantSupply(2.5)
-        trace = simulate_vac(cfg, sigs, W777, sup, default_horizon(cfg, [freq]))
-        powers[name] = trace_metrics(trace, cfg, sup,
-                                     cycle_period=1.0 / freq).avg_power
+        stim = VacStimulus((0.5,) * 3, freq, W777)
+        powers[name] = steady_state(cfg, stim).avg_power
     in_band = all(14e-6 <= p <= 1080e-6 for p in powers.values())
     ratio = powers["small"] / powers["large"]
     ratio_ok = abs(ratio - 10.0) <= 5.0

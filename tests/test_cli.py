@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from pwmperc import cli
+from pwmperc import cli, perceptron, transient
 from pwmperc.cli import ExperimentSpec, run
 
 
@@ -102,6 +102,21 @@ class TestSweeps:
         assert manifest["status"] == "error"
         assert "grid" in manifest["error"]["message"]
 
+    def test_all_points_failed_is_an_error(self, tmp_path):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump({"frequency": -1.0, "grid": [1.0, 2.0]}))
+        out = tmp_path / "o"
+        assert cli.main(["sweep-vdd", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / cli.MANIFEST_NAME).read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["class"] == "SweepFailedError"
+        assert manifest["artifacts"] == ["sweep_vdd.csv"]
+        header, rows = read_rows(out / "sweep_vdd.csv")
+        assert len(rows) == 2 and all(r[header.index("error")] for r in rows)
+        # one good point keeps the run ok
+        assert run(make_spec("sweep-vdd", {"grid": [-1.0, 1.0]},
+                             tmp_path))["status"] == "ok"
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         params = {"grid": [1.0, 1.5, 2.5]}
         spec1 = make_spec("sweep-vdd", params, tmp_path, jobs=1, sub="a")
@@ -162,6 +177,18 @@ class TestOtherKinds:
             _, rows = read_rows(spec.output_dir / name)
             for cell in (c for r in rows for c in r if c):
                 float(cell)  # plain numbers, no numpy reprs
+
+    def test_dynamic_vdd_simulates_each_region_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, real=transient.simulate_vac, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        for module in (cli, perceptron):
+            monkeypatch.setattr(module, "simulate_vac", counting)
+        spec = make_spec("dynamic-vdd", {"horizon": 5e-6}, tmp_path)
+        assert run(spec)["status"] == "ok"
+        assert len(calls) == 2
 
     def test_report_collates_manifests(self, tmp_path):
         run(make_spec("fixed-points", {}, tmp_path, sub="runs/fp"))

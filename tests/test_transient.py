@@ -1,31 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
+from pwmperc import cli, transient
 from pwmperc.analytic import WeightVector, vac_equilibrium
 from pwmperc.signals import ConstantSupply, PwmSignal, SinusoidSupply
 from pwmperc.transient import (FloatingNodeError, VacConfig, VacStimulus,
-                               default_horizon, simulate_vac, sweep,
+                               simulate_vac, steady_state, sweep,
                                trace_metrics)
 
 W777 = WeightVector((7, 7, 7), 3)
 SUP25 = ConstantSupply(2.5)
 
 
-def run(cfg, duties, w, freq, supply, v0=0.0, horizon=None):
-    sigs = [PwmSignal(freq, d) for d in duties]
-    horizon = horizon or default_horizon(cfg, [freq])
-    trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=v0)
-    return trace, trace_metrics(trace, cfg, supply, cycle_period=1.0 / freq)
+def run(cfg, duties, w, freq, vdd=2.5, v0=0.0):
+    return steady_state(cfg, VacStimulus(tuple(duties), freq, w, vdd=vdd, v0=v0))
 
 
 class TestSteadyState:
     def test_half_duty_full_weights_small_preset(self):
-        _, m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, SUP25)
+        m = run(VacConfig.small(), [0.5] * 3, W777, 100e6)
         assert m.reliable
         assert m.average_v == pytest.approx(1.25, rel=0.02)
 
     def test_supply_scaling(self):
-        _, m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, ConstantSupply(1.0))
+        m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, vdd=1.0)
         assert m.average_v == pytest.approx(0.50, rel=0.02)
 
     def test_unrelated_frequencies_plain_adder(self):
@@ -33,8 +33,7 @@ class TestSteadyState:
         cfg = VacConfig(n=3, k=1, r_unit=100e3, c_out=10e-12)
         w = WeightVector((1, 1, 1), 1)
         sigs = [PwmSignal(140e6, 0.7), PwmSignal(120e6, 0.3), PwmSignal(100e6, 0.5)]
-        horizon = default_horizon(cfg, [100e6])
-        trace = simulate_vac(cfg, sigs, w, SUP25, horizon)
+        trace = simulate_vac(cfg, sigs, w, SUP25, 8e-6)  # 24 tau, whole periods
         m = trace_metrics(trace, cfg, SUP25, cycle_period=1e-8)
         assert m.average_v == pytest.approx(1.25, rel=0.02)
 
@@ -45,22 +44,22 @@ class TestSteadyState:
             duties = rng.uniform(0.05, 0.95, 3).tolist()
             w = WeightVector(tuple(int(v) for v in rng.integers(1, 8, 3)), 3)
             vdd = float(rng.uniform(1.0, 3.3))
-            _, m = run(cfg, duties, w, 100e6, ConstantSupply(vdd))
+            m = run(cfg, duties, w, 100e6, vdd=vdd)
             expect = vac_equilibrium(duties, w, vdd)
             assert abs(m.average_v - expect) <= m.swing / 2 + 0.01 * vdd
 
     def test_charge_time_small_preset(self):
-        _, m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, SUP25, v0=2.5)
+        m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, v0=2.5)
         assert m.charge_time == pytest.approx(0.14e-6, rel=0.5)
 
     def test_charge_time_ratio_large_over_small(self):
-        _, ms = run(VacConfig.small(), [0.5] * 3, W777, 100e6, SUP25, v0=2.5)
-        _, ml = run(VacConfig.large(), [0.5] * 3, W777, 1e6, SUP25, v0=2.5)
+        ms = run(VacConfig.small(), [0.5] * 3, W777, 100e6, v0=2.5)
+        ml = run(VacConfig.large(), [0.5] * 3, W777, 1e6, v0=2.5)
         assert ml.charge_time == pytest.approx(14.5e-6, rel=0.5)
         assert ml.charge_time / ms.charge_time == pytest.approx(100.0, rel=0.1)
 
     def test_charge_time_from_equilibrium_start_is_zero(self):
-        _, m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, SUP25, v0=1.25)
+        m = run(VacConfig.small(), [0.5] * 3, W777, 100e6, v0=1.25)
         assert m.charge_time is not None and m.charge_time < 2e-8
 
 
@@ -68,41 +67,42 @@ class TestRipple:
     def test_swing_monotone_in_frequency(self):
         swings = []
         for f in (1e5, 1e6, 1e7, 1e8):
-            _, m = run(VacConfig.large(), [0.5] * 3, W777, f, SUP25)
+            m = run(VacConfig.large(), [0.5] * 3, W777, f)
             swings.append(m.swing)
         assert all(b <= a + 1e-12 for a, b in zip(swings, swings[1:]))
 
     def test_swing_monotone_in_capacitance(self):
         small_c = VacConfig(n=3, k=3, r_unit=1e6, c_out=10e-12)
         big_c = VacConfig(n=3, k=3, r_unit=1e6, c_out=100e-12)
-        _, m_small = run(small_c, [0.5] * 3, W777, 1e6, SUP25)
-        _, m_big = run(big_c, [0.5] * 3, W777, 1e6, SUP25)
+        m_small = run(small_c, [0.5] * 3, W777, 1e6)
+        m_big = run(big_c, [0.5] * 3, W777, 1e6)
         assert m_big.swing <= m_small.swing
 
     def test_large_preset_crosses_200mv_between_100khz_and_1mhz(self):
-        _, m_slow = run(VacConfig.large(), [0.5] * 3, W777, 1e5, SUP25)
-        _, m_fast = run(VacConfig.large(), [0.5] * 3, W777, 1e6, SUP25)
+        m_slow = run(VacConfig.large(), [0.5] * 3, W777, 1e5)
+        m_fast = run(VacConfig.large(), [0.5] * 3, W777, 1e6)
         assert m_slow.swing > 0.2
         assert m_fast.swing <= 0.2
 
 
 class TestPower:
     def test_power_positive_and_preset_ratio(self):
-        _, ms = run(VacConfig.small(), [0.5] * 3, W777, 100e6, SUP25)
-        _, ml = run(VacConfig.large(), [0.5] * 3, W777, 100e6, SUP25)
+        ms = run(VacConfig.small(), [0.5] * 3, W777, 100e6)
+        ml = run(VacConfig.large(), [0.5] * 3, W777, 100e6)
         assert ms.avg_power > 0 and ml.avg_power > 0
         assert ms.avg_power > ml.avg_power
         assert ms.avg_power / ml.avg_power == pytest.approx(10.0, rel=0.01)
 
     def test_power_in_reference_band(self):
-        _, ms = run(VacConfig.small(), [0.5] * 3, W777, 100e6, SUP25)
+        ms = run(VacConfig.small(), [0.5] * 3, W777, 100e6)
         assert 14e-6 <= ms.avg_power <= 1080e-6
 
 
 class TestClamp:
     def test_floor_holds_for_high_duty(self):
         cfg = VacConfig.small(compensation_threshold=0.7)
-        trace, m = run(cfg, [0.9] * 3, W777, 100e6, SUP25)
+        m = run(cfg, [0.9] * 3, W777, 100e6)
+        trace = simulate_vac(cfg, [PwmSignal(100e6, 0.9)] * 3, W777, SUP25, 1.16e-6)
         window = trace.horizon * 0.75
         vals = trace.v_cap[trace.times >= window]
         assert vals.min() >= 0.7 - 1e-12
@@ -110,13 +110,13 @@ class TestClamp:
 
     def test_no_clamp_when_equilibrium_above_threshold(self):
         cfg = VacConfig.small(compensation_threshold=0.7)
-        _, m = run(cfg, [0.5] * 3, W777, 100e6, SUP25)
+        m = run(cfg, [0.5] * 3, W777, 100e6)
         assert m.average_v == pytest.approx(1.25, rel=0.02)
 
     def test_all_zero_weights_with_clamp_pins_threshold(self):
         cfg = VacConfig.small(compensation_threshold=0.7)
         w0 = WeightVector((0, 0, 0), 3)
-        trace, _ = run(cfg, [0.5] * 3, w0, 100e6, SUP25)
+        trace = simulate_vac(cfg, [PwmSignal(100e6, 0.5)] * 3, w0, SUP25, 1.16e-6)
         # every cell disabled -> pure pull-up bank, node sits at vdd eventually
         assert trace.v_cap.min() >= 0.7 - 1e-12
 
@@ -143,6 +143,8 @@ class TestErrors:
         w0 = WeightVector((0, 0, 0), 3)
         with pytest.raises(FloatingNodeError):
             simulate_vac(cfg, [PwmSignal(1e8, 0.5)] * 3, w0, SUP25, 1e-6)
+        with pytest.raises(FloatingNodeError):
+            run(cfg, [0.5] * 3, w0, 1e8)
 
     def test_input_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -159,6 +161,24 @@ class TestErrors:
         with pytest.raises(ValueError):
             simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3, W777,
                          SUP25, 1e-6, v0=5.0)
+        with pytest.raises(ValueError, match="v0"):
+            run(VacConfig.small(), [0.5] * 3, W777, 1e8, v0=5.0)
+
+    @pytest.mark.parametrize("field, make", [
+        ("r_unit", lambda: VacConfig(3, 3, math.nan, 1e-11)),
+        ("c_out", lambda: VacConfig(3, 3, 1e5, math.inf)),
+        ("compensation_threshold",
+         lambda: VacConfig.small(compensation_threshold=math.nan)),
+        ("horizon", lambda: simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3,
+                                         W777, SUP25, math.nan)),
+        ("horizon", lambda: simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3,
+                                         W777, SUP25, math.inf)),
+        ("v0", lambda: simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3,
+                                    W777, SUP25, 1e-6, v0=math.nan)),
+    ])
+    def test_non_finite_input_named(self, field, make):
+        with pytest.raises(ValueError, match=field):
+            make()
 
 
 class TestSolverExactness:
@@ -248,6 +268,84 @@ class TestSweep:
         for a, b in zip(serial, parallel):
             assert a.metrics.average_v == b.metrics.average_v
             assert a.metrics.avg_power == b.metrics.avg_power
+
+
+# the weighted-adder rows of the vac-table experiment
+TABLE_ROWS = [(tuple(r["duties"]), WeightVector(tuple(r["weights"]), 3))
+              for r in cli.KINDS["vac-table"][0]["rows"].default]
+PRESETS = pytest.mark.parametrize("cfg", [VacConfig.small(), VacConfig.large()],
+                                  ids=["small", "large"])
+W567 = WeightVector((5, 6, 7), 3)
+UNCLAMPED = [
+    (VacConfig.small(), VacStimulus((0.5,) * 3, 100e6, W777, v0=2.5)),
+    (VacConfig.large(), VacStimulus((0.7, 0.8, 0.9), 1e6, W777, v0=2.5)),
+    (VacConfig.small(), VacStimulus((0.2, 0.6, 0.8), 30e6, W567, vdd=1.8,
+                                    phases=(0.0, 5e-9, 20e-9))),
+]
+CLAMPED = [
+    (VacConfig.small(compensation_threshold=0.7),
+     VacStimulus((0.9,) * 3, 100e6, W777, v0=2.5)),
+    (VacConfig.small(compensation_threshold=0.4),
+     VacStimulus((0.9, 0.8, 0.95), 100e6, W777, phases=(0.0, 3e-9, 7e-9))),
+    # pulled to ground all the time: pinned at the threshold
+    (VacConfig.small(compensation_threshold=0.7),
+     VacStimulus((1.0,) * 3, 100e6, W777, v0=2.5)),
+]
+
+
+def long_run(cfg, stim, n_tau=30.0):
+    """simulate_vac + trace_metrics over at least n_tau time constants, in a
+    multiple of 4 periods so that the last-quarter window holds whole ones."""
+    period = 1.0 / stim.frequency
+    n_periods = 4 * math.ceil(n_tau * cfg.tau / (4 * period))
+    supply = ConstantSupply(stim.vdd)
+    trace = simulate_vac(cfg, stim.signals(), stim.w, supply, n_periods * period,
+                         v0=stim.v0)
+    return trace_metrics(trace, cfg, supply, cycle_period=period)
+
+
+class TestPeriodicSteadyState:
+    @PRESETS
+    def test_average_equals_vac_equilibrium_without_clamp(self, cfg):
+        cases = [((0.5,) * 3, W777, f) for f in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)]
+        cases += [(duties, w, 100e6) for duties, w in TABLE_ROWS]
+        for duties, w, f in cases:
+            m = steady_state(cfg, VacStimulus(duties, f, w))
+            assert m.reliable
+            assert m.average_v == pytest.approx(
+                vac_equilibrium(list(duties), w, 2.5), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cfg, stim", UNCLAMPED + CLAMPED)
+    def test_matches_long_transient(self, cfg, stim):
+        pss = steady_state(cfg, stim)
+        ref = long_run(cfg, stim)
+        assert ref.reliable
+        assert abs(pss.average_v - ref.average_v) <= 1e-6
+        assert pss.avg_power == pytest.approx(ref.avg_power, rel=1e-6)
+        assert pss.charge_time == pytest.approx(ref.charge_time, rel=1e-6)
+
+    @pytest.mark.parametrize("cfg, stim", CLAMPED)
+    def test_clamped_fixed_point(self, cfg, stim):
+        period = 1.0 / stim.frequency
+        supply = ConstantSupply(stim.vdd)
+        segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
+        v_star = transient._fixed_point(cfg, segments, period, stim.vdd)
+        # F(v*), one period from v*, by the transient solver
+        one = simulate_vac(cfg, stim.signals(), stim.w, supply, period, v0=v_star)
+        assert one.seg_clamped.any()
+        assert abs(one.seg_v1[-1] - v_star) <= 1e-12
+        v_th = cfg.compensation_threshold
+        assert one.seg_v0.min() >= v_th and one.seg_v1.min() >= v_th
+
+
+def test_large_preset_vac_table_is_exact(tmp_path):
+    spec = cli.ExperimentSpec(kind="vac-table", parameters={"preset": "large"},
+                              output_dir=tmp_path, seed=0)
+    assert cli.run(spec)["status"] == "ok"
+    header, *rows = (tmp_path / "vac_table.csv").read_text().splitlines()
+    col = header.split(",").index("rel_diff_pct")
+    rel = [float(row.split(",")[col]) for row in rows]
+    assert len(rel) == 6 and max(rel) < 1e-6
 
 
 def test_trace_csv_roundtrip(tmp_path):
