@@ -3,7 +3,7 @@
 Layers of the package, bottom up:
 
 * signals   - PWM waveforms and supply profiles
-* analytic  - closed-form inverter/adder/weighted-VAC equilibria
+* analytic  - closed-form weighted-VAC equilibrium
 * transient - event-driven piecewise-exponential RC solver + metrics
 * converter - voltage-to-PWM transfer models, cubic fitting, fixed points
 * perceptron- composed VAC + converter evaluation, chained stages
@@ -12,9 +12,7 @@ Layers of the package, bottom up:
 * cli       - reproducible batch experiments emitting CSV + manifest
 """
 
-from .analytic import (CellResistances, WeightVector, adder_equilibrium,
-                       divider_equilibrium, inverter_equilibrium,
-                       vac_equilibrium, weighted_dc_sum)
+from .analytic import WeightVector, vac_equilibrium, weighted_dc_sum
 from .converter import (NO_OSCILLATION, ConverterModel, FitResult, FixedPoint,
                         FixedPointScan, find_fixed_points, fit_cubic,
                         is_no_oscillation, stage_map, stage_map_deriv, v_to_dc)

@@ -1,9 +1,11 @@
-"""Closed-form steady-state equations of the PWM inverter, adder, and
-weighted-addition voltage accumulator (VAC).
+"""Closed-form steady state of the weighted-addition voltage accumulator (VAC).
 
-These are the idealized resistive-divider relations: the average capacitor
+This is the idealized resistive-divider relation: the average capacitor
 voltage of a cell bank driven by PWM inputs, in the regime where the output
-resistor dominates the transistor on-resistances. All functions are pure.
+resistor dominates the transistor on-resistances. The PWM inverter (one
+full-weight input, vdd * (1 - duty)) and the plain adder (all weights at
+maximum, vdd * (1 - mean(duty))) are its special cases. All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -11,36 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "CellResistances",
     "WeightVector",
-    "inverter_equilibrium",
-    "divider_equilibrium",
-    "adder_equilibrium",
     "weighted_dc_sum",
     "vac_equilibrium",
 ]
-
-
-@dataclass(frozen=True)
-class CellResistances:
-    """On-resistances of one inverter cell plus its output resistor."""
-
-    r_p: float    # PMOS on-resistance, ohms
-    r_n: float    # NMOS on-resistance, ohms
-    r_out: float  # per-cell output resistor, ohms
-
-    def __post_init__(self):
-        if self.r_p <= 0 or self.r_n <= 0 or self.r_out < 0:
-            raise ValueError(f"resistances must be positive, got {self}")
-
-    @property
-    def balanced(self) -> bool:
-        return self.r_p == self.r_n
-
-    @property
-    def linear_regime(self) -> bool:
-        """True when the output resistor dominates transistor asymmetry."""
-        return self.r_out >= 10.0 * max(self.r_p, self.r_n)
 
 
 @dataclass(frozen=True)
@@ -57,6 +33,8 @@ class WeightVector:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        if not self.weights:
+            raise ValueError("weights must hold at least one input")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         top = self.max_weight
@@ -76,46 +54,6 @@ class WeightVector:
     def total_units(self) -> int:
         """Unit-cell count of the whole bank, enabled or not: n * (2^k - 1)."""
         return self.n * self.max_weight
-
-
-def inverter_equilibrium(duty: float, vdd: float) -> float:
-    """Average output voltage of a single PWM inverter: vdd * (1 - duty)."""
-    _check_duty(duty)
-    if vdd <= 0:
-        raise ValueError(f"vdd must be > 0, got {vdd}")
-    return vdd * (1.0 - duty)
-
-
-def divider_equilibrium(duty: float, vdd: float, gnd: float, r: CellResistances) -> float:
-    """General resistive-divider form of the inverter equilibrium.
-
-    The charging branch (input low, PMOS side) conducts for a (1 - duty)
-    fraction of the period, the discharging branch for duty, so the effective
-    branch resistances scale as 1/duty and 1/(1 - duty). Reduces to
-    inverter_equilibrium when r_p == r_n and gnd == 0. duty 0 or 1 short one
-    branch entirely.
-    """
-    _check_duty(duty)
-    if vdd <= gnd:
-        raise ValueError(f"vdd ({vdd}) must exceed gnd ({gnd})")
-    if duty == 0.0:
-        return vdd
-    if duty == 1.0:
-        return gnd
-    r_n_eff = (r.r_n + r.r_out) / duty
-    r_p_eff = (r.r_p + r.r_out) / (1.0 - duty)
-    return (vdd - gnd) * r_n_eff / (r_n_eff + r_p_eff) + gnd
-
-
-def adder_equilibrium(duties: list[float], vdd: float) -> float:
-    """Average output of n parallel unit inverters: vdd * (1 - mean(duty))."""
-    if len(duties) == 0:
-        raise ValueError("adder needs at least one input")
-    for d in duties:
-        _check_duty(d)
-    if vdd <= 0:
-        raise ValueError(f"vdd must be > 0, got {vdd}")
-    return vdd * (1.0 - sum(duties) / len(duties))
 
 
 def weighted_dc_sum(duties: list[float], w: WeightVector) -> float:

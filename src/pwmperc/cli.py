@@ -16,6 +16,7 @@ required keys and non-finite numbers are reported by name. The manifest's
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -23,7 +24,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +36,8 @@ from .analytic import WeightVector, vac_equilibrium
 from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
 from .signals import PwmSignal, SinusoidSupply
-from .transient import (VacConfig, VacStimulus, simulate_vac, steady_state,
-                        sweep)
+from .transient import (VacConfig, VacStimulus, parallel_map, simulate_vac,
+                        steady_state, sweep)
 
 __all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
            "SweepFailedError", "resolve", "run", "main"]
@@ -219,9 +219,9 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 @_kind("vac-table", {
@@ -453,11 +453,7 @@ def _run_train(spec: ExperimentSpec) -> list[str]:
 def _run_train_sweep(spec: ExperimentSpec) -> list[str]:
     tasks = [(cfg, spec.seed + i, spec.data_dir)
              for i, cfg in enumerate(spec.parameters["configs"])]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_train_one, tasks))
-    else:
-        rows = [_train_one(t) for t in tasks]
+    rows = parallel_map(_train_one, tasks, spec.jobs)
     _write_csv(spec.output_dir / "train_sweep.csv", TRAIN_HEADER,
                [[r[k] for k in TRAIN_HEADER] for r in rows])
     return ["train_sweep.csv"]

@@ -10,8 +10,10 @@ Two models of the ring-oscillator output stage:
   (duty-in -> duty-out at max weights), with the output capped at 98%.
 
 Also the cubic least-squares fit used to recover stage models from response
-data, and fixed-point analysis of the stage map (which explains where chained
-stages contract and where they saturate).
+data, and the fixed points of the stage map (which explain where chained
+stages contract and where they saturate), solved exactly: x = 0 on the
+floor, x = cap/100 on the cap, and in between the real roots of
+cubic(x) - 100 x.
 """
 
 from __future__ import annotations
@@ -101,38 +103,6 @@ class ConverterModel:
         """Raw cubic in percent, no capping. Accepts scalars or arrays."""
         c3, c2, c1, c0 = self.coefficients
         return ((c3 * x + c2) * x + c1) * x + c0
-
-    def cap_entry(self) -> float:
-        """Smallest x in [0, 1] where the cubic reaches the output cap.
-
-        Returns 1.0 if the cubic stays below the cap on the whole interval.
-        Bisection on the (continuous) cubic; cached per model.
-        """
-        cached = _CAP_ENTRY_CACHE.get((self.coefficients, self.output_cap))
-        if cached is not None:
-            return cached
-        f = lambda x: self.cubic_percent(x) - self.output_cap
-        entry = 1.0
-        if f(1.0) > 0.0:
-            xs = np.linspace(0.0, 1.0, 1001)
-            vals = f(xs)
-            idx = np.nonzero(vals > 0.0)[0]
-            if len(idx) and idx[0] > 0:
-                lo, hi = xs[idx[0] - 1], xs[idx[0]]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if f(mid) > 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                entry = 0.5 * (lo + hi)
-            elif len(idx):
-                entry = 0.0
-        _CAP_ENTRY_CACHE[(self.coefficients, self.output_cap)] = entry
-        return entry
-
-
-_CAP_ENTRY_CACHE: dict = {}
 
 
 def stage_map(x: float, model: ConverterModel | None = None) -> float:
@@ -228,49 +198,39 @@ class FixedPointScan:
         return self.degenerate_interval is not None
 
 
-def find_fixed_points(model: ConverterModel | None = None,
-                      grid_step: float = 1e-4,
-                      tol: float = 1e-6) -> FixedPointScan:
-    """Roots of stage_map(x) == x in [0, 1] with local stability.
+def find_fixed_points(model: ConverterModel | None = None) -> FixedPointScan:
+    """Exact roots of stage_map(x) == x in [0, 1] with local stability.
 
-    Sign-change bisection on a grid_step grid, refined to tol. Stability from
-    |stage_map'| at the root (< 1 means iterates converge locally). An
-    identity-like model (map == x over a stretch of the grid) has no isolated
-    roots; the whole interval is reported as degenerate instead.
+    The floor (cubic <= 0), interior (0 < cubic < cap) and cap (cubic >= cap)
+    regions of stage_map partition [0, 1], so each fixed point lies in exactly
+    one of them:
+
+    * floor: x = 0, when cubic(0) <= 0;
+    * interior: the real roots of cubic(x) - 100 x in [0, 1] (eigenvalues of
+      its companion matrix, np.roots) where 0 < cubic < cap;
+    * cap: x = cap/100, when cap/100 <= 1 and cubic(cap/100) >= cap.
+
+    Stability from |stage_map'| at the point (< 1 means iterates converge
+    locally). When cubic(x) - 100 x vanishes identically (the identity model)
+    no point is isolated; the interval (0, min(1, cap/100)) is reported as
+    degenerate instead.
     """
     model = model or ConverterModel.compensated()
-    xs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    resid = stage_map(xs, model) - xs
-
-    on_grid = np.abs(resid) <= 1e-12
-    if np.count_nonzero(on_grid) > len(xs) // 2:
-        idx = np.nonzero(on_grid)[0]
-        interval = (float(xs[idx[0]]), float(xs[idx[-1]]))
-        return FixedPointScan(points=(), degenerate_interval=interval)
-
-    points: list[FixedPoint] = []
-
-    def add(root: float):
-        deriv = abs(stage_map_deriv(root, model))
-        stability = "stable" if deriv < 1.0 else "unstable"
-        if not any(abs(p.x - root) <= 10 * tol for p in points):
-            points.append(FixedPoint(float(root), stability))
-
-    for i in range(len(xs) - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = float(resid[i]), float(resid[i + 1])
-        if fa == 0.0:
-            add(a)
-            continue
-        if fa * fb < 0.0:
-            f = lambda x: stage_map(x, model) - x
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                if f(a) * f(mid) <= 0.0:
-                    b = mid
-                else:
-                    a = mid
-            add(0.5 * (a + b))
-    if len(resid) and abs(resid[-1]) == 0.0:
-        add(float(xs[-1]))
-    return FixedPointScan(points=tuple(points))
+    if model.mode != "compensated":
+        raise ValueError("find_fixed_points is defined for compensated models")
+    resid = np.subtract(model.coefficients, (0.0, 0.0, 100.0, 0.0))
+    cap = model.output_cap / 100.0
+    if not resid.any():
+        return FixedPointScan(points=(), degenerate_interval=(0.0, min(1.0, cap)))
+    # a set: np.roots returns a tangent (double) root twice
+    xs = {0.0} if model.cubic_percent(0.0) <= 0.0 else set()
+    for root in np.roots(resid):
+        x = float(root.real)
+        if root.imag == 0.0 and 0.0 <= x <= 1.0 \
+                and 0.0 < model.cubic_percent(x) < model.output_cap:
+            xs.add(x)
+    if cap <= 1.0 and model.cubic_percent(cap) >= model.output_cap:
+        xs.add(cap)
+    return FixedPointScan(points=tuple(
+        FixedPoint(x, "stable" if abs(stage_map_deriv(x, model)) < 1.0 else "unstable")
+        for x in sorted(xs)))

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .converter import ConverterModel
+from .converter import ConverterModel, stage_map, stage_map_deriv
 
 __all__ = [
     "ActivationKind",
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 _STAGE = ConverterModel.compensated()
-_C3, _C2, _C1, _C0 = _STAGE.coefficients
-_CAP_ENTRY = _STAGE.cap_entry()
 
 
 class ActivationKind(Enum):
@@ -52,8 +50,8 @@ class ActivationKind(Enum):
     PWM_PERCEPT = "pwm_percept"
 
 
-OFT_OFFSET = _C0 / 100.0            # 0.1344, the hardware output floor
-OFT_CAP_X = 1.0 - OFT_OFFSET        # 0.8656, where x + offset reaches 1
+OFT_OFFSET = _STAGE.coefficients[3] / 100.0  # 0.1344, the hardware output floor
+OFT_CAP_X = 1.0 - OFT_OFFSET                 # 0.8656, where x + offset reaches 1
 
 
 def activation(kind: ActivationKind, x):
@@ -66,9 +64,7 @@ def activation(kind: ActivationKind, x):
     elif kind is ActivationKind.OFT_RELU:
         y = np.where(arr < 0.0, 0.0, np.minimum(arr + OFT_OFFSET, 1.0))
     elif kind is ActivationKind.PWM_PERCEPT:
-        xc = np.clip(arr, 0.0, 1.0)
-        cubic = (((_C3 * xc + _C2) * xc + _C1) * xc + _C0) / 100.0
-        y = np.where(arr < 0.0, 0.0, np.minimum(cubic, _STAGE.output_cap / 100.0))
+        y = np.where(arr < 0.0, 0.0, stage_map(np.clip(arr, 0.0, 1.0), _STAGE))
     else:
         raise ValueError(f"unknown activation {kind}")
     return float(y) if np.isscalar(x) else y
@@ -84,8 +80,7 @@ def activation_deriv(kind: ActivationKind, x):
     elif kind is ActivationKind.OFT_RELU:
         y = ((arr >= 0.0) & (arr < OFT_CAP_X)).astype(np.float64)
     elif kind is ActivationKind.PWM_PERCEPT:
-        inside = (arr >= 0.0) & (arr < _CAP_ENTRY) & (arr < 1.0)
-        y = np.where(inside, ((3.0 * _C3 * arr + 2.0 * _C2) * arr + _C1) / 100.0, 0.0)
+        y = np.where(arr < 0.0, 0.0, stage_map_deriv(arr, _STAGE))
     else:
         raise ValueError(f"unknown activation {kind}")
     return float(y) if np.isscalar(x) else y

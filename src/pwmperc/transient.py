@@ -46,6 +46,7 @@ __all__ = [
     "trace_metrics",
     "steady_state",
     "sweep",
+    "parallel_map",
 ]
 
 
@@ -598,8 +599,16 @@ def sweep(cfg: VacConfig, stimulus: VacStimulus, axis: str,
         raise ValueError("sweep grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be ascending")
-    tasks = [(cfg, stimulus, axis, v) for v in grid]
+    return parallel_map(_sweep_one, [(cfg, stimulus, axis, v) for v in grid], jobs)
+
+
+def parallel_map(fn, tasks: list, jobs: int) -> list:
+    """[fn(t) for t in tasks], over ``jobs`` worker processes when jobs > 1.
+
+    Results keep the order of ``tasks`` whatever the worker count; ``fn`` and
+    the tasks must be picklable.
+    """
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_one, tasks))
-    return [_sweep_one(t) for t in tasks]
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]

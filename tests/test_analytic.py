@@ -1,71 +1,49 @@
 import numpy as np
 import pytest
 
-from pwmperc.analytic import (CellResistances, WeightVector, adder_equilibrium,
-                              divider_equilibrium, inverter_equilibrium,
-                              vac_equilibrium, weighted_dc_sum)
+from pwmperc.analytic import WeightVector, vac_equilibrium, weighted_dc_sum
+
+
+def inverter(duty, vdd):
+    """The PWM inverter: one input with every cell enabled."""
+    return vac_equilibrium([duty], WeightVector((7,), 3), vdd)
+
+
+def adder(duties, vdd):
+    """The plain adder: every input with every cell enabled."""
+    return vac_equilibrium(duties, WeightVector((7,) * len(duties), 3), vdd)
 
 
 class TestInverter:
     def test_half_duty_gives_half_vdd(self):
-        assert inverter_equilibrium(0.5, 2.5) == pytest.approx(1.25)
+        assert inverter(0.5, 2.5) == pytest.approx(1.25)
 
     def test_constant_low_input(self):
-        assert inverter_equilibrium(0.0, 2.5) == 2.5
+        assert inverter(0.0, 2.5) == 2.5
 
     def test_constant_high_input(self):
-        assert inverter_equilibrium(1.0, 2.5) == 0.0
+        assert inverter(1.0, 2.5) == 0.0
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            inverter_equilibrium(1.5, 2.5)
-        with pytest.raises(ValueError):
-            inverter_equilibrium(0.5, -1.0)
-
-
-class TestDivider:
-    def test_balanced_reduces_to_inverter(self):
-        r = CellResistances(r_p=5e3, r_n=5e3, r_out=100e3)
-        for duty in np.linspace(0.0, 1.0, 11):
-            assert divider_equilibrium(float(duty), 2.5, 0.0, r) == pytest.approx(
-                inverter_equilibrium(float(duty), 2.5), abs=1e-12)
-
-    def test_unbalanced_no_output_resistor(self):
-        # r_p = 2 r_n, r_out = 0, duty 0.5:
-        # effective r_n branch 2*r_n, r_p branch 4*r_n -> 2.5 * 2/6
-        r = CellResistances(r_p=10e3, r_n=5e3, r_out=0.0)
-        assert divider_equilibrium(0.5, 2.5, 0.0, r) == pytest.approx(2.5 / 3.0)
-
-    def test_large_output_resistor_linearizes(self):
-        # same unbalanced pair, r_out = 100 * r_p: back within 1% of vdd/2
-        r = CellResistances(r_p=10e3, r_n=5e3, r_out=1e6)
-        v = divider_equilibrium(0.5, 2.5, 0.0, r)
-        assert abs(v - 1.25) <= 0.01 * 1.25
-        # exact hand value: branches (5k+1M)/0.5 and (10k+1M)/0.5
-        assert v == pytest.approx(2.5 * 1005e3 / (1005e3 + 1010e3), abs=1e-9)
-
-    def test_linear_regime_flag(self):
-        assert CellResistances(1e3, 1e3, 1e4).linear_regime
-        assert not CellResistances(1e3, 1e3, 5e3).linear_regime
-
-    def test_gnd_offset(self):
-        r = CellResistances(5e3, 5e3, 100e3)
-        assert divider_equilibrium(0.5, 2.5, 0.5, r) == pytest.approx(1.5)
+        with pytest.raises(ValueError, match="duty"):
+            inverter(1.5, 2.5)
+        with pytest.raises(ValueError, match="vdd"):
+            inverter(0.5, -1.0)
 
 
 class TestAdder:
     def test_three_input_mean(self):
-        assert adder_equilibrium([0.7, 0.3, 0.5], 2.5) == pytest.approx(1.25)
+        assert adder([0.7, 0.3, 0.5], 2.5) == pytest.approx(1.25)
 
     def test_all_zero_duties(self):
-        assert adder_equilibrium([0.0, 0.0, 0.0], 2.5) == 2.5
+        assert adder([0.0, 0.0, 0.0], 2.5) == 2.5
 
     def test_single_input_equals_inverter(self):
-        assert adder_equilibrium([1.0], 3.0) == 0.0
+        assert adder([1.0], 3.0) == 0.0
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            adder_equilibrium([], 2.5)
+        with pytest.raises(ValueError, match="weights"):
+            adder([], 2.5)
 
 
 class TestWeightedDcSum:
@@ -99,6 +77,8 @@ class TestWeightedDcSum:
             WeightVector((8,), k=3)
         with pytest.raises(ValueError):
             WeightVector((-1,), k=3)
+        with pytest.raises(ValueError, match="weights"):
+            WeightVector((), k=3)
 
 
 class TestVacEquilibrium:
@@ -148,7 +128,7 @@ class TestVacEquilibrium:
             w = WeightVector((2 ** k - 1,), k)
             for duty in (0.0, 0.3, 1.0):
                 assert vac_equilibrium([duty], w, 2.5) == pytest.approx(
-                    inverter_equilibrium(duty, 2.5), abs=1e-12)
+                    2.5 * (1.0 - duty), abs=1e-12)
 
     def test_all_max_weights_equal_adder(self):
         # the plain n-inverter adder is the all-cells-enabled special case
@@ -157,7 +137,7 @@ class TestVacEquilibrium:
             duties = rng.uniform(0, 1, 4).tolist()
             w = WeightVector((2 ** k - 1,) * 4, k=k)
             assert vac_equilibrium(duties, w, 2.5) == pytest.approx(
-                adder_equilibrium(duties, 2.5), abs=1e-12)
+                2.5 * (1.0 - np.mean(duties)), abs=1e-12)
 
     def test_zero_weight_equals_zero_duty_cell(self):
         # a weight-0 input behaves exactly like a full-weight zero-duty input

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -39,9 +40,9 @@ def make_spec(kind, params, tmp_path, seed=0, jobs=1, data_dir=None,
 
 
 def read_rows(path):
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 class TestVacTable:
@@ -113,6 +114,9 @@ class TestSweeps:
         assert manifest["artifacts"] == ["sweep_vdd.csv"]
         header, rows = read_rows(out / "sweep_vdd.csv")
         assert len(rows) == 2 and all(r[header.index("error")] for r in rows)
+        # the message holds a comma; quoting keeps it in the error column
+        assert len(header) == 7 and all(len(r) == 7 for r in rows)
+        assert rows[0][-1] == "ValueError: frequency must be > 0, got -1.0"
         # one good point keeps the run ok
         assert run(make_spec("sweep-vdd", {"grid": [-1.0, 1.0]},
                              tmp_path))["status"] == "ok"

@@ -30,7 +30,9 @@ class TestStageMap:
         assert np.all(np.diff(ys) >= -1e-12)
 
     def test_derivative_positive_below_cap(self):
-        xs = np.arange(0.0, MODEL.cap_entry(), 1e-3)
+        xs = np.arange(0.0, 1.0, 1e-3)
+        xs = xs[MODEL.cubic_percent(xs) < MODEL.output_cap]
+        assert len(xs) > 800
         assert np.all(stage_map_deriv(xs, MODEL) > 0.0)
 
     def test_derivative_zero_in_cap(self):
@@ -134,14 +136,34 @@ def _bisect_fixed_points_oracle(model, grid=1e-5, tol=1e-9):
     return roots
 
 
+# stage cubics near the paper's: each coefficient scaled by U(0.9, 1.1)
+SEEDED_MODELS = [
+    ConverterModel(coefficients=tuple(float(c) for c in np.array(MODEL.coefficients) * u))
+    for u in np.random.default_rng(21).uniform(0.9, 1.1, (4, 4))]
+
+
 class TestFixedPoints:
     def test_default_model_roots_match_oracle(self):
-        scan = find_fixed_points(MODEL)
-        oracle = _bisect_fixed_points_oracle(MODEL)
-        got = sorted(p.x for p in scan.points)
-        assert len(got) == len(oracle) == 3
-        for g, o in zip(got, oracle):
-            assert g == pytest.approx(o, abs=1e-5)
+        for model in [MODEL] + SEEDED_MODELS:
+            got = [p.x for p in find_fixed_points(model).points]
+            oracle = _bisect_fixed_points_oracle(model)
+            assert len(got) == len(oracle) >= 1
+            for g, o in zip(got, oracle):
+                assert g == pytest.approx(o, abs=1e-5)
+        assert len(find_fixed_points(MODEL).points) == 3
+
+    def test_points_are_exact(self):
+        # the last model touches the identity at x = 0.5: a double root
+        tangent = ConverterModel(coefficients=(0.0, 100.0, 0.0, 25.0))
+        for model in [MODEL] + SEEDED_MODELS + [tangent]:
+            xs = [p.x for p in find_fixed_points(model).points]
+            assert xs == sorted(set(xs))
+            for x in xs:
+                assert abs(stage_map(x, model) - x) <= 1e-13
+                if model.cubic_percent(x) >= model.output_cap:
+                    assert x == model.output_cap / 100.0
+        assert find_fixed_points(MODEL).points[-1].x == 0.98
+        assert [p.x for p in find_fixed_points(tangent).points] == [0.5, 0.98]
 
     def test_stable_point_near_quarter(self):
         scan = find_fixed_points(MODEL)
@@ -163,8 +185,11 @@ class TestFixedPoints:
     def test_identity_model_degenerate(self):
         scan = find_fixed_points(ConverterModel.identity())
         assert scan.degenerate
-        lo, hi = scan.degenerate_interval
-        assert lo == pytest.approx(0.0) and hi == pytest.approx(1.0)
+        assert scan.degenerate_interval == (0.0, 1.0)
+
+    def test_raw_model_rejected(self):
+        with pytest.raises(ValueError, match="compensated"):
+            find_fixed_points(ConverterModel.raw())
 
     def test_iteration_converges_below_unstable_point(self):
         stable = 0.2503353458551807
