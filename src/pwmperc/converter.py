@@ -18,6 +18,7 @@ cubic(x) - 100 x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class ConverterModel:
     def __post_init__(self):
         if self.mode not in ("raw", "compensated"):
             raise ValueError(f"unknown converter mode {self.mode!r}")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise ValueError(f"coefficients must be finite, got {self.coefficients}")
+        if not math.isfinite(self.output_cap):
+            raise ValueError(f"output_cap must be finite, got {self.output_cap}")
         lo, hi = self.linear_region
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError(f"bad linear region {self.linear_region}")
@@ -121,6 +126,8 @@ def stage_map(x: float, model: ConverterModel | None = None) -> float:
 def stage_map_deriv(x: float, model: ConverterModel | None = None) -> float:
     """d(stage_map)/dx; zero inside the capped or floored regions."""
     model = model or ConverterModel.compensated()
+    if model.mode != "compensated":
+        raise ValueError("stage_map_deriv is defined for compensated models")
     c3, c2, c1, _ = model.coefficients
     raw = ((3.0 * c3 * x + 2.0 * c2) * x + c1) / 100.0
     uncapped = model.cubic_percent(x)

@@ -113,7 +113,7 @@ def response_curve(cfg: PerceptronConfig, grid: list[float], depth: int,
 
 def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
                        w: WeightVector, supply: SupplyProfile,
-                       horizon: float, n_samples: int = 400):
+                       horizon: float):
     """Instantaneous converter output under a time-varying supply.
 
     Returns (times, duty_out) with NaN where the raw oscillator stalls; this
@@ -123,21 +123,21 @@ def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
     """
     sigs = [PwmSignal(cfg.frequency, d) for d in duties]
     trace = simulate_vac(cfg.vac, sigs, w, supply, horizon, v0=cfg.v0)
-    ts, out, _ = duty_samples(cfg, trace, supply, n_samples)
+    ts, out, _ = duty_samples(cfg, trace, supply)
     return ts, out
 
 
 def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
-                 supply: SupplyProfile, n_samples: int = 400):
-    """Converter output and v_cap/vdd at n_samples times evenly spread over
-    the trace's horizon.
+                 supply: SupplyProfile):
+    """Converter output and v_cap/vdd at 400 times evenly spread over the
+    trace's horizon.
 
     Returns (times, duty_out, v_over_vdd), duty_out NaN where the raw
     oscillator stalls.
     """
-    ts = np.linspace(0.0, trace.horizon, n_samples)
-    out = np.empty(n_samples)
-    ratio = np.empty(n_samples)
+    ts = np.linspace(0.0, trace.horizon, 400)
+    out = np.empty(len(ts))
+    ratio = np.empty(len(ts))
     for i, t in enumerate(ts):
         v = trace.value_at(float(t))
         vdd = supply.value_at(float(t))

@@ -122,6 +122,8 @@ class ConstantSupply(SupplyProfile):
     vdd: float
 
     def __post_init__(self):
+        if not math.isfinite(self.vdd):
+            raise ValueError(f"vdd must be finite, got {self.vdd}")
         if not self.vdd > 0:
             raise ValueError(f"supply must be > 0, got {self.vdd}")
 
@@ -144,6 +146,9 @@ class SinusoidSupply(SupplyProfile):
     period: float
 
     def __post_init__(self):
+        for name in ("mean", "amplitude", "period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.mean - abs(self.amplitude) <= 0:
@@ -179,6 +184,11 @@ class PiecewiseLinearSupply(SupplyProfile):
         pts = tuple((float(t), float(v)) for t, v in self.breakpoints)
         if len(pts) < 1:
             raise ValueError("need at least one breakpoint")
+        for t, v in pts:
+            if not math.isfinite(t):
+                raise ValueError(f"breakpoint time must be finite, got {t}")
+            if not math.isfinite(v):
+                raise ValueError(f"breakpoint volts must be finite, got {v}")
         times = [t for t, _ in pts]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("breakpoint times must be strictly increasing")

@@ -9,8 +9,9 @@ time-varying supply is zero-order-held over sub-steps of at most 1/200 of its
 period.
 
 The optional compensation clamp floors the capacitor voltage at the PMOS
-threshold: a segment whose exponential would cross below the threshold is
-split at the crossing and held flat afterwards.
+threshold: a segment maps v to max(veq + (v - veq)*e^(-dt/tau), floor), the
+floor being the threshold where veq lies below it. One period of a constant
+supply is then F(v) = max(A*v + B, C), closed-form in fixed point and iterates.
 
 Two entry points share the timeline and that segment rule:
 
@@ -222,74 +223,44 @@ def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
 
 
 def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
-    """Solve `segments` from v0 (raised to the clamp threshold), splitting a
-    segment where the clamp engages. The returned trace holds no samples."""
+    """Solve `segments` from v0 (raised to the clamp threshold) by the
+    segment rule v -> max(veq + (v - veq)*e^(-dt/tau), floor). A segment that
+    reaches the floor is cut into a free part up to the crossing (none if it
+    starts on the floor) and a clamped rest. The trace holds no samples."""
+    t0s, t1s, veqs, vdds, ups, dns = segments
     tau = cfg.tau
     v_th = cfg.compensation_threshold
-    out_t0: list[float] = []
-    out_t1: list[float] = []
-    out_v0: list[float] = []
-    out_v1: list[float] = []
-    out_veq: list[float] = []
-    out_vdd: list[float] = []
-    out_up: list[int] = []
-    out_dn: list[int] = []
-    out_clamped: list[bool] = []
-
-    v = max(float(v0), v_th) if v_th > 0.0 else float(v0)
-    t0_l, t1_l, veq_l, vdd_l, up_l, dn_l = (a.tolist() for a in segments)
-    exp = math.exp
-    log = math.log
-
-    for i in range(len(t0_l)):
-        a = t0_l[i]
-        b = t1_l[i]
-        veq = veq_l[i]
-        vs = vdd_l[i]
-        up = up_l[i]
-        dn = dn_l[i]
+    floor = v_th if v_th > 0.0 else -math.inf
+    v = max(float(v0), floor)
+    exp, log = math.exp, math.log
+    # per piece: segment index, t0, t1, v0, v1, clamped; one flat list of
+    # numbers, as record tuples would give the garbage collector work
+    pieces = []
+    for i, (a, b, veq) in enumerate(zip(t0s.tolist(), t1s.tolist(), veqs.tolist())):
         dt = b - a
-        if v_th > 0.0 and veq < v_th:
-            if v <= v_th:
-                # pinned at the threshold for the whole segment
-                out_t0.append(a); out_t1.append(b)
-                out_v0.append(v_th); out_v1.append(v_th)
-                out_veq.append(veq); out_vdd.append(vs)
-                out_up.append(up); out_dn.append(dn)
-                out_clamped.append(True)
-                v = v_th
-                continue
-            t_cross = tau * log((v - veq) / (v_th - veq))
-            if t_cross < dt:
-                out_t0.append(a); out_t1.append(a + t_cross)
-                out_v0.append(v); out_v1.append(v_th)
-                out_veq.append(veq); out_vdd.append(vs)
-                out_up.append(up); out_dn.append(dn)
-                out_clamped.append(False)
-                out_t0.append(a + t_cross); out_t1.append(b)
-                out_v0.append(v_th); out_v1.append(v_th)
-                out_veq.append(veq); out_vdd.append(vs)
-                out_up.append(up); out_dn.append(dn)
-                out_clamped.append(True)
-                v = v_th
-                continue
-        v_end = veq + (v - veq) * exp(-dt / tau)
-        out_t0.append(a); out_t1.append(b)
-        out_v0.append(v); out_v1.append(v_end)
-        out_veq.append(veq); out_vdd.append(vs)
-        out_up.append(up); out_dn.append(dn)
-        out_clamped.append(False)
+        t_free = dt
+        if veq < floor:
+            t_free = tau * log((v - veq) / (v_th - veq)) if v > v_th else 0.0
+        if t_free < dt:
+            if t_free > 0.0:
+                pieces += (i, a, a + t_free, v, v_th, False)
+            a, v, v_end, clamped = a + t_free, v_th, v_th, True
+        else:
+            v_end, clamped = veq + (v - veq) * exp(-dt / tau), False
+        pieces += (i, a, b, v, v_end, clamped)
         v = v_end
 
+    rec = np.fromiter(pieces, np.float64, len(pieces)).reshape(-1, 6)
+    del pieces          # before the copies below: a long walk's peak memory
+    seg = rec[:, 0].astype(np.int64)
+    t0, t1, v0s, v1s = rec[:, 1:5].T.copy()
     return TransientTrace(
         times=np.empty(0), v_cap=np.empty(0), vdd=np.empty(0),
         tau=tau, g_unit=1.0 / cfg.r_unit,
-        seg_t0=np.array(out_t0), seg_t1=np.array(out_t1),
-        seg_v0=np.array(out_v0), seg_v1=np.array(out_v1),
-        seg_veq=np.array(out_veq), seg_vdd=np.array(out_vdd),
-        seg_up=np.array(out_up, dtype=np.int64),
-        seg_dn=np.array(out_dn, dtype=np.int64),
-        seg_clamped=np.array(out_clamped, dtype=bool),
+        seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
+        seg_veq=veqs.take(seg), seg_vdd=vdds.take(seg),
+        seg_up=ups.take(seg), seg_dn=dns.take(seg),
+        seg_clamped=rec[:, 5].astype(bool),
     )
 
 
@@ -367,18 +338,16 @@ def _window_integrals(trace: TransientTrace, w_lo: float, w_hi: float):
 
 def trace_metrics(trace: TransientTrace, cfg: VacConfig,
                   supply: SupplyProfile,
-                  steady_fraction: float = 0.25,
-                  drift_limit: float = DRIFT_LIMIT,
                   cycle_period: float | None = None) -> TraceMetrics:
     """Steady-state average, ripple swing, charge time, and supply power.
 
-    The steady-state window is the last `steady_fraction` of the horizon.
-    Drift is checked chunk-to-chunk inside the window (chunks follow
-    `cycle_period` when at least two whole cycles fit, else window quarters);
-    metrics are flagged unreliable when drift exceeds `drift_limit`.
+    The steady-state window is the last quarter of the horizon. Drift is
+    checked chunk-to-chunk inside the window (chunks follow `cycle_period`
+    when at least two whole cycles fit, else window quarters); metrics are
+    flagged unreliable when drift exceeds DRIFT_LIMIT.
     """
     horizon = trace.horizon
-    w_lo = horizon * (1.0 - steady_fraction)
+    w_lo = horizon * 0.75
     w_hi = horizon
     window = w_hi - w_lo
 
@@ -407,7 +376,7 @@ def trace_metrics(trace: TransientTrace, cfg: VacConfig,
     scale = max(abs(average_v), 1e-30)
     drift = max(
         (abs(b - a) / scale for a, b in zip(averages, averages[1:])), default=0.0)
-    reliable = drift < drift_limit
+    reliable = drift < DRIFT_LIMIT
 
     charge_time = _first_crossing(trace, average_v)
     return TraceMetrics(average_v=average_v, swing=swing, charge_time=charge_time,
@@ -441,95 +410,83 @@ def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
     """Exact periodic steady state of a constant supply and inputs of one
     common frequency.
 
-    One input period is cut into the segments simulate_vac would use, and
-    the periodic start voltage v* = F(v*) of the period map F is solved
-    directly: without the clamp F is affine, v -> A*v + B with
-    A = exp(-T/tau); where the clamp can engage, F is monotone with slope at
-    most A, and v* is bisected on [threshold, vdd]. Average, swing and power
-    are the closed-form integrals over that one period; the charge time is
-    the first crossing of the average from v0. `drift` is the relative
-    fixed-point residual |F(v*) - v*| / average.
+    One input period is cut into the segments simulate_vac would use. On
+    v >= threshold its period map is F(v) = max(A*v + B, C), with
+    A = exp(-T/tau), B the unclamped F(0) and C = F(threshold) (no C without
+    the clamp), so the periodic start voltage is v* = max(B/(1-A), C).
+    Average, swing and power are the closed-form integrals over that one
+    period; the charge time is the first crossing of the average from v0.
+    `drift` is the relative fixed-point residual |F(v*) - v*| / average.
     """
     supply = ConstantSupply(stimulus.vdd)
     inputs = stimulus.signals()
     _check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
     period = 1.0 / stimulus.frequency
     segments = _segments(cfg, inputs, stimulus.w, supply, period)
-    pss = _walk(cfg, segments, _fixed_point(cfg, segments, period, stimulus.vdd))
+    v_aff, c = _period_map(cfg, segments, period)
+    pss = _walk(cfg, segments, v_aff if c is None else max(v_aff, c))
     v_int, p_int, vmin, vmax = _window_integrals(pss, 0.0, period)
     average_v = v_int / period
     drift = abs(float(pss.seg_v1[-1] - pss.seg_v0[0])) / max(abs(average_v), 1e-30)
     return TraceMetrics(
         average_v=average_v, swing=max(vmax - vmin, 0.0),
-        charge_time=_charge_time(cfg, segments, pss, average_v, stimulus.v0),
+        charge_time=_charge_time(cfg, segments, pss, v_aff, c, average_v,
+                                 stimulus.v0),
         avg_power=p_int / period, reliable=drift < DRIFT_LIMIT, drift=drift)
 
 
-def _clamp_can_engage(cfg: VacConfig, segments) -> bool:
-    """True when some segment pulls toward a voltage below the clamp
-    threshold, the only segments on which _walk clamps."""
-    v_th = cfg.compensation_threshold
-    return v_th > 0.0 and bool(np.any(segments[2] < v_th))
+def _period_map(cfg: VacConfig, segments, period: float):
+    """The one-period map of `segments` as F(v) = max(A*v + B, C).
 
-
-def _fixed_point(cfg: VacConfig, segments, period: float, vdd: float) -> float:
-    """The start voltage v* = F(v*) of the one-period map F of `segments`."""
+    Each segment maps v to max(affine(v), floor), and composing such maps
+    keeps that form; once the clamp engages, trajectories from every start
+    merge, so on v >= threshold the constant is C = F(threshold). Returns
+    (B/(1-A), C), C None when no segment pulls below the threshold.
+    """
     t0s, t1s, veq = segments[:3]
     tau = cfg.tau
-    if not _clamp_can_engage(cfg, segments):
-        # B = F(0): each segment's pull toward veq, decayed over the rest of
-        # the period; every term is >= 0, so the sum loses no precision
-        b = float(np.sum(veq * -np.expm1(-(t1s - t0s) / tau)
-                         * np.exp(-(period - t1s) / tau)))
-        return b / -math.expm1(-period / tau)
-    # F(v_th) >= v_th and F(vdd) <= vdd; bisect until the bracket is one ulp
-    lo, hi = cfg.compensation_threshold, vdd
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return lo
-        if _walk(cfg, segments, mid).seg_v1[-1] >= mid:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _charge_time(cfg: VacConfig, segments, pss: TransientTrace, level: float,
-                 v0: float) -> float | None:
-    """First time the voltage reaches `level` from v0 (raised to the clamp
-    threshold, as _walk does), given the steady-state period `pss`.
-
-    Every deviation from the steady state decays at least as fast as
-    e^(-t/tau), so after m_hi periods the voltage has crossed wherever the
-    steady state goes past the level by more than the remaining deviation.
-    Without the clamp, period m starts at v* + (v_start - v*)*A^m exactly
-    and the first crossing period is bisected; with it, whole periods are
-    walked from v_start.
-    """
+    # B: each segment's pull toward veq, decayed over the rest of the period;
+    # every term is >= 0, so the sum loses no precision
+    b = float(np.sum(veq * -np.expm1(-(t1s - t0s) / tau)
+                     * np.exp(-(period - t1s) / tau)))
+    v_aff = b / -math.expm1(-period / tau)
     v_th = cfg.compensation_threshold
-    v = max(float(v0), v_th) if v_th > 0.0 else float(v0)
+    if v_th > 0.0 and bool(np.any(veq < v_th)):
+        return v_aff, float(_walk(cfg, segments, v_th).seg_v1[-1])
+    return v_aff, None
+
+
+def _charge_time(cfg: VacConfig, segments, pss: TransientTrace, v_aff: float,
+                 c: float | None, level: float, v0: float) -> float | None:
+    """First time the voltage reaches `level` from v0 (raised to the clamp
+    threshold, as _walk does), given the steady-state period `pss` and the
+    period map F(v) = max(G(v), c), G(v) = v_aff + (v - v_aff)*A.
+
+    Period m >= 1 starts at F^m(v) = max(G^m(v), c, G^(m-1)(c)), as the
+    iterates of c under G move monotonically toward v_aff. Every deviation
+    from the steady state decays at least as fast as e^(-t/tau), so by
+    period m_hi the voltage has crossed wherever the steady state goes past
+    the level by more than the remaining deviation; the first crossing
+    period is bisected below that.
+    """
+    v = max(float(v0), cfg.compensation_threshold)   # v0 >= 0
     if v == level:
         return 0.0
     tau = cfg.tau
     period = pss.horizon
-    v_star = float(pss.seg_v0[0])
-    delta = v - v_star
-    ends = np.append(pss.seg_v0, pss.seg_v1[-1])
+    delta = v - float(pss.seg_v0[0])
+    ends = np.concatenate((pss.seg_v0, pss.seg_v1[-1:]))
     # how far the steady state goes past the level, on the far side from v
     gap = float(np.max((level - ends) if v > level else (ends - level)))
     gap = max(gap, 4.0 * math.ulp(max(abs(level), abs(delta))))
     m_hi = max(0, math.ceil(math.log(abs(delta) / gap) * tau / period)) if delta else 0
-    if _clamp_can_engage(cfg, segments):
-        for m in range(m_hi + 1):
-            trace = _walk(cfg, segments, v)
-            t = _first_crossing(trace, level)
-            if t is not None:
-                return m * period + t
-            v = float(trace.seg_v1[-1])
-        return None
 
     def crossing(m: int) -> float | None:
-        start = v if m == 0 else v_star + delta * math.exp(-m * period / tau)
+        start = v
+        if m:
+            start = v_aff + (v - v_aff) * math.exp(-m * period / tau)
+            if c is not None:
+                start = max(start, c, v_aff + (c - v_aff) * math.exp(-(m - 1) * period / tau))
         return _first_crossing(_walk(cfg, segments, start), level)
 
     lo, hi = -1, m_hi            # no crossing before period lo + 1

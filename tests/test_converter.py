@@ -43,6 +43,22 @@ class TestStageMap:
         ys = stage_map(xs, MODEL)
         assert np.all((ys >= 0.0) & (ys <= 0.98))
 
+    @pytest.mark.parametrize("fn", [stage_map, stage_map_deriv])
+    def test_raw_model_rejected(self, fn):
+        with pytest.raises(ValueError, match="compensated"):
+            fn(0.5, ConverterModel.raw())
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("coefficients", {"coefficients": (107.27, float("nan"), 52.92, 13.44)}),
+    ("coefficients", {"coefficients": (float("inf"), -53.25, 52.92, 13.44)}),
+    ("output_cap", {"output_cap": float("nan")}),
+    ("output_cap", {"output_cap": float("inf")}),
+], ids=["nan-coefficient", "inf-coefficient", "nan-cap", "inf-cap"])
+def test_model_rejects_non_finite(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        ConverterModel(**kwargs)
+
 
 class TestVToDc:
     def test_compensated_recovers_dc_sum(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ class TestSupplyProfiles:
             PiecewiseLinearSupply(((0.0, 1.0), (1.0, -0.5)))
         with pytest.raises(ValueError):
             PiecewiseLinearSupply(((1.0, 1.0), (0.5, 2.0)))  # non-increasing t
+
+    @pytest.mark.parametrize("field, make", [
+        ("mean", lambda: SinusoidSupply(math.nan, 0.7, 10e-6)),
+        ("amplitude", lambda: SinusoidSupply(2.5, math.nan, 10e-6)),
+        ("period", lambda: SinusoidSupply(2.5, 0.7, math.inf)),
+        ("time must", lambda: PiecewiseLinearSupply(((0.0, 2.5), (math.nan, 3.0)))),
+        ("volts must", lambda: PiecewiseLinearSupply(((0.0, 2.5), (1.0, math.nan)))),
+        ("vdd", lambda: ConstantSupply(math.inf)),
+    ], ids=["mean", "amplitude", "period", "pwl-time", "pwl-volts", "constant-vdd"])
+    def test_non_finite_input_named(self, field, make):
+        with pytest.raises(ValueError, match=field):
+            make()
 
 
 def test_with_random_phases_deterministic_and_in_range():

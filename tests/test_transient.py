@@ -290,6 +290,9 @@ CLAMPED = [
     # pulled to ground all the time: pinned at the threshold
     (VacConfig.small(compensation_threshold=0.7),
      VacStimulus((1.0,) * 3, 100e6, W777, v0=2.5)),
+    # about 1,500 periods from v0 to the crossing of the average
+    (VacConfig.large(compensation_threshold=0.4),
+     VacStimulus((0.9, 0.8, 0.95), 100e6, W777, v0=2.5)),
 ]
 
 
@@ -329,13 +332,32 @@ class TestPeriodicSteadyState:
         period = 1.0 / stim.frequency
         supply = ConstantSupply(stim.vdd)
         segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
-        v_star = transient._fixed_point(cfg, segments, period, stim.vdd)
+        v_aff, c = transient._period_map(cfg, segments, period)
+        v_star = max(v_aff, c)
         # F(v*), one period from v*, by the transient solver
         one = simulate_vac(cfg, stim.signals(), stim.w, supply, period, v0=v_star)
         assert one.seg_clamped.any()
         assert abs(one.seg_v1[-1] - v_star) <= 1e-12
         v_th = cfg.compensation_threshold
         assert one.seg_v0.min() >= v_th and one.seg_v1.min() >= v_th
+        # F(v) = max(A*v + B, C) from every start on [v_th, vdd]
+        a = math.exp(-period / cfg.tau)
+        b = v_aff * -math.expm1(-period / cfg.tau)
+        for v in np.random.default_rng(3).uniform(v_th, stim.vdd, 200):
+            end = transient._walk(cfg, segments, v).seg_v1[-1]
+            assert abs(end - max(a * v + b, c)) <= 1e-12
+
+    def test_clamped_charge_time_skips_affine_periods(self, monkeypatch):
+        # about 14,000 periods from v0 to the crossing: the period index is
+        # bisected, not walked period by period (which gives 1.4354688127e-5 s)
+        walk = transient._walk
+        calls = []
+        monkeypatch.setattr(transient, "_walk",
+                            lambda *args: calls.append(1) or walk(*args))
+        cfg = VacConfig.large(compensation_threshold=0.4)
+        m = steady_state(cfg, VacStimulus((0.9, 0.8, 0.95), 1e9, W777, v0=2.5))
+        assert len(calls) <= 64
+        assert m.charge_time == pytest.approx(1.4354688127e-5, rel=1e-10)
 
 
 def test_large_preset_vac_table_is_exact(tmp_path):
