@@ -13,9 +13,9 @@ Layers of the package, bottom up:
 """
 
 from .analytic import WeightVector, vac_equilibrium, weighted_dc_sum
-from .converter import (NO_OSCILLATION, ConverterModel, FitResult, FixedPoint,
-                        FixedPointScan, find_fixed_points, fit_cubic,
-                        is_no_oscillation, stage_map, stage_map_deriv, v_to_dc)
+from .converter import (ConverterModel, FitResult, FixedPoint, FixedPointScan,
+                        find_fixed_points, fit_cubic, is_no_oscillation,
+                        stage_map, stage_map_deriv, v_to_dc)
 from .mnist import Dataset, load_idx, load_mnist, subsample
 from .nn import (ActivationKind, Network, NetworkConfig, TrainReport,
                  activation, activation_deriv, evaluate, integer_weight_delta,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "WeightVector",
     "weighted_dc_sum",
@@ -56,23 +58,34 @@ class WeightVector:
         return self.n * self.max_weight
 
 
-def weighted_dc_sum(duties: list[float], w: WeightVector) -> float:
-    """Normalized weighted sum: sum(duty_i * W_i) / (n * (2^k - 1)), in [0, 1]."""
+def weighted_dc_sum(duties, w: WeightVector):
+    """Normalized weighted sum: sum(duty_i * W_i) / (n * (2^k - 1)), in [0, 1].
+
+    ``duties`` holds one entry per input, each a float or an array (one shape
+    for all); the sum is taken input by input, so each point of an array
+    result is the sum for that point's duties.
+    """
     if len(duties) != w.n:
         raise ValueError(f"{len(duties)} duties vs {w.n} weights")
-    for d in duties:
-        _check_duty(d)
-    acc = sum(d * wi for d, wi in zip(duties, w.weights))
+    acc = 0
+    for i, (d, wi) in enumerate(zip(duties, w.weights)):
+        _check_duty(d, i)
+        acc += d * wi
     return acc / w.total_units
 
 
-def vac_equilibrium(duties: list[float], w: WeightVector, vdd: float) -> float:
+def vac_equilibrium(duties, w: WeightVector, vdd: float):
     """Average capacitor voltage of the weighted VAC: vdd * (1 - weighted sum)."""
     if vdd <= 0:
         raise ValueError(f"vdd must be > 0, got {vdd}")
     return vdd * (1.0 - weighted_dc_sum(duties, w))
 
 
-def _check_duty(duty: float) -> None:
-    if not 0.0 <= duty <= 1.0:
-        raise ValueError(f"duty must be in [0, 1], got {duty}")
+def _check_duty(duty, i: int) -> None:
+    """Reject a duty of input ``i`` that is NaN or outside [0, 1], naming an
+    array's first bad element by its flat index."""
+    d = np.asarray(duty)
+    bad = np.flatnonzero(~((d >= 0.0) & (d <= 1.0)))
+    if bad.size:
+        at = f" at index {bad[0]}" if d.ndim else ""
+        raise ValueError(f"duty of input {i} must be in [0, 1], got {d.flat[bad[0]]}{at}")

@@ -358,7 +358,7 @@ def _run_response_curve(spec: ExperimentSpec) -> list[str]:
     rows = []
     dev_rows = []
     for depth in p["depths"]:
-        curve = response_curve(cfg, [float(x) for x in grid], depth, vdd=p["vdd"])
+        curve = response_curve(cfg, grid, depth, vdd=p["vdd"])
         for x, y in curve.rows():
             rows.append([x, ("no-oscillation" if conv.is_no_oscillation(y) else y),
                          depth])
@@ -387,10 +387,7 @@ def _run_fit(spec: ExperimentSpec) -> list[str]:
         if p["source"] == "transient":
             pcfg = dataclasses.replace(pcfg, path="transient",
                                        frequency=p["frequency"])
-        w = pcfg.max_weights()
-        ys = np.array([
-            float(perceptron_eval(pcfg, [float(x)] * pcfg.vac.n, w, p["vdd"]))
-            for x in xs])
+        ys = perceptron_eval(pcfg, [xs] * pcfg.vac.n, pcfg.max_weights(), p["vdd"])
     result = conv.fit_cubic(xs, ys)
     _write_csv(spec.output_dir / "fit_data.csv", ["x", "y"],
                [[float(x), float(y)] for x, y in zip(xs, ys)])

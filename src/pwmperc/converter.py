@@ -4,10 +4,13 @@ Two models of the ring-oscillator output stage:
 
 * raw: the uncompensated oscillator. Affine-ish decreasing duty over the
   linear input region (fractions of vdd); outside that region the oscillator
-  stalls and the result is the distinguishable NO_OSCILLATION value, never a
-  silent 0 or 1.
+  stalls and the result is NaN (``is_no_oscillation``), never a silent 0
+  or 1.
 * compensated: the cubic stage model fitted to the full perceptron
   (duty-in -> duty-out at max weights), with the output capped at 98%.
+
+The stage functions take floats or arrays: a float in gives a float out, an
+array gives an array of the same shape, NaN at every stalled point.
 
 Also the cubic least-squares fit used to recover stage models from response
 data, and the fixed points of the stage map (which explain where chained
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NO_OSCILLATION",
     "is_no_oscillation",
     "ConverterModel",
     "FitResult",
@@ -46,28 +48,10 @@ DEFAULT_LINEAR_REGION = (0.28, 0.92)
 RAW_EDGE_DUTIES = (0.9, 0.1)
 
 
-class _NoOscillation:
-    """Marker for a stalled oscillator (constant output, no duty cycle)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NO_OSCILLATION"
-
-    def __bool__(self):
-        return False
-
-
-NO_OSCILLATION = _NoOscillation()
-
-
 def is_no_oscillation(value) -> bool:
-    return value is NO_OSCILLATION
+    """True for the stalled-oscillator output of ``v_to_dc``: NaN. Takes a
+    float or a numpy scalar."""
+    return math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -87,8 +71,9 @@ class ConverterModel:
         if not math.isfinite(self.output_cap):
             raise ValueError(f"output_cap must be finite, got {self.output_cap}")
         lo, hi = self.linear_region
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(f"bad linear region {self.linear_region}")
+        # the raw map is calibrated at both edges and at vdd/2 in between
+        if not 0.0 <= lo < 0.5 < hi <= 1.0:
+            raise ValueError(f"linear_region must hold 0.5 inside, got {self.linear_region}")
 
     @classmethod
     def compensated(cls) -> "ConverterModel":
@@ -136,30 +121,28 @@ def stage_map_deriv(x: float, model: ConverterModel | None = None) -> float:
     return float(y) if np.isscalar(x) else y
 
 
-def v_to_dc(v: float, vdd: float, model: ConverterModel):
-    """Capacitor voltage -> output duty cycle.
+def v_to_dc(v, vdd, model: ConverterModel):
+    """Capacitor voltage -> output duty cycle, elementwise over arrays.
 
     compensated: recovers the normalized weighted sum as 1 - v/vdd and applies
     the cubic stage map. raw: piecewise-linear decreasing map over the linear
     region, calibrated at (0.28*vdd -> 0.9), (0.5*vdd -> 0.5), (0.92*vdd ->
-    0.1); outside the region the oscillator stalls and NO_OSCILLATION is
-    returned.
+    0.1); outside the region the oscillator stalls and the duty is NaN.
     """
-    if vdd <= 0:
+    if np.any(vdd <= 0):
         raise ValueError(f"vdd must be > 0, got {vdd}")
     if model.mode == "compensated":
-        x = 1.0 - v / vdd
-        return stage_map(min(max(x, 0.0), 1.0), model)
+        return stage_map(np.clip(1.0 - v / vdd, 0.0, 1.0), model)
     lo, hi = model.linear_region
     frac = v / vdd
-    if frac < lo - 1e-12 or frac > hi + 1e-12:
-        return NO_OSCILLATION
-    frac = min(max(frac, lo), hi)
+    stalled = (frac < lo - 1e-12) | (frac > hi + 1e-12)
+    frac = np.clip(frac, lo, hi)
     d_lo, d_hi = RAW_EDGE_DUTIES
     # two-segment monotone map hitting the midpoint calibration exactly
-    if frac <= 0.5:
-        return d_lo + (0.5 - d_lo) * (frac - lo) / (0.5 - lo)
-    return 0.5 + (d_hi - 0.5) * (frac - 0.5) / (hi - 0.5)
+    duty = np.where(frac <= 0.5, d_lo + (0.5 - d_lo) * (frac - lo) / (0.5 - lo),
+                    0.5 + (d_hi - 0.5) * (frac - 0.5) / (hi - 0.5))
+    duty = np.where(stalled, np.nan, duty)
+    return float(duty) if duty.ndim == 0 else duty
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ the closed-form VAC equilibrium with the converter transfer, the transient
 path substitutes the simulated steady-state capacitor voltage. Chained stages
 reproduce the series-connected depth experiments (one output feeding all
 inputs of the next stage at maximum weights).
+
+The stage functions take floats or arrays of duties and evaluate a whole grid
+in one call; a stalled raw oscillator reads NaN at its point.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import WeightVector, vac_equilibrium
-from .converter import (NO_OSCILLATION, ConverterModel, is_no_oscillation,
-                        v_to_dc)
+from .converter import ConverterModel, v_to_dc
 from .signals import PwmSignal, SupplyProfile
 from .transient import (TransientTrace, VacConfig, VacStimulus, simulate_vac,
                         steady_state)
@@ -54,60 +56,68 @@ class PerceptronConfig:
         return WeightVector((top,) * self.vac.n, self.vac.k)
 
 
-def perceptron_eval(cfg: PerceptronConfig, duties: list[float],
-                    w: WeightVector, vdd: float):
-    """Output duty cycle of one perceptron, or NO_OSCILLATION (raw converter).
+def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
+    """Output duty cycle of one perceptron, NaN where the raw oscillator stalls.
 
-    behavioral: v_to_dc(vac_equilibrium(duties, w, vdd)). transient: the
-    average capacitor voltage of the periodic steady state replaces the
-    analytic equilibrium.
+    ``duties`` holds one entry per input, each a float or an array (one shape
+    for all); the result has that shape. behavioral:
+    v_to_dc(vac_equilibrium(duties, w, vdd)). transient: the average capacitor
+    voltage of each point's periodic steady state replaces the analytic
+    equilibrium.
     """
     if cfg.path == "behavioral":
         v = vac_equilibrium(duties, w, vdd)
     else:
-        stim = VacStimulus(tuple(duties), cfg.frequency, w, vdd=vdd, v0=cfg.v0)
-        v = steady_state(cfg.vac, stim).average_v
+        per_input = np.broadcast_arrays(*duties)
+        v = np.empty(per_input[0].shape)
+        for i in np.ndindex(v.shape):
+            stim = VacStimulus(tuple(float(d[i]) for d in per_input), cfg.frequency,
+                               w, vdd=vdd, v0=cfg.v0)
+            v[i] = steady_state(cfg.vac, stim).average_v
+        v = v[()]  # a scalar for scalar duties
     return v_to_dc(v, vdd, cfg.converter)
 
 
-def chain_eval(cfg: PerceptronConfig, depth: int, dc_in: float,
-               vdd: float = 2.5):
+def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
     """depth perceptrons in series, each output driving all inputs of the
-    next stage at maximum weights (ideal chain would be the identity)."""
+    next stage at maximum weights (ideal chain would be the identity).
+
+    dc_in is a float or an array; a point whose oscillator stalls at any stage
+    is NaN, and only the points still oscillating enter the next stage.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     w = cfg.max_weights()
-    dc = dc_in
+    dc = np.array(dc_in, dtype=np.float64)
+    flat = dc.reshape(-1)
+    live = np.arange(flat.size)
     for _ in range(depth):
-        dc = perceptron_eval(cfg, [dc] * cfg.vac.n, w, vdd)
-        if is_no_oscillation(dc):
-            return NO_OSCILLATION
-    return dc
+        out = perceptron_eval(cfg, [flat[live]] * cfg.vac.n, w, vdd)
+        flat[live] = out
+        live = live[~np.isnan(out)]
+    return float(dc) if dc.ndim == 0 else dc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseCurve:
     depth: int
-    dc_in: tuple[float, ...]
-    dc_out: tuple[object, ...]          # floats or NO_OSCILLATION
+    dc_in: np.ndarray                   # the grid, float64
+    dc_out: np.ndarray                  # float64, NaN where the chain stalls
     deviation: float                    # sum |out - in| over oscillating points
 
     def rows(self):
-        for x, y in zip(self.dc_in, self.dc_out):
-            yield x, y
+        yield from zip(self.dc_in, self.dc_out)
 
 
-def response_curve(cfg: PerceptronConfig, grid: list[float], depth: int,
+def response_curve(cfg: PerceptronConfig, grid, depth: int,
                    vdd: float = 2.5) -> ResponseCurve:
-    """chain_eval per grid point plus total absolute deviation from identity."""
-    outs = []
-    deviation = 0.0
-    for x in grid:
-        y = chain_eval(cfg, depth, x, vdd)
-        outs.append(y)
-        if not is_no_oscillation(y):
-            deviation += abs(y - x)
-    return ResponseCurve(depth=depth, dc_in=tuple(grid), dc_out=tuple(outs),
+    """chain_eval over the grid plus total absolute deviation from identity."""
+    dc_in = np.array(grid, dtype=np.float64)
+    dc_out = chain_eval(cfg, depth, dc_in, vdd)
+    steps = np.abs(dc_out - dc_in)[~np.isnan(dc_out)]
+    # a running sum, in grid order: np.sum's pairwise order differs in the last bit
+    deviation = float(np.cumsum(steps)[-1]) if steps.size else 0.0
+    return ResponseCurve(depth=depth, dc_in=dc_in, dc_out=dc_out,
                          deviation=deviation)
 
 
@@ -136,12 +146,6 @@ def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
     oscillator stalls.
     """
     ts = np.linspace(0.0, trace.horizon, 400)
-    out = np.empty(len(ts))
-    ratio = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        v = trace.value_at(float(t))
-        vdd = supply.value_at(float(t))
-        dc = v_to_dc(v, vdd, cfg.converter)
-        out[i] = np.nan if is_no_oscillation(dc) else dc
-        ratio[i] = v / vdd
-    return ts, out, ratio
+    v = np.array([trace.value_at(float(t)) for t in ts])
+    vdd = np.array([supply.value_at(float(t)) for t in ts])
+    return ts, v_to_dc(v, vdd, cfg.converter), v / vdd

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,6 +565,9 @@ def parallel_map(fn, tasks: list, jobs: int) -> list:
     the tasks must be picklable.
     """
     if jobs > 1:
+        # imported here: the pool loads multiprocessing, socket and pickle,
+        # about 2 MB that a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

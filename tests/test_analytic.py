@@ -30,6 +30,12 @@ class TestInverter:
         with pytest.raises(ValueError, match="vdd"):
             inverter(0.5, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.2])
+    def test_rejects_bad_array_duty_by_index(self, bad):
+        duties = np.array([0.2, 0.5, bad, 0.7, bad])
+        with pytest.raises(ValueError, match=rf"got {bad} at index 2$"):
+            adder([np.full(5, 0.5), duties, np.full(5, 0.5)], 2.5)
+
 
 class TestAdder:
     def test_three_input_mean(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -157,6 +158,20 @@ class TestOtherKinds:
         assert len(rows) == 10
         _, dev = read_rows(spec.output_dir / "response_deviation.csv")
         assert float(dev[1][1]) > float(dev[0][1])
+
+    def test_raw_response_curve_golden(self, tmp_path):
+        # pins the raw chain's no-oscillation cells and its deviation sums;
+        # the hashes were taken from the scalar per-point implementation
+        spec = make_spec("response-curve", {"converter": "raw", "grid_points": 41,
+                                            "depths": [1, 2, 3, 4]}, tmp_path)
+        assert run(spec)["status"] == "ok"
+        curve = (spec.output_dir / "response_curve.csv").read_bytes()
+        assert b"no-oscillation" in curve
+        assert hashlib.sha256(curve).hexdigest() == \
+            "91accf0b8942b3bd2060cb4af36808a44ded8d157677a0a1e60106fce9e497c3"
+        deviation = (spec.output_dir / "response_deviation.csv").read_bytes()
+        assert hashlib.sha256(deviation).hexdigest() == \
+            "2762face52ce0305a7a00baef8e64891931bf37d7e9b9b5bee19e6816488b877"
 
     def test_fit_exact_source(self, tmp_path):
         spec = make_spec("fit", {"source": "exact", "points": 50,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pwmperc.analytic import WeightVector, vac_equilibrium
-from pwmperc.converter import (NO_OSCILLATION, ConverterModel, find_fixed_points,
-                               fit_cubic, is_no_oscillation, stage_map,
-                               stage_map_deriv, v_to_dc)
+from pwmperc.converter import (ConverterModel, find_fixed_points, fit_cubic,
+                               is_no_oscillation, stage_map, stage_map_deriv,
+                               v_to_dc)
 
 MODEL = ConverterModel.compensated()
 
@@ -60,6 +60,12 @@ def test_model_rejects_non_finite(field, kwargs):
         ConverterModel(**kwargs)
 
 
+@pytest.mark.parametrize("region", [(0.5, 0.9), (0.1, 0.5), (0.6, 0.9), (0.9, 0.3)])
+def test_model_rejects_region_without_midpoint(region):
+    with pytest.raises(ValueError, match="linear_region"):
+        ConverterModel(mode="raw", linear_region=region)
+
+
 class TestVToDc:
     def test_compensated_recovers_dc_sum(self):
         assert v_to_dc(1.25, 2.5, MODEL) == pytest.approx(STAGE_AT_HALF, abs=1e-12)
@@ -93,10 +99,29 @@ class TestVToDc:
         duties = [v_to_dc(float(v), 2.5, raw) for v in vs]
         assert all(b < a for a, b in zip(duties, duties[1:]))
 
+    @pytest.mark.parametrize("model", [MODEL, ConverterModel.raw(),
+                                       ConverterModel.identity()],
+                             ids=["compensated", "raw", "identity"])
+    def test_array_equals_scalar_calls(self, model):
+        vs = np.linspace(-0.1, 2.6, 271)
+        got = v_to_dc(vs, 2.5, model)
+        want = [v_to_dc(float(v), 2.5, model) for v in vs]
+        assert all(type(y) is float for y in want)
+        np.testing.assert_array_equal(got, want)
+
+    def test_array_supply(self):
+        vs = np.array([0.5, 1.25, 2.0])
+        vdds = np.array([2.5, 2.5, 2.1])
+        got = v_to_dc(vs, vdds, ConverterModel.raw())
+        assert is_no_oscillation(got[0]) and is_no_oscillation(got[2])
+        assert got[1] == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="vdd"):
+            v_to_dc(vs, np.array([2.5, 0.0, 2.5]), MODEL)
+
     def test_no_oscillation_is_distinguishable(self):
         out = v_to_dc(0.1, 2.5, ConverterModel.raw())
-        assert out is NO_OSCILLATION
-        assert not isinstance(out, float)
+        assert is_no_oscillation(out)
+        assert not 0.0 <= out <= 1.0          # never a silent duty
 
 
 class TestFitCubic:

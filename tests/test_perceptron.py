@@ -4,6 +4,7 @@ import pytest
 from pwmperc.analytic import WeightVector
 from pwmperc.converter import (ConverterModel, is_no_oscillation,
                                stage_map)
+from pwmperc.nn import ActivationKind, Layer, Network, NetworkConfig
 from pwmperc.perceptron import (PerceptronConfig, chain_eval,
                                 dynamic_duty_trace, perceptron_eval,
                                 response_curve)
@@ -68,6 +69,46 @@ class TestPerceptronEval:
             t = perceptron_eval(trans, duties, W777, 2.5)
             # ripple bound: swing/2 at 100 MHz is ~0.066 V -> ~0.026 duty
             assert t == pytest.approx(b, abs=0.066 / 2 / 2.5 + 0.01)
+
+    def test_array_duties_equal_scalar_calls(self):
+        rng = np.random.default_rng(20)
+        duties = rng.uniform(0, 1, (3, 50))
+        for cfg in (BEHAVIORAL,
+                    PerceptronConfig.behavioral(converter=ConverterModel.raw())):
+            got = perceptron_eval(cfg, list(duties), W777, 2.5)
+            want = [perceptron_eval(cfg, duties[:, j].tolist(), W777, 2.5)
+                    for j in range(duties.shape[1])]
+            np.testing.assert_array_equal(got, want)
+
+    def test_transient_path_takes_arrays(self):
+        trans = PerceptronConfig(vac=VacConfig.small(), path="transient",
+                                 converter=ConverterModel.compensated())
+        xs = np.array([0.2, 0.6])
+        got = perceptron_eval(trans, [xs] * 3, W777, 2.5)
+        want = [perceptron_eval(trans, [float(x)] * 3, W777, 2.5) for x in xs]
+        assert isinstance(want[0], float)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("n", [3, 9])
+def test_network_computes_the_circuit(n, k):
+    """A one-layer integer-mode pwm_percept network is the behavioral
+    perceptron: its MAC is the VAC's weighted sum, its activation the stage."""
+    top = 2 ** k - 1
+    rng = np.random.default_rng(100 * n + k)
+    weights = rng.integers(0, top + 1, size=(4, n)).astype(np.float64)
+    cfg = NetworkConfig(layer_sizes=(n, 4), activation=ActivationKind.PWM_PERCEPT,
+                        learning_rate=0.01, mode="integer", max_weight=top)
+    net = Network([Layer(weights=weights, normalizer=float(n * top))], cfg)
+    pcfg = PerceptronConfig.behavioral(n=n, k=k)
+    for _ in range(3):
+        x = rng.uniform(0.0, 1.0, (64, n))
+        scores = net.forward(x)
+        for row, w in enumerate(weights):
+            circuit = perceptron_eval(pcfg, list(x.T),
+                                      WeightVector(tuple(w), k), 2.5)
+            np.testing.assert_allclose(scores[:, row], circuit, rtol=0, atol=1e-12)
 
 
 class TestChain:
