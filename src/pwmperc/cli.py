@@ -427,6 +427,8 @@ def _train_one(args):
     report = nn.train(net, train_ds, test_ds, cfg)
     row = report.csv_row()
     row["label_counts"] = [int(n) for n in train_ds.label_counts()]
+    row["per_epoch"] = [[*errors, seconds] for errors, seconds
+                        in zip(report.per_epoch, report.epoch_seconds)]
     return row
 
 
@@ -442,7 +444,9 @@ def _run_train(spec: ExperimentSpec) -> list[str]:
                [[row[k] for k in TRAIN_HEADER]])
     _write_csv(spec.output_dir / "train_label_counts.csv", ["class", "count"],
                [[c, n] for c, n in enumerate(row["label_counts"])])
-    return ["train.csv", "train_label_counts.csv"]
+    _write_csv(spec.output_dir / "train_epochs.csv",
+               ["epoch", "train_error", "test_error", "seconds"], row["per_epoch"])
+    return ["train.csv", "train_label_counts.csv", "train_epochs.csv"]
 
 
 @_kind("train-sweep", {"subsample": Param(int, None),

@@ -34,6 +34,7 @@ __all__ = [
     "FixedPointScan",
     "stage_map",
     "stage_map_deriv",
+    "stage_map_and_slope",
     "v_to_dc",
     "fit_cubic",
     "find_fixed_points",
@@ -90,9 +91,32 @@ class ConverterModel:
                    output_cap=100.0)
 
     def cubic_percent(self, x):
-        """Raw cubic in percent, no capping. Accepts scalars or arrays."""
+        """Raw cubic in percent, no capping. Accepts scalars or arrays.
+
+        ((c3*x + c2)*x + c1)*x + c0, each step in place on the one new value
+        that c3*x makes.
+        """
         c3, c2, c1, c0 = self.coefficients
-        return ((c3 * x + c2) * x + c1) * x + c0
+        y = c3 * x
+        y += c2
+        y *= x
+        y += c1
+        y *= x
+        y += c0
+        return y
+
+
+def _floats(x) -> np.ndarray:
+    """x as a float64 array of at least one dimension; an array is not copied."""
+    return np.atleast_1d(np.asarray(x, dtype=np.float64))
+
+
+def _cap_percent(y: np.ndarray, model: ConverterModel) -> np.ndarray:
+    """max(min(y, cap), 0)/100 of cubic values y, in place."""
+    np.minimum(y, model.output_cap, out=y)
+    np.maximum(y, 0.0, out=y)
+    y /= 100.0
+    return y
 
 
 def stage_map(x: float, model: ConverterModel | None = None) -> float:
@@ -103,9 +127,8 @@ def stage_map(x: float, model: ConverterModel | None = None) -> float:
     model = model or ConverterModel.compensated()
     if model.mode != "compensated":
         raise ValueError("stage_map is defined for compensated models")
-    y = np.minimum(model.cubic_percent(x), model.output_cap)
-    y = np.maximum(y, 0.0) / 100.0
-    return float(y) if np.isscalar(x) else y
+    y = _cap_percent(model.cubic_percent(_floats(x)), model)
+    return float(y[0]) if np.isscalar(x) else y
 
 
 def stage_map_deriv(x: float, model: ConverterModel | None = None) -> float:
@@ -119,6 +142,28 @@ def stage_map_deriv(x: float, model: ConverterModel | None = None) -> float:
     inside = (uncapped < model.output_cap) & (uncapped > 0.0)
     y = np.where(inside, raw, 0.0)
     return float(y) if np.isscalar(x) else y
+
+
+def stage_map_and_slope(x, model: ConverterModel | None = None):
+    """``(stage_map(x), stage_map_deriv(x))``, bit for bit, from one
+    evaluation of the cubic. Vectorized over arrays."""
+    model = model or ConverterModel.compensated()
+    if model.mode != "compensated":
+        raise ValueError("stage_map_and_slope is defined for compensated models")
+    c3, c2, c1, _ = model.coefficients
+    xs = _floats(x)
+    y = model.cubic_percent(xs)
+    outside = ~((y < model.output_cap) & (y > 0.0))
+    _cap_percent(y, model)
+    slope = 3.0 * c3 * xs
+    slope += 2.0 * c2
+    slope *= xs
+    slope += c1
+    slope /= 100.0
+    slope = np.where(outside, 0.0, slope)
+    if np.isscalar(x):
+        return float(y[0]), float(slope[0])
+    return y, slope
 
 
 def v_to_dc(v, vdd, model: ConverterModel):

@@ -1,8 +1,10 @@
-"""MNIST ingestion: IDX container parsing and duty-cycle encoding.
+"""MNIST ingestion: IDX container parsing.
 
-Pixels map straight to duty cycles (byte/255, no centering or whitening - the
-hardware cannot represent negative inputs). Files may be the raw IDX files or
-their gzip-compressed variants.
+Images stay the pixel bytes of the file, one byte per pixel. Pixels map
+straight to duty cycles, byte/255 with no centering or whitening (the
+hardware cannot represent negative inputs); ``nn`` applies that map to one
+batch or evaluation chunk at a time. Files may be the raw IDX files or their
+gzip-compressed variants.
 """
 
 from __future__ import annotations
@@ -55,7 +57,11 @@ class CountMismatchError(DatasetError):
 
 @dataclass(frozen=True)
 class Dataset:
-    images: np.ndarray   # (n, 784) float64 duty-cycle fractions in [0, 1]
+    """Images with their labels. ``images`` holds uint8 pixel bytes as
+    ``load_idx`` returns them (duty = byte/255, applied in ``nn``), or float
+    duty-cycle fractions in [0, 1] that a caller built."""
+
+    images: np.ndarray   # (n, 784)
     labels: np.ndarray   # (n,) int64 class ids 0-9
     split: str           # "train" | "test" | derived tags
 
@@ -79,10 +85,11 @@ def _read_file(path) -> bytes:
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Parse an IDX image/label file pair into duty-cycle vectors.
+    """Parse an IDX image/label file pair.
 
     Validates the big-endian magics, the declared dimensions against the file
-    size, and the image/label counts against each other. Byte 255 -> duty 1.0.
+    size, and the image/label counts against each other. The images are the
+    file's pixel bytes, a read-only uint8 view with no copy.
     """
     img_raw = _read_file(images_path)
     lab_raw = _read_file(labels_path)
@@ -113,7 +120,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
 
     pixels = np.frombuffer(img_raw, dtype=np.uint8, count=n_img * rows * cols,
                            offset=16)
-    images = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
+    images = pixels.reshape(n_img, rows * cols)
     labels = np.frombuffer(lab_raw, dtype=np.uint8, count=n_lab, offset=8)
     return Dataset(images=images, labels=labels.astype(np.int64), split=split)
 

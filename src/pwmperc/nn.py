@@ -14,17 +14,23 @@ vanish (round(delta_fp * normalizer) == 0), which is why small initial
 weights matter.
 
 No bias terms anywhere: the accumulator bank has no bias path.
+
+Inputs are duty cycles. Pixel bytes (uint8, as ``mnist`` loads them) become
+byte/255 one batch or evaluation chunk at a time, so a dataset is held at one
+byte per pixel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .converter import ConverterModel, stage_map, stage_map_deriv
+from .converter import (ConverterModel, stage_map, stage_map_and_slope,
+                        stage_map_deriv)
 
 __all__ = [
     "ActivationKind",
@@ -35,6 +41,7 @@ __all__ = [
     "TrainingDivergedError",
     "activation",
     "activation_deriv",
+    "activation_and_slope",
     "integer_weight_delta",
     "train",
     "evaluate",
@@ -52,6 +59,7 @@ class ActivationKind(Enum):
 
 OFT_OFFSET = _STAGE.coefficients[3] / 100.0  # 0.1344, the hardware output floor
 OFT_CAP_X = 1.0 - OFT_OFFSET                 # 0.8656, where x + offset reaches 1
+EVAL_CHUNK = 8192                            # images per evaluate step
 
 
 def activation(kind: ActivationKind, x):
@@ -64,7 +72,9 @@ def activation(kind: ActivationKind, x):
     elif kind is ActivationKind.OFT_RELU:
         y = np.where(arr < 0.0, 0.0, np.minimum(arr + OFT_OFFSET, 1.0))
     elif kind is ActivationKind.PWM_PERCEPT:
-        y = np.where(arr < 0.0, 0.0, stage_map(np.clip(arr, 0.0, 1.0), _STAGE))
+        # the map is positive on [0, 1], so the mask zeroes it as np.where would
+        y = stage_map(np.clip(arr, 0.0, 1.0), _STAGE)
+        y *= arr >= 0.0
     else:
         raise ValueError(f"unknown activation {kind}")
     return float(y) if np.isscalar(x) else y
@@ -84,6 +94,28 @@ def activation_deriv(kind: ActivationKind, x):
     else:
         raise ValueError(f"unknown activation {kind}")
     return float(y) if np.isscalar(x) else y
+
+
+def activation_and_slope(kind: ActivationKind, x: np.ndarray):
+    """``(activation(kind, x), activation_deriv(kind, x))`` for an array, bit
+    for bit; the stage cubic is evaluated once, on x as it is. That needs no
+    clip: the cubic rises beyond 1 from cubic(1) = 120.38 > cap 98, so there
+    the map is the cap and the slope is 0 either way."""
+    if kind is not ActivationKind.PWM_PERCEPT:
+        return activation(kind, x), activation_deriv(kind, x)
+    y, slope = stage_map_and_slope(x, _STAGE)
+    below = x < 0.0
+    return np.where(below, 0.0, y), np.where(below, 0.0, slope)
+
+
+def _duties(x, out: np.ndarray | None = None) -> np.ndarray:
+    """Network input as float64 duty cycles: pixel bytes become byte/255,
+    written into ``out`` when it is given; anything else is taken as duties
+    already."""
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        return np.divide(x, 255.0, out=out)
+    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -126,7 +158,9 @@ class Layer:
     normalizer: float          # n_in * max_weight in integer mode, 1.0 in FP
 
     def pre_activation(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.weights.T) / self.normalizer
+        z = x @ self.weights.T
+        z /= self.normalizer
+        return z
 
 
 class Network:
@@ -152,23 +186,30 @@ class Network:
         return cls(layers, cfg)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class scores for one input vector or a (batch, n_in) matrix."""
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """Class scores for one input vector or a (batch, n_in) matrix of
+        duties or pixel bytes."""
+        a = np.atleast_2d(_duties(x))
         for layer in self.layers:
             a = activation(self.cfg.activation, layer.pre_activation(a))
         return a[0] if np.asarray(x).ndim == 1 else a
 
     def forward_trace(self, x: np.ndarray):
-        """Forward pass keeping pre-activations, for backprop."""
-        a = np.asarray(x, dtype=np.float64)
-        acts = [a]
-        pres = []
+        """Forward pass keeping pre-activations and activations."""
+        pres, acts, _ = self._trace(x)
+        return pres, acts
+
+    def _trace(self, x: np.ndarray):
+        """Forward pass keeping pre-activations, activations and activation
+        slopes, for backprop."""
+        a = _duties(x)
+        pres, acts, slopes = [], [a], []
         for layer in self.layers:
             z = layer.pre_activation(a)
+            a, slope = activation_and_slope(self.cfg.activation, z)
             pres.append(z)
-            a = activation(self.cfg.activation, z)
             acts.append(a)
-        return pres, acts
+            slopes.append(slope)
+        return pres, acts, slopes
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """argmax class ids; numpy argmax breaks ties by lowest index."""
@@ -208,6 +249,7 @@ class TrainReport:
     per_epoch: list[tuple[int, float, float]]  # (epoch, train_error, test_error)
     weight_stats: list[dict]
     config: NetworkConfig
+    epoch_seconds: list[float] = field(default_factory=list)  # wall time, evaluation included
 
     def csv_row(self) -> dict:
         return {
@@ -231,32 +273,36 @@ def loss_and_grads(net: Network, x: np.ndarray, targets: np.ndarray):
 
     Loss = mean over batch and output classes of (out - target)^2.
     """
-    pres, acts = net.forward_trace(x)
+    _, acts, slopes = net._trace(x)
     out = acts[-1]
     batch, n_cls = out.shape
-    loss = float(np.mean((out - targets) ** 2))
-    delta = 2.0 * (out - targets) / (batch * n_cls)
-    delta = delta * activation_deriv(net.cfg.activation, pres[-1])
+    err = out - targets
+    loss = float(np.mean(err ** 2))
+    delta = 2.0 * err / (batch * n_cls)
+    delta *= slopes[-1]
     grads = [None] * len(net.layers)
     for li in range(len(net.layers) - 1, -1, -1):
         grads[li] = delta.T @ acts[li]
         if li > 0:
-            back = delta @ (net.layers[li].weights / net.layers[li].normalizer)
-            delta = back * activation_deriv(net.cfg.activation, pres[li - 1])
+            delta = delta @ (net.layers[li].weights / net.layers[li].normalizer)
+            delta *= slopes[li - 1]
     return loss, grads
 
 
 def integer_weight_delta(delta_fp: np.ndarray, normalizer: float) -> np.ndarray:
-    """Scale a floating-point update back to integer steps: round(d * norm).
+    """Scale a floating-point update back to integer steps: round(d * norm),
+    in place; the float64 array passed in is overwritten and returned.
 
     Updates smaller than 0.5/normalizer starve to zero - the reason integer
     training starts from small weights.
     """
-    return np.round(np.asarray(delta_fp) * normalizer)
+    delta_fp *= normalizer
+    return np.round(delta_fp, out=delta_fp)
 
 
 def evaluate(net: Network, dataset) -> float:
-    """Error percent on a dataset (anything with .images and .labels).
+    """Error percent on a dataset (anything with .images and .labels), its
+    images duties or pixel bytes.
 
     Argmax decision over the class-score vector; ties go to the lowest class
     index (numpy argmax semantics).
@@ -265,10 +311,13 @@ def evaluate(net: Network, dataset) -> float:
     labels = np.asarray(dataset.labels)
     if len(images) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    # one duty array for all chunks: a new one per chunk costs page faults
+    duties = np.empty((min(len(images), EVAL_CHUNK), *images.shape[1:]))
     wrong = 0
-    for start in range(0, len(images), 8192):
-        pred = net.predict(images[start:start + 8192])
-        wrong += int(np.sum(pred != labels[start:start + 8192]))
+    for start in range(0, len(images), EVAL_CHUNK):
+        chunk = images[start:start + EVAL_CHUNK]
+        pred = net.predict(_duties(chunk, duties[:len(chunk)]))
+        wrong += int(np.sum(pred != labels[start:start + EVAL_CHUNK]))
     return 100.0 * wrong / len(images)
 
 
@@ -288,8 +337,9 @@ def train(net: Network, train_ds, test_ds,
     rng = np.random.default_rng(cfg.seed + 1)  # shuffling stream
 
     n = len(train_images)
-    per_epoch = []
+    per_epoch, epoch_seconds = [], []
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch):
             sel = order[start:start + cfg.batch]
@@ -298,17 +348,18 @@ def train(net: Network, train_ds, test_ds,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {start // cfg.batch}: {loss}")
             for layer, grad in zip(net.layers, grads):
-                delta_fp = -cfg.learning_rate * grad
+                grad *= -cfg.learning_rate
                 if cfg.mode == "integer":
-                    layer.weights += integer_weight_delta(delta_fp, layer.normalizer)
+                    layer.weights += integer_weight_delta(grad, layer.normalizer)
                     np.clip(layer.weights, -cfg.max_weight, cfg.max_weight,
                             out=layer.weights)
                 else:
-                    layer.weights += delta_fp
+                    layer.weights += grad
             net.assert_weight_bounds()
         tr_err = evaluate(net, train_ds)
         te_err = evaluate(net, test_ds)
         per_epoch.append((epoch + 1, tr_err, te_err))
+        epoch_seconds.append(time.perf_counter() - t0)
 
     if per_epoch:
         final_train, final_test = per_epoch[-1][1], per_epoch[-1][2]
@@ -320,4 +371,5 @@ def train(net: Network, train_ds, test_ds,
         per_epoch=per_epoch,
         weight_stats=net.weight_stats(),
         config=cfg,
+        epoch_seconds=epoch_seconds,
     )

@@ -4,11 +4,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from pwmperc import cli, perceptron, transient
 from pwmperc.cli import ExperimentSpec, run
+
+from conftest import write_idx_pair
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -222,7 +225,37 @@ class TestOtherKinds:
         assert kinds["vac-table"] == "error"
 
 
+def write_synthetic_mnist(directory, n_train=96, n_test=32, seed=0):
+    """Seeded random 28x28 images under the four standard MNIST file names."""
+    rng = np.random.default_rng(seed)
+    for stem, n in (("train", n_train), ("t10k", n_test)):
+        write_idx_pair(directory, rng.integers(0, 256, (n, 28, 28)),
+                       rng.integers(0, 10, n), stem=stem)
+
+
 class TestTrainKind:
+    def test_per_epoch_csv(self, tmp_path):
+        data = tmp_path / "mnist"
+        data.mkdir()
+        write_synthetic_mnist(data)
+        spec = make_spec("train", {"topology": "784/10", "activation": "cap_relu",
+                                   "learning_rate": 0.05, "epochs": 3},
+                         tmp_path, data_dir=str(data))
+        manifest = run(spec)
+        assert manifest["status"] == "ok"
+        assert "train_epochs.csv" in manifest["artifacts"]
+        header, rows = read_rows(spec.output_dir / "train_epochs.csv")
+        assert header == ["epoch", "train_error", "test_error", "seconds"]
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+        for _, train_err, test_err, seconds in rows:
+            assert 0.0 <= float(train_err) <= 100.0
+            assert 0.0 <= float(test_err) <= 100.0
+            assert float(seconds) > 0.0
+        # the last epoch's errors are the run's result
+        header, final = read_rows(spec.output_dir / "train.csv")
+        result = dict(zip(header, final[0]))
+        assert rows[-1][1:3] == [result["train_error"], result["test_error"]]
+
     def test_missing_dataset_is_distinct_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PWMPERC_DATA_DIR", raising=False)
         monkeypatch.setattr("pwmperc.mnist._DEFAULT_DATA_DIRS", ())

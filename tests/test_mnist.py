@@ -22,10 +22,9 @@ class TestLoadIdx:
         assert len(ds) == 12
         assert ds.images.shape == (12, 784)
         np.testing.assert_array_equal(ds.labels, labels)
-        # byte 255 -> duty 1.0, byte 0 -> duty 0.0, exact byte round-trip
-        back = np.round(ds.images * 255).astype(np.uint8)
-        np.testing.assert_array_equal(back, images.reshape(12, 784))
-        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+        # the images are the written pixel bytes, exactly
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images, images.reshape(12, 784))
 
     def test_gzip_transparent(self, tmp_path):
         images, labels = synthetic()
@@ -116,4 +115,4 @@ class TestRealData:
     def test_test_split_shape(self, mnist_dir):
         ds = load_mnist(mnist_dir, "test")
         assert len(ds) == 10000
-        assert ds.images.min() >= 0.0 and ds.images.max() == 1.0
+        assert ds.images.dtype == np.uint8 and ds.images.max() == 255

@@ -314,3 +314,72 @@ class TestEvaluate:
         net.layers[-1].weights *= 3.7
         after = net.predict(images)
         np.testing.assert_array_equal(before, after)
+
+
+def reference_train(cfg, images, labels):
+    """Final weights of one epoch of nn.train, stepped with the formulas of
+    the float-dataset code: duties = bytes / 255 up front, separate
+    activation and activation_deriv, and the update -lr * grad then +=."""
+    net = Network.from_config(cfg)
+    duties = images / 255.0
+    targets = np.eye(cfg.layer_sizes[-1])[labels]
+    order = np.random.default_rng(cfg.seed + 1).permutation(len(images))
+    for start in range(0, len(images), cfg.batch):
+        sel = order[start:start + cfg.batch]
+        x, t = duties[sel], targets[sel]
+        pres, acts = [], [x]
+        for layer in net.layers:
+            pres.append((acts[-1] @ layer.weights.T) / layer.normalizer)
+            acts.append(activation(cfg.activation, pres[-1]))
+        out = acts[-1]
+        delta = 2.0 * (out - t) / out.size
+        delta = delta * activation_deriv(cfg.activation, pres[-1])
+        grads = [None] * len(net.layers)
+        for li in range(len(net.layers) - 1, -1, -1):
+            grads[li] = delta.T @ acts[li]
+            if li > 0:
+                layer = net.layers[li]
+                back = delta @ (layer.weights / layer.normalizer)
+                delta = back * activation_deriv(cfg.activation, pres[li - 1])
+        for layer, grad in zip(net.layers, grads):
+            delta_fp = -cfg.learning_rate * grad
+            if cfg.mode == "integer":
+                layer.weights += np.round(delta_fp * layer.normalizer)
+                np.clip(layer.weights, -cfg.max_weight, cfg.max_weight,
+                        out=layer.weights)
+            else:
+                layer.weights += delta_fp
+    return [layer.weights for layer in net.layers]
+
+
+def pixel_dataset(n, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(images=rng.integers(0, 256, (n, 784), dtype=np.uint8),
+                   labels=rng.integers(0, 10, n), split="train")
+
+
+class TestOracle:
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(layer_sizes=(784, 30, 10), activation=ActivationKind.PWM_PERCEPT,
+                      learning_rate=0.2, epochs=1, batch=16, seed=3),
+        NetworkConfig(layer_sizes=(784, 10), activation=ActivationKind.CAP_RELU,
+                      learning_rate=0.04, epochs=1, batch=16, seed=4,
+                      mode="integer", max_weight=63, initial_weight=3),
+    ], ids=["pwm_percept-fp", "cap_relu-integer"])
+    def test_training_on_pixel_bytes_matches_reference_bit_for_bit(self, cfg):
+        ds = pixel_dataset(16 * 300, seed=cfg.seed)
+        net = Network.from_config(cfg)
+        train(net, ds, ds, cfg)
+        expected = reference_train(cfg, ds.images, ds.labels)
+        for layer, weights in zip(net.layers, expected):
+            assert layer.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_forward_on_bytes_equals_forward_on_duties(self, kind):
+        cfg = NetworkConfig(layer_sizes=(784, 30, 10), activation=kind,
+                            learning_rate=0.1, seed=6)
+        net = Network.from_config(cfg)
+        images = pixel_dataset(64, seed=7).images
+        assert net.forward(images).tobytes() == net.forward(images / 255.0).tobytes()
+        assert net.forward(images[0]).tobytes() == \
+            net.forward(images[0] / 255.0).tobytes()
