@@ -146,6 +146,6 @@ def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
     oscillator stalls.
     """
     ts = np.linspace(0.0, trace.horizon, 400)
-    v = np.array([trace.value_at(float(t)) for t in ts])
-    vdd = np.array([supply.value_at(float(t)) for t in ts])
+    v = trace.sample(ts)
+    vdd = np.fromiter(map(supply.value_at, ts.tolist()), np.float64, len(ts))
     return ts, v_to_dc(v, vdd, cfg.converter), v / vdd

@@ -8,6 +8,7 @@ is supplied separately by the supply profile.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -81,9 +82,10 @@ class PwmSignal:
         m_hi = math.ceil((t1 - self.phase) / period) + 1
         m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
         rises = self.phase + m * period
-        falls = rises + t_fall
-        edges = np.concatenate([rises, falls])
-        return np.sort(edges[(edges >= t0) & (edges < t1)])
+        edges = np.concatenate([rises, rises + t_fall])
+        edges.sort()
+        lo, hi = edges.searchsorted((t0, t1))
+        return edges[lo:hi]
 
 
 def with_random_phases(signals: list[PwmSignal], rng: np.random.Generator) -> list[PwmSignal]:
@@ -195,6 +197,8 @@ class PiecewiseLinearSupply(SupplyProfile):
         if any(v <= 0 for _, v in pts):
             raise ValueError("supply must be > 0 at every breakpoint")
         object.__setattr__(self, "breakpoints", pts)
+        # the knot times, for bisection; not a field, so not compared or shown
+        object.__setattr__(self, "_times", tuple(times))
 
     def value_at(self, t: float) -> float:
         pts = self.breakpoints
@@ -202,10 +206,10 @@ class PiecewiseLinearSupply(SupplyProfile):
             return pts[0][1]
         if t >= pts[-1][0]:
             return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        raise AssertionError("unreachable")
+        # the interval (t0, t1] holding t: a t on a knot takes the one ending there
+        i = bisect.bisect_left(self._times, t)
+        (t0, v0), (t1, v1) = pts[i - 1], pts[i]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def max_value(self) -> float:
         return max(v for _, v in self.breakpoints)

@@ -10,10 +10,15 @@ period.
 
 The optional compensation clamp floors the capacitor voltage at the PMOS
 threshold: a segment maps v to max(veq + (v - veq)*e^(-dt/tau), floor), the
-floor being the threshold where veq lies below it. One period of a constant
-supply is then F(v) = max(A*v + B, C), closed-form in fixed point and iterates.
+floor being the threshold where veq lies below it. That is a max-affine map
+v -> max(a*v + b, c), and two such maps compose into one of the same form,
+so a prefix scan over the segments gives every segment's composition from
+the start in O(log n) array passes, with no loop over segments: the voltage
+at each boundary is max(A*v0 + B, C). The composition over one period of a
+constant supply is its period map F(v) = max(A*v + B, C), closed-form in
+fixed point and iterates.
 
-Two entry points share the timeline and that segment rule:
+Two entry points share the timeline and that scan:
 
 * steady_state - a constant supply and inputs of one common frequency. The
   periodic steady state is solved exactly over one input period (the period
@@ -21,7 +26,8 @@ Two entry points share the timeline and that segment rule:
   vac-table and the perceptron transient path use it.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
   the trace over a given horizon, and metrics of its last part with a
-  chunk-to-chunk drift check.
+  chunk-to-chunk drift check. The metrics are closed-form integrals over the
+  pieces, summed per window.
 """
 
 from __future__ import annotations
@@ -126,23 +132,26 @@ class TransientTrace:
     def horizon(self) -> float:
         return float(self.seg_t1[-1])
 
+    def sample(self, ts) -> np.ndarray:
+        """Exact capacitor voltage at each time of `ts`, all inside the
+        horizon."""
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.size and not (0.0 <= ts.min() and ts.max() <= self.horizon):
+            raise ValueError(f"times [{ts.min()}, {ts.max()}] outside [0, {self.horizon}]")
+        i = np.searchsorted(self.seg_t0, ts, side="right") - 1     # seg_t0[0] = 0
+        v0, veq = self.seg_v0[i], self.seg_veq[i]
+        v = veq + (v0 - veq) * np.exp(-(ts - self.seg_t0[i]) / self.tau)
+        return np.where(self.seg_clamped[i], v0, v)
+
     def value_at(self, t: float) -> float:
-        """Exact capacitor voltage at any time inside the horizon."""
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        i = int(np.searchsorted(self.seg_t0, t, side="right") - 1)
-        i = max(i, 0)
-        if self.seg_clamped[i]:
-            return float(self.seg_v0[i])
-        dt = t - self.seg_t0[i]
-        veq = self.seg_veq[i]
-        return float(veq + (self.seg_v0[i] - veq) * math.exp(-dt / self.tau))
+        """Exact capacitor voltage at one time inside the horizon."""
+        return float(self.sample([t])[0])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("time_s,v_cap_V,vdd_V\n")
-            for t, v, s in zip(self.times, self.v_cap, self.vdd):
-                fh.write(f"{float(t)!r},{float(v)!r},{float(s)!r}\n")
+            fh.writelines(f"{t!r},{v!r},{s!r}\n" for t, v, s in zip(
+                self.times.tolist(), self.v_cap.tolist(), self.vdd.tolist()))
 
 
 @dataclass(frozen=True)
@@ -186,22 +195,27 @@ def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
     breakpoints. Returns per-segment start, end, divider equilibrium, supply,
     pull-up and pull-down unit counts."""
     n_units = cfg.total_units
+    # equal inputs have equal edges and states: cut and count each one once
+    weights: dict[PwmSignal, int] = {}
+    for sig, wi in zip(inputs, w.weights):
+        weights[sig] = weights.get(sig, 0) + wi
     parts = [np.array([0.0, horizon])]
-    for sig in inputs:
-        parts.append(sig.edges_in(0.0, horizon))
+    parts += [sig.edges_in(0.0, horizon) for sig in weights]
     step = supply.substep()
     if step is not None:
-        parts.append(np.arange(0.0, horizon, step))
+        steps = np.arange(0.0, horizon, step)
+        parts.append(steps[steps <= horizon])    # a float step can overshoot
         parts.append(supply.breakpoints_in(0.0, horizon))
-    boundaries = np.unique(np.concatenate(parts))
-    boundaries = boundaries[(boundaries >= 0.0) & (boundaries <= horizon)]
+    boundaries = np.concatenate(parts)
+    boundaries.sort()
+    boundaries = boundaries[np.concatenate(([True], boundaries[1:] != boundaries[:-1]))]
 
     # per-segment pull-down unit counts, from input states at segment midpoints
     t0s = boundaries[:-1]
     t1s = boundaries[1:]
     mids = 0.5 * (t0s + t1s)
     dn_units = np.zeros(len(mids), dtype=np.int64)
-    for sig, wi in zip(inputs, w.weights):
+    for sig, wi in weights.items():
         if wi == 0:
             continue
         if sig.duty == 1.0:
@@ -215,51 +229,117 @@ def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
     if isinstance(supply, ConstantSupply):
         vdd_seg = np.full(len(mids), supply.vdd)
     else:
-        vdd_seg = np.array([supply.value_at(float(t)) for t in t0s])
+        vdd_seg = np.fromiter(map(supply.value_at, t0s.tolist()), np.float64, len(t0s))
 
     veq_seg = vdd_seg * (up_units / n_units)
     return t0s, t1s, veq_seg, vdd_seg, up_units, dn_units
 
 
+def _prefix(cfg: VacConfig, segments):
+    """Prefix compositions (A, B, C) of the segment maps v -> max(a*v + b, c),
+    by a Hillis-Steele scan: segments 0..k take a start voltage v >= 0 to
+    max(A[k]*v + B[k], C[k]). C is None when no segment pulls below the
+    threshold.
+
+    A segment has a = e^(-dt/tau) and b = veq*(1 - a); c is the threshold
+    where veq lies below it and b elsewhere. For v >= 0 the map
+    max(a*v + b, b) is a*v + b, so c = b stands for "no floor" without an
+    infinity, and a prefix product that underflows to 0 never meets one.
+    Applying (a1, b1, c1) and then (a2, b2, c2) gives
+    (a2*a1, a2*b1 + b2, max(a2*c1 + b2, c2)), which keeps C >= B.
+    """
+    t0s, t1s, veq = segments[:3]
+    # 1 - a from expm1 keeps b accurate where a is near 1
+    d = -np.expm1((t0s - t1s) / cfg.tau)
+    a = 1.0 - d
+    b = veq * d
+    v_th = cfg.compensation_threshold
+    c = None
+    if v_th > 0.0:
+        clampable = veq < v_th
+        if clampable.any():
+            c = np.where(clampable, v_th, b)
+    shift = 1
+    while shift < len(a):
+        # element k composes with element k - shift; the right-hand sides
+        # read the old values, as numpy copies overlapping operands
+        if c is not None:
+            t = a[shift:] * c[:-shift]
+            t += b[shift:]
+            np.maximum(c[shift:], t, out=c[shift:])
+        b[shift:] += a[shift:] * b[:-shift]
+        a[shift:] *= a[:-shift]
+        shift *= 2
+    return a, b, c
+
+
+def _boundaries(prefix, v):
+    """Voltage at every segment boundary, the start first, from the start
+    voltage v >= 0; from an array of starts, one row per start."""
+    a, b, c = prefix
+    v = np.asarray(v, dtype=np.float64)
+    ends = np.multiply.outer(v, a)
+    ends += b
+    if c is not None:
+        np.maximum(ends, c, out=ends)
+    return np.concatenate((v[..., None], ends), axis=-1)
+
+
+def _clamp(cfg: VacConfig, segments, p: np.ndarray):
+    """Free time of each segment, from the boundary voltages p: the whole
+    segment, or the time the voltage takes to fall to the threshold in the
+    segments the floor stops. Those are marked clamped, and their ends in p
+    are put exactly on the threshold.
+
+    A segment that starts on the threshold and pulls below it is clamped
+    throughout (free time 0).
+    """
+    t0s, t1s, veq = segments[:3]
+    dt = t1s - t0s
+    clamped = np.zeros(len(dt), dtype=bool)
+    v_th = cfg.compensation_threshold
+    if v_th == 0.0:
+        return dt, clamped
+    clampable = np.flatnonzero(veq < v_th)
+    q = veq[clampable]
+    ratio = np.maximum((p[clampable] - q) / (v_th - q), 1.0)
+    t_free = cfg.tau * np.log(ratio)
+    hit = t_free < dt[clampable]
+    stopped = clampable[hit]
+    clamped[stopped] = True
+    dt[stopped] = t_free[hit]
+    p[stopped + 1] = v_th
+    return dt, clamped
+
+
 def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
     """Solve `segments` from v0 (raised to the clamp threshold) by the
-    segment rule v -> max(veq + (v - veq)*e^(-dt/tau), floor). A segment that
-    reaches the floor is cut into a free part up to the crossing (none if it
-    starts on the floor) and a clamped rest. The trace holds no samples."""
+    segment rule v -> max(veq + (v - veq)*e^(-dt/tau), floor), read off the
+    prefix compositions. A segment that reaches the floor is cut into a free
+    part up to the crossing (none if it starts on the floor) and a clamped
+    rest. The trace holds no samples."""
     t0s, t1s, veqs, vdds, ups, dns = segments
-    tau = cfg.tau
     v_th = cfg.compensation_threshold
-    floor = v_th if v_th > 0.0 else -math.inf
-    v = max(float(v0), floor)
-    exp, log = math.exp, math.log
-    # per piece: segment index, t0, t1, v0, v1, clamped; one flat list of
-    # numbers, as record tuples would give the garbage collector work
-    pieces = []
-    for i, (a, b, veq) in enumerate(zip(t0s.tolist(), t1s.tolist(), veqs.tolist())):
-        dt = b - a
-        t_free = dt
-        if veq < floor:
-            t_free = tau * log((v - veq) / (v_th - veq)) if v > v_th else 0.0
-        if t_free < dt:
-            if t_free > 0.0:
-                pieces += (i, a, a + t_free, v, v_th, False)
-            a, v, v_end, clamped = a + t_free, v_th, v_th, True
-        else:
-            v_end, clamped = veq + (v - veq) * exp(-dt / tau), False
-        pieces += (i, a, b, v, v_end, clamped)
-        v = v_end
-
-    rec = np.fromiter(pieces, np.float64, len(pieces)).reshape(-1, 6)
-    del pieces          # before the copies below: a long walk's peak memory
-    seg = rec[:, 0].astype(np.int64)
-    t0, t1, v0s, v1s = rec[:, 1:5].T.copy()
+    p = _boundaries(_prefix(cfg, segments), max(float(v0), v_th))
+    t_free, clamped = _clamp(cfg, segments, p)
+    split = clamped & (t_free > 0.0)
+    seg = np.repeat(np.arange(len(t0s)), 1 + split)
+    t0, t1, v0s, v1s = t0s[seg], t1s[seg], p[seg], p[seg + 1]
+    piece_clamped = clamped[seg]
+    # the free head of a split segment ends at the crossing, where its
+    # clamped rest starts
+    head = np.flatnonzero(split) + np.arange(np.count_nonzero(split))
+    t1[head] = t0[head] + t_free[split]
+    t0[head + 1] = t1[head]
+    piece_clamped[head] = False
+    v0s[piece_clamped] = v_th
     return TransientTrace(
         times=np.empty(0), v_cap=np.empty(0), vdd=np.empty(0),
-        tau=tau, g_unit=1.0 / cfg.r_unit,
+        tau=cfg.tau, g_unit=1.0 / cfg.r_unit,
         seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
         seg_veq=veqs.take(seg), seg_vdd=vdds.take(seg),
         seg_up=ups.take(seg), seg_dn=dns.take(seg),
-        seg_clamped=rec[:, 5].astype(bool),
+        seg_clamped=piece_clamped,
     )
 
 
@@ -286,53 +366,57 @@ def simulate_vac(cfg: VacConfig,
     boundary_vs = np.append(seg_v0, seg_v1[-1])
     uniform_ts = np.linspace(0.0, horizon, n_uniform_samples)
     extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
-    extra_vs = np.array([trace.value_at(float(t)) for t in extra_ts])
     order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
     trace.times = np.concatenate([boundary_ts, extra_ts])[order]
-    trace.v_cap = np.concatenate([boundary_vs, extra_vs])[order]
+    trace.v_cap = np.concatenate([boundary_vs, trace.sample(extra_ts)])[order]
     if isinstance(supply, ConstantSupply):
         trace.vdd = np.full(len(trace.times), supply.vdd)
     else:
-        trace.vdd = np.array([supply.value_at(float(t)) for t in trace.times])
+        trace.vdd = np.fromiter(map(supply.value_at, trace.times.tolist()),
+                                np.float64, len(trace.times))
     return trace
 
 
-def _window_integrals(trace: TransientTrace, w_lo: float, w_hi: float):
-    """Exact integral of v, of supply power, and extremes over [w_lo, w_hi]."""
-    tau = trace.tau
-    g = trace.g_unit
-    lo_i = int(np.searchsorted(trace.seg_t1, w_lo, side="right"))
-    hi_i = int(np.searchsorted(trace.seg_t0, w_hi, side="left"))
-    v_int = 0.0
-    p_int = 0.0
-    vmin = math.inf
-    vmax = -math.inf
-    for i in range(lo_i, hi_i):
-        a = max(float(trace.seg_t0[i]), w_lo)
-        b = min(float(trace.seg_t1[i]), w_hi)
-        if b <= a:
-            continue
-        vdd = float(trace.seg_vdd[i])
-        if trace.seg_clamped[i]:
-            v_th = float(trace.seg_v0[i])
-            v_int += v_th * (b - a)
-            # clamp + pull-up current together equal the pull-down current
-            p_int += vdd * float(trace.seg_dn[i]) * g * v_th * (b - a)
-            vmin = min(vmin, v_th)
-            vmax = max(vmax, v_th)
-            continue
-        veq = float(trace.seg_veq[i])
-        va = veq + (float(trace.seg_v0[i]) - veq) * math.exp(-(a - float(trace.seg_t0[i])) / tau)
-        decay = 1.0 - math.exp(-(b - a) / tau)
-        v_int += veq * (b - a) + tau * (va - veq) * decay
-        # supply current flows through the pull-up cells: up * g * (vdd - v)
-        up = float(trace.seg_up[i])
-        int_vdd_minus_v = (vdd - veq) * (b - a) - tau * (va - veq) * decay
-        p_int += vdd * up * g * int_vdd_minus_v
-        vb = veq + (va - veq) * (1.0 - decay)
-        vmin = min(vmin, va, vb)
-        vmax = max(vmax, va, vb)
-    return v_int, p_int, vmin, vmax
+def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up, dn):
+    """Per piece of length dt: the integrals of v and of the supply power,
+    the voltage following the exponential from v0 toward veq for t_free and
+    sitting on the threshold for the rest."""
+    tau = cfg.tau
+    dv = tau * (v0 - veq) * -np.expm1(-t_free / tau)       # tau*(v0 - v(t_free))
+    v_int = veq * t_free + dv
+    # supply current flows through the pull-up cells: up * g * (vdd - v)
+    p_int = up * ((vdd - veq) * t_free - dv)
+    v_th = cfg.compensation_threshold
+    if v_th > 0.0:
+        t_clamped = dt - t_free
+        v_int += v_th * t_clamped
+        # clamp + pull-up current together equal the pull-down current
+        p_int += dn * v_th * t_clamped
+    return v_int, vdd * p_int / cfg.r_unit
+
+
+def _window_integrals(trace: TransientTrace, cfg: VacConfig, edges: np.ndarray):
+    """Exact integrals of v and of supply power over each window
+    [edges[j], edges[j+1]] (edges ascending inside the horizon), and the
+    extremes of v over [edges[0], edges[-1]].
+
+    The pieces are cut at the edges; each part is integrated in closed form
+    from its start voltage, and the parts are summed per window.
+    """
+    lo = int(np.searchsorted(trace.seg_t1, edges[0], side="right"))
+    hi = int(np.searchsorted(trace.seg_t0, edges[-1], side="left"))
+    cuts = np.union1d(edges, trace.seg_t0[lo + 1:hi])
+    starts, lengths = cuts[:-1], np.diff(cuts)
+    va = trace.sample(starts)
+    j = np.searchsorted(trace.seg_t0, starts, side="right") - 1
+    v_int, p_int = _integrals(cfg, np.where(trace.seg_clamped[j], 0.0, lengths),
+                              lengths, va, trace.seg_veq[j], trace.seg_vdd[j],
+                              trace.seg_up[j], trace.seg_dn[j])
+    first = np.searchsorted(cuts, edges[:-1])
+    # the exponentials are monotone: extremes lie on part or window ends
+    ends = np.append(va, trace.sample(edges[-1:]))
+    return (np.add.reduceat(v_int, first), np.add.reduceat(p_int, first),
+            float(ends.min()), float(ends.max()))
 
 
 def trace_metrics(trace: TransientTrace, cfg: VacConfig,
@@ -350,9 +434,10 @@ def trace_metrics(trace: TransientTrace, cfg: VacConfig,
     w_hi = horizon
     window = w_hi - w_lo
 
-    v_int, p_int, vmin, vmax = _window_integrals(trace, w_lo, w_hi)
-    average_v = v_int / window
-    avg_power = p_int / window
+    (v_int,), (p_int,), vmin, vmax = _window_integrals(
+        trace, cfg, np.array([w_lo, w_hi]))
+    average_v = float(v_int) / window
+    avg_power = float(p_int) / window
     swing = max(vmax - vmin, 0.0)
 
     # steady-state (cycle-to-cycle drift) check; chunks are whole cycles,
@@ -362,47 +447,41 @@ def trace_metrics(trace: TransientTrace, cfg: VacConfig,
         per_chunk = max(1, -(-n_cycles // 64))
         chunk = per_chunk * cycle_period
         n_chunks = int(window / chunk)
-        start = w_hi - n_chunks * chunk
     else:
         n_chunks = 4
         chunk = window / 4.0
-        start = w_lo
-    averages = []
-    for i in range(n_chunks):
-        a = start + i * chunk
-        vi, _, _, _ = _window_integrals(trace, a, a + chunk)
-        averages.append(vi / chunk)
+    edges = w_hi - chunk * np.arange(n_chunks, -1, -1.0)
+    averages = _window_integrals(trace, cfg, edges)[0] / chunk
     scale = max(abs(average_v), 1e-30)
-    drift = max(
-        (abs(b - a) / scale for a, b in zip(averages, averages[1:])), default=0.0)
+    drift = float(np.max(np.abs(np.diff(averages)))) / scale
     reliable = drift < DRIFT_LIMIT
 
-    charge_time = _first_crossing(trace, average_v)
+    charge_time = _first_crossing(trace.tau, trace.seg_t0, trace.seg_t1,
+                                  np.append(trace.seg_v0, trace.seg_v1[-1]),
+                                  trace.seg_veq, average_v)
     return TraceMetrics(average_v=average_v, swing=swing, charge_time=charge_time,
                         avg_power=avg_power, reliable=reliable, drift=drift)
 
 
-def _first_crossing(trace: TransientTrace, level: float) -> float | None:
-    """First time v_cap reaches `level` starting from the initial condition."""
-    tau = trace.tau
-    v_start = float(trace.seg_v0[0])
-    if v_start == level:
-        return 0.0
-    for i in range(len(trace.seg_t0)):
-        v0 = float(trace.seg_v0[i])
-        v1 = float(trace.seg_v1[i])
-        if (v0 - level) * (v1 - level) > 0.0:
-            continue
-        if trace.seg_clamped[i]:
-            return float(trace.seg_t0[i])  # flat at the level itself
-        veq = float(trace.seg_veq[i])
-        if veq == level == v0:
-            return float(trace.seg_t0[i])
-        ratio = (v0 - veq) / (level - veq)
-        if ratio < 1.0:
-            continue
-        return float(trace.seg_t0[i]) + tau * math.log(ratio)
-    return None
+def _first_crossing(tau: float, t0, t1, b, veq, level: float) -> float | None:
+    """First time the voltage reaches `level` from b[0], over segments
+    [t0[i], t1[i]) on which it goes from b[i] to b[i+1] along the
+    exponential toward veq[i], or sits on the threshold; None if it never
+    does."""
+    reached = (b <= level) if b[0] > level else (b >= level)
+    j = int(np.argmax(reached))
+    if not reached[j]:
+        return None
+    if j == 0:
+        return float(t0[0])
+    i = j - 1
+    gap = level - veq[i]
+    ratio = (b[i] - veq[i]) / gap if gap else 0.0
+    if ratio < 1.0:
+        # the level is veq itself, or past it by rounding: the exponential
+        # only gets there where its rounded end does
+        return float(t1[i])
+    return float(t0[i] + tau * math.log(ratio))
 
 
 def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
@@ -410,96 +489,109 @@ def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
     common frequency.
 
     One input period is cut into the segments simulate_vac would use. On
-    v >= threshold its period map is F(v) = max(A*v + B, C), with
-    A = exp(-T/tau), B the unclamped F(0) and C = F(threshold) (no C without
-    the clamp), so the periodic start voltage is v* = max(B/(1-A), C).
-    Average, swing and power are the closed-form integrals over that one
-    period; the charge time is the first crossing of the average from v0.
-    `drift` is the relative fixed-point residual |F(v*) - v*| / average.
+    v >= threshold its period map is F(v) = max(A*v + B, C), the composition
+    of the segment maps, so the periodic start voltage is
+    v* = max(B/(1-A), C) (no C without the clamp). Average, swing and power
+    are the closed-form integrals over that one period; the charge time is
+    the first crossing of the average from v0. `drift` is the relative
+    fixed-point residual |F(v*) - v*| / average.
     """
     supply = ConstantSupply(stimulus.vdd)
     inputs = stimulus.signals()
     _check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
     period = 1.0 / stimulus.frequency
     segments = _segments(cfg, inputs, stimulus.w, supply, period)
-    v_aff, c = _period_map(cfg, segments, period)
-    pss = _walk(cfg, segments, v_aff if c is None else max(v_aff, c))
-    v_int, p_int, vmin, vmax = _window_integrals(pss, 0.0, period)
-    average_v = v_int / period
-    drift = abs(float(pss.seg_v1[-1] - pss.seg_v0[0])) / max(abs(average_v), 1e-30)
+    prefix = _prefix(cfg, segments)
+    v_aff, c = _period_map(cfg, prefix, period)
+    pss = _boundaries(prefix, v_aff if c is None else max(v_aff, c))
+    t_free, _ = _clamp(cfg, segments, pss)
+    t0s, t1s, veq, vdd, up, dn = segments
+    v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:-1], veq, vdd, up, dn)
+    average_v = float(v_int.sum()) / period
+    drift = abs(float(pss[-1] - pss[0])) / max(abs(average_v), 1e-30)
     return TraceMetrics(
-        average_v=average_v, swing=max(vmax - vmin, 0.0),
-        charge_time=_charge_time(cfg, segments, pss, v_aff, c, average_v,
+        average_v=average_v, swing=max(float(pss.max() - pss.min()), 0.0),
+        charge_time=_charge_time(cfg, segments, prefix, pss, v_aff, c, average_v,
                                  stimulus.v0),
-        avg_power=p_int / period, reliable=drift < DRIFT_LIMIT, drift=drift)
+        avg_power=float(p_int.sum()) / period, reliable=drift < DRIFT_LIMIT,
+        drift=drift)
 
 
-def _period_map(cfg: VacConfig, segments, period: float):
-    """The one-period map of `segments` as F(v) = max(A*v + B, C).
+def _period_map(cfg: VacConfig, prefix, period: float):
+    """The one-period map F(v) = max(A*v + B, C) of a constant supply, the
+    composition of all its segments, as (B/(1-A), C); C None when no segment
+    pulls below the threshold.
 
-    Each segment maps v to max(affine(v), floor), and composing such maps
-    keeps that form; once the clamp engages, trajectories from every start
-    merge, so on v >= threshold the constant is C = F(threshold). Returns
-    (B/(1-A), C), C None when no segment pulls below the threshold.
+    1 - A is taken as -expm1(-period/tau): with A near 1 (inputs much faster
+    than tau), 1 minus the rounded product would lose digits.
     """
-    t0s, t1s, veq = segments[:3]
-    tau = cfg.tau
-    # B: each segment's pull toward veq, decayed over the rest of the period;
-    # every term is >= 0, so the sum loses no precision
-    b = float(np.sum(veq * -np.expm1(-(t1s - t0s) / tau)
-                     * np.exp(-(period - t1s) / tau)))
-    v_aff = b / -math.expm1(-period / tau)
-    v_th = cfg.compensation_threshold
-    if v_th > 0.0 and bool(np.any(veq < v_th)):
-        return v_aff, float(_walk(cfg, segments, v_th).seg_v1[-1])
-    return v_aff, None
+    _, b, c = prefix
+    v_aff = float(b[-1]) / -math.expm1(-period / cfg.tau)
+    return v_aff, None if c is None else float(c[-1])
 
 
-def _charge_time(cfg: VacConfig, segments, pss: TransientTrace, v_aff: float,
-                 c: float | None, level: float, v0: float) -> float | None:
+# periods whose crossing is tested in one array evaluation, per search round
+_CROSSING_BATCH = 64
+
+
+def _charge_time(cfg: VacConfig, segments, prefix, pss: np.ndarray,
+                 v_aff: float, c: float | None, level: float,
+                 v0: float) -> float | None:
     """First time the voltage reaches `level` from v0 (raised to the clamp
-    threshold, as _walk does), given the steady-state period `pss` and the
-    period map F(v) = max(G(v), c), G(v) = v_aff + (v - v_aff)*A.
+    threshold, as _walk does), given the boundary voltages `pss` of the
+    steady-state period and the period map F(v) = max(G(v), c),
+    G(v) = v_aff + (v - v_aff)*A.
 
     Period m >= 1 starts at F^m(v) = max(G^m(v), c, G^(m-1)(c)), as the
     iterates of c under G move monotonically toward v_aff. Every deviation
     from the steady state decays at least as fast as e^(-t/tau), so by
     period m_hi the voltage has crossed wherever the steady state goes past
-    the level by more than the remaining deviation; the first crossing
-    period is bisected below that.
+    the level by more than the remaining deviation. Boundary voltages rise
+    with the start voltage, and the starts move monotonically, so "period m
+    reaches the level" turns true once and stays true: the first such period
+    is found among [0, m_hi] by testing batches of evenly spaced periods.
     """
     v = max(float(v0), cfg.compensation_threshold)   # v0 >= 0
     if v == level:
         return 0.0
     tau = cfg.tau
-    period = pss.horizon
-    delta = v - float(pss.seg_v0[0])
-    ends = np.concatenate((pss.seg_v0, pss.seg_v1[-1:]))
+    t0s, t1s, veq = segments[:3]
+    period = float(t1s[-1])
+    falling = v > level
+    delta = v - float(pss[0])
     # how far the steady state goes past the level, on the far side from v
-    gap = float(np.max((level - ends) if v > level else (ends - level)))
+    gap = float(np.max((level - pss) if falling else (pss - level)))
     gap = max(gap, 4.0 * math.ulp(max(abs(level), abs(delta))))
     m_hi = max(0, math.ceil(math.log(abs(delta) / gap) * tau / period)) if delta else 0
 
-    def crossing(m: int) -> float | None:
-        start = v
-        if m:
-            start = v_aff + (v - v_aff) * math.exp(-m * period / tau)
-            if c is not None:
-                start = max(start, c, v_aff + (c - v_aff) * math.exp(-(m - 1) * period / tau))
-        return _first_crossing(_walk(cfg, segments, start), level)
+    rate = -period / tau
 
-    lo, hi = -1, m_hi            # no crossing before period lo + 1
-    t_hi = crossing(hi)
-    if t_hi is None:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        t_mid = crossing(mid)
-        if t_mid is None:
-            lo = mid
-        else:
-            hi, t_hi = mid, t_mid
-    return hi * period + t_hi
+    def starts(ms):
+        s = v_aff + (v - v_aff) * np.exp(ms * rate)
+        if c is not None:
+            prev = v_aff + (c - v_aff) * np.exp(np.maximum(ms - 1, 0) * rate)
+            np.maximum(s, np.maximum(prev, c), out=s)
+        if ms[0] == 0:
+            s[0] = v
+        return s
+
+    lo, hi = -1, m_hi            # period lo does not reach the level
+    while True:
+        step = -(-(hi - lo) // _CROSSING_BATCH)
+        ms = np.arange(hi - (hi - lo - 1) // step * step, hi + 1, step)
+        rows = _boundaries(prefix, starts(ms))
+        reached = (rows.min(axis=1) <= level) if falling else (rows.max(axis=1) >= level)
+        if not reached[-1]:
+            return None          # not even by period m_hi: the level lies out of reach
+        i = int(np.argmax(reached))
+        hi, row = int(ms[i]), rows[i]
+        if i:
+            lo = int(ms[i - 1])
+        if step == 1:
+            break
+    if (row[0] <= level) if falling else (row[0] >= level):
+        return hi * period       # the period starts on the level, or past it by rounding
+    return hi * period + _first_crossing(tau, t0s, t1s, row, veq, level)
 
 
 # ---------------------------------------------------------------------------

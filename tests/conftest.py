@@ -1,10 +1,21 @@
 import gzip
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from pwmperc import mnist
+
+try:
+    from hypothesis import settings
+except ImportError:          # the property tests skip themselves
+    pass
+else:
+    # CI draws the same examples on every run, so a failure there replays
+    # locally under HYPOTHESIS_PROFILE=ci
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

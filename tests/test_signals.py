@@ -117,6 +117,29 @@ class TestSupplyProfiles:
         assert sup.value_at(5.0) == 2.0   # holds last value
         assert sup.value_at(-1.0) == 1.0  # holds first value
 
+    def test_piecewise_linear_bisection_equals_interval_scan(self):
+        def scan(pts, t):
+            # the first interval holding t, the one ending on a knot t sits on
+            if t <= pts[0][0]:
+                return pts[0][1]
+            if t >= pts[-1][0]:
+                return pts[-1][1]
+            for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+                if t0 <= t <= t1:
+                    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 9, 40):
+            knots = np.cumsum(rng.uniform(1e-7, 2e-6, n)) - 1e-6
+            # volts spread over three decades, where v0 + (v1 - v0) can round
+            # away from v1
+            sup = PiecewiseLinearSupply(tuple(zip(knots, 10.0 ** rng.uniform(-2, 1, n))))
+            ts = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                                 np.nextafter(knots, np.inf),
+                                 rng.uniform(knots[0] - 1e-6, knots[-1] + 1e-6, 200)])
+            for t in ts.tolist():
+                assert sup.value_at(t) == scan(sup.breakpoints, t)
+
     def test_piecewise_linear_validation(self):
         with pytest.raises(ValueError):
             PiecewiseLinearSupply(((0.0, 1.0), (1.0, -0.5)))

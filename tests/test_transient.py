@@ -5,7 +5,8 @@ import pytest
 
 from pwmperc import cli, transient
 from pwmperc.analytic import WeightVector, vac_equilibrium
-from pwmperc.signals import ConstantSupply, PwmSignal, SinusoidSupply
+from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
+                             SinusoidSupply)
 from pwmperc.transient import (FloatingNodeError, VacConfig, VacStimulus,
                                simulate_vac, steady_state, sweep,
                                trace_metrics)
@@ -332,7 +333,7 @@ class TestPeriodicSteadyState:
         period = 1.0 / stim.frequency
         supply = ConstantSupply(stim.vdd)
         segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
-        v_aff, c = transient._period_map(cfg, segments, period)
+        v_aff, c = transient._period_map(cfg, transient._prefix(cfg, segments), period)
         v_star = max(v_aff, c)
         # F(v*), one period from v*, by the transient solver
         one = simulate_vac(cfg, stim.signals(), stim.w, supply, period, v0=v_star)
@@ -349,14 +350,15 @@ class TestPeriodicSteadyState:
 
     def test_clamped_charge_time_skips_affine_periods(self, monkeypatch):
         # about 14,000 periods from v0 to the crossing: the period index is
-        # bisected, not walked period by period (which gives 1.4354688127e-5 s)
-        walk = transient._walk
+        # searched in batches, not walked period by period (which gives
+        # 1.4354688127e-5 s)
+        boundaries = transient._boundaries
         calls = []
-        monkeypatch.setattr(transient, "_walk",
-                            lambda *args: calls.append(1) or walk(*args))
+        monkeypatch.setattr(transient, "_boundaries",
+                            lambda *args: calls.append(1) or boundaries(*args))
         cfg = VacConfig.large(compensation_threshold=0.4)
         m = steady_state(cfg, VacStimulus((0.9, 0.8, 0.95), 1e9, W777, v0=2.5))
-        assert len(calls) <= 64
+        assert len(calls) <= 8
         assert m.charge_time == pytest.approx(1.4354688127e-5, rel=1e-10)
 
 
@@ -382,3 +384,125 @@ def test_trace_csv_roundtrip(tmp_path):
     assert float(t) == trace.times[0]
     assert float(v) == trace.v_cap[0]
     assert float(s) == 2.5
+
+
+# ---------------------------------------------------------------------------
+# The prefix scan against the sequential walk it replaced
+# ---------------------------------------------------------------------------
+
+def sequential_walk(cfg, segments, v0):
+    """Reference: the segment rule v -> max(veq + (v - veq)*e^(-dt/tau),
+    floor) applied one segment after another, a segment that reaches the
+    floor cut into a free part up to the crossing and a clamped rest."""
+    t0s, t1s, veqs, vdds, ups, dns = segments
+    tau = cfg.tau
+    v_th = cfg.compensation_threshold
+    floor = v_th if v_th > 0.0 else -math.inf
+    v = max(float(v0), floor)
+    pieces = []
+    for i, (a, b, veq) in enumerate(zip(t0s.tolist(), t1s.tolist(), veqs.tolist())):
+        dt = b - a
+        t_free = dt
+        if veq < floor:
+            t_free = tau * math.log((v - veq) / (v_th - veq)) if v > v_th else 0.0
+        if t_free < dt:
+            if t_free > 0.0:
+                pieces.append((i, a, a + t_free, v, v_th, False))
+            a, v, v_end, clamped = a + t_free, v_th, v_th, True
+        else:
+            v_end, clamped = veq + (v - veq) * math.exp(-dt / tau), False
+        pieces.append((i, a, b, v, v_end, clamped))
+        v = v_end
+    seg, t0, t1, v0s, v1s, clamped = (np.array(c) for c in zip(*pieces))
+    return dict(seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
+                seg_veq=veqs[seg], seg_vdd=vdds[seg], seg_up=ups[seg],
+                seg_dn=dns[seg], seg_clamped=clamped)
+
+
+def loop_window_integrals(trace, w_lo, w_hi):
+    """Reference: integral of v, of supply power, and extremes over
+    [w_lo, w_hi], one piece after another."""
+    tau, g = trace.tau, trace.g_unit
+    v_int = p_int = 0.0
+    vmin, vmax = math.inf, -math.inf
+    for i in range(len(trace.seg_t0)):
+        a = max(float(trace.seg_t0[i]), w_lo)
+        b = min(float(trace.seg_t1[i]), w_hi)
+        if b <= a:
+            continue
+        vdd = float(trace.seg_vdd[i])
+        if trace.seg_clamped[i]:
+            v_th = float(trace.seg_v0[i])
+            v_int += v_th * (b - a)
+            p_int += vdd * float(trace.seg_dn[i]) * g * v_th * (b - a)
+            vmin, vmax = min(vmin, v_th), max(vmax, v_th)
+            continue
+        veq = float(trace.seg_veq[i])
+        va = veq + (float(trace.seg_v0[i]) - veq) * math.exp(-(a - float(trace.seg_t0[i])) / tau)
+        decay = 1.0 - math.exp(-(b - a) / tau)
+        v_int += veq * (b - a) + tau * (va - veq) * decay
+        p_int += vdd * float(trace.seg_up[i]) * g * (
+            (vdd - veq) * (b - a) - tau * (va - veq) * decay)
+        vb = veq + (va - veq) * (1.0 - decay)
+        vmin, vmax = min(vmin, va, vb), max(vmax, va, vb)
+    return v_int, p_int, vmin, vmax
+
+
+SCAN_SUPPLIES = {
+    "constant": ConstantSupply(2.5),
+    "sinusoid": SinusoidSupply(2.5, 0.7, 2e-6),
+    "pwl": PiecewiseLinearSupply(((0.0, 2.5), (1e-6, 3.1), (2.5e-6, 1.9),
+                                  (4e-6, 2.8), (6e-6, 2.2))),
+}
+
+
+def assert_matches_sequential(cfg, sigs, w, supply, horizon, v0):
+    segments = transient._segments(cfg, sigs, w, supply, horizon)
+    trace = transient._walk(cfg, segments, v0)
+    ref = sequential_walk(cfg, segments, v0)
+    np.testing.assert_array_equal(trace.seg_clamped, ref["seg_clamped"])
+    v_tol = 1e-12 * supply.max_value()
+    for name in ("seg_v0", "seg_v1"):
+        np.testing.assert_allclose(getattr(trace, name), ref[name], rtol=0, atol=v_tol)
+    for name in ("seg_t0", "seg_t1"):
+        np.testing.assert_allclose(getattr(trace, name), ref[name], rtol=0,
+                                   atol=1e-12 * horizon)
+    for name in ("seg_veq", "seg_vdd", "seg_up", "seg_dn"):
+        np.testing.assert_array_equal(getattr(trace, name), ref[name])
+    return trace
+
+
+class TestPrefixScan:
+    @pytest.mark.parametrize("supply", sorted(SCAN_SUPPLIES))
+    def test_clamped_time_varying_supply(self, supply):
+        # the supply-clamp configuration: the clamp engages every period
+        cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+        sigs = [PwmSignal(1e8, d, p) for d, p in zip((0.9, 0.8, 0.95), (0.0, 3e-9, 7e-9))]
+        trace = assert_matches_sequential(cfg, sigs, W777, SCAN_SUPPLIES[supply], 6e-6, 0.0)
+        assert trace.seg_clamped.sum() > 500
+
+    @pytest.mark.parametrize("v_th", [0.0, 0.4])
+    def test_thousands_of_tau(self, v_th):
+        # segments of over 800 tau, where e^(-dt/tau) underflows to 0, and a
+        # horizon of 150,000 tau: the prefix product is 0 from the first
+        # segment on
+        cfg = VacConfig.small(compensation_threshold=v_th)
+        sigs = [PwmSignal(5e3, 0.3), PwmSignal(5e3, 0.6, 1e-5), PwmSignal(2e3, 0.5)]
+        horizon = 150_000 * cfg.tau
+        trace = assert_matches_sequential(cfg, sigs, W777, SUP25, horizon, 2.5)
+        assert np.max(trace.seg_t1 - trace.seg_t0) > 800 * cfg.tau
+        assert transient._prefix(cfg, transient._segments(
+            cfg, sigs, W777, SUP25, horizon))[0][0] == 0.0
+        m = trace_metrics(simulate_vac(cfg, sigs, W777, SUP25, horizon, v0=2.5),
+                          cfg, SUP25, cycle_period=5e-4)
+        assert math.isfinite(m.average_v) and math.isfinite(m.drift)
+
+def test_charge_time_when_the_average_is_an_equilibrium():
+    # the last quarter settles exactly onto veq = vdd, so the average is
+    # that segment's equilibrium, which the voltage reaches at the segment end
+    cfg = VacConfig.small()
+    for duty in (0.5, 0.2, 0.6):
+        trace = simulate_vac(cfg, [PwmSignal(50e3, duty)] * 3, W777, SUP25, 20e-6, v0=1.0)
+        m = trace_metrics(trace, cfg, SUP25, cycle_period=20e-6)
+        assert m.average_v == 2.5
+        assert m.charge_time == pytest.approx(20e-6, rel=1e-12)
