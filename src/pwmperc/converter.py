@@ -132,16 +132,10 @@ def stage_map(x: float, model: ConverterModel | None = None) -> float:
 
 
 def stage_map_deriv(x: float, model: ConverterModel | None = None) -> float:
-    """d(stage_map)/dx; zero inside the capped or floored regions."""
-    model = model or ConverterModel.compensated()
-    if model.mode != "compensated":
-        raise ValueError("stage_map_deriv is defined for compensated models")
-    c3, c2, c1, _ = model.coefficients
-    raw = ((3.0 * c3 * x + 2.0 * c2) * x + c1) / 100.0
-    uncapped = model.cubic_percent(x)
-    inside = (uncapped < model.output_cap) & (uncapped > 0.0)
-    y = np.where(inside, raw, 0.0)
-    return float(y) if np.isscalar(x) else y
+    """d(stage_map)/dx; zero inside the capped or floored regions. The slope
+    of ``stage_map_and_slope``, in the shape of x."""
+    slope = stage_map_and_slope(x, model)[1]
+    return slope if np.isscalar(x) else slope.reshape(np.shape(x))
 
 
 def stage_map_and_slope(x, model: ConverterModel | None = None):

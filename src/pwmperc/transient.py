@@ -25,9 +25,16 @@ Two entry points share the timeline and that scan:
   map's fixed point), with no long run and no drift check. The sweeps, the
   vac-table and the perceptron transient path use it.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
-  the trace over a given horizon, and metrics of its last part with a
-  chunk-to-chunk drift check. The metrics are closed-form integrals over the
-  pieces, summed per window.
+  the trace over a given horizon, and closed-form integrals over the pieces
+  of its last quarter.
+
+Every unit cell conducts to one rail or the other, so the total conductance,
+and with it tau, is constant whatever the inputs and the supply do. Each
+segment map therefore contracts distances by at least e^(-dt/tau), and two
+runs from start voltages in [0, max supply] differ by at most
+max supply * e^(-t/tau) at time t, for any supply (contraction analysis:
+Lohmiller & Slotine, Automatica 34(6), 1998). That bound is trace_metrics'
+settle error.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ __all__ = [
 ]
 
 
-DRIFT_LIMIT = 1e-3       # relative drift above which metrics are unreliable
+DRIFT_LIMIT = 1e-3       # relative settle error above which metrics are unreliable
+N_UNIFORM_SAMPLES = 512  # uniform samples simulate_vac adds to the boundaries
 
 
 class FloatingNodeError(ValueError):
@@ -163,8 +171,11 @@ class TraceMetrics:
     swing: float               # steady-state max - min
     charge_time: float | None  # first crossing of average_v from v0; None if never
     avg_power: float           # mean supply-delivered power over the window
-    reliable: bool             # steady-state drift criterion satisfied
-    drift: float = 0.0
+    drift: float               # relative settle error; see the entry points
+
+    @property
+    def reliable(self) -> bool:
+        return self.drift < DRIFT_LIMIT
 
 
 def _check_run(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
@@ -348,8 +359,7 @@ def simulate_vac(cfg: VacConfig,
                  w: WeightVector,
                  supply: SupplyProfile,
                  horizon: float,
-                 v0: float = 0.0,
-                 n_uniform_samples: int = 512) -> TransientTrace:
+                 v0: float = 0.0) -> TransientTrace:
     """Solve the capacitor voltage over [0, horizon].
 
     Fails fast on a floating node (all weights zero, clamp off) and on an
@@ -364,7 +374,7 @@ def simulate_vac(cfg: VacConfig,
     # sampled waveform: all segment boundaries, densified with uniform samples
     boundary_ts = np.append(seg_t0, horizon)
     boundary_vs = np.append(seg_v0, seg_v1[-1])
-    uniform_ts = np.linspace(0.0, horizon, n_uniform_samples)
+    uniform_ts = np.linspace(0.0, horizon, N_UNIFORM_SAMPLES)
     extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
     order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
     trace.times = np.concatenate([boundary_ts, extra_ts])[order]
@@ -395,72 +405,54 @@ def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up, dn):
     return v_int, vdd * p_int / cfg.r_unit
 
 
-def _window_integrals(trace: TransientTrace, cfg: VacConfig, edges: np.ndarray):
-    """Exact integrals of v and of supply power over each window
-    [edges[j], edges[j+1]] (edges ascending inside the horizon), and the
-    extremes of v over [edges[0], edges[-1]].
+def _window_integrals(trace: TransientTrace, cfg: VacConfig, w_lo: float, w_hi: float):
+    """Exact integrals of v and of supply power over the window
+    [w_lo, w_hi] inside the horizon, and the extremes of v over it.
 
-    The pieces are cut at the edges; each part is integrated in closed form
-    from its start voltage, and the parts are summed per window.
+    The pieces are cut at the window edges; each part is integrated in closed
+    form from its start voltage, and the parts are summed.
     """
-    lo = int(np.searchsorted(trace.seg_t1, edges[0], side="right"))
-    hi = int(np.searchsorted(trace.seg_t0, edges[-1], side="left"))
-    cuts = np.union1d(edges, trace.seg_t0[lo + 1:hi])
+    lo = int(np.searchsorted(trace.seg_t1, w_lo, side="right"))
+    hi = int(np.searchsorted(trace.seg_t0, w_hi, side="left"))
+    cuts = np.concatenate(([w_lo], trace.seg_t0[lo + 1:hi], [w_hi]))
     starts, lengths = cuts[:-1], np.diff(cuts)
     va = trace.sample(starts)
     j = np.searchsorted(trace.seg_t0, starts, side="right") - 1
     v_int, p_int = _integrals(cfg, np.where(trace.seg_clamped[j], 0.0, lengths),
                               lengths, va, trace.seg_veq[j], trace.seg_vdd[j],
                               trace.seg_up[j], trace.seg_dn[j])
-    first = np.searchsorted(cuts, edges[:-1])
     # the exponentials are monotone: extremes lie on part or window ends
-    ends = np.append(va, trace.sample(edges[-1:]))
-    return (np.add.reduceat(v_int, first), np.add.reduceat(p_int, first),
-            float(ends.min()), float(ends.max()))
+    ends = np.append(va, trace.sample(cuts[-1:]))
+    return float(v_int.sum()), float(p_int.sum()), float(ends.min()), float(ends.max())
 
 
 def trace_metrics(trace: TransientTrace, cfg: VacConfig,
                   supply: SupplyProfile,
                   cycle_period: float | None = None) -> TraceMetrics:
-    """Steady-state average, ripple swing, charge time, and supply power.
+    """Average, ripple swing, charge time and supply power over the last
+    quarter of the horizon.
 
-    The steady-state window is the last quarter of the horizon. Drift is
-    checked chunk-to-chunk inside the window (chunks follow `cycle_period`
-    when at least two whole cycles fit, else window quarters); metrics are
-    flagged unreliable when drift exceeds DRIFT_LIMIT.
+    `drift` is the exact settle error: the window starts at w_lo = 0.75 *
+    horizon, where runs from any two start voltages in [0, max supply]
+    differ by at most max supply * e^(-w_lo/tau) (see the module docstring),
+    and later times differ by less. So the voltage anywhere in the window,
+    and with it the average and the extremes, can still move with v0 by at
+    most drift * |average|. The metrics are unreliable when drift exceeds
+    DRIFT_LIMIT. `cycle_period` is ignored; it is kept for callers that
+    still pass it.
     """
     horizon = trace.horizon
-    w_lo = horizon * 0.75
-    w_hi = horizon
-    window = w_hi - w_lo
-
-    (v_int,), (p_int,), vmin, vmax = _window_integrals(
-        trace, cfg, np.array([w_lo, w_hi]))
-    average_v = float(v_int) / window
-    avg_power = float(p_int) / window
-    swing = max(vmax - vmin, 0.0)
-
-    # steady-state (cycle-to-cycle drift) check; chunks are whole cycles,
-    # coalesced so the check stays O(window) for very fast inputs
-    if cycle_period is not None and cycle_period > 0 and window / cycle_period >= 2.0:
-        n_cycles = int(window / cycle_period)
-        per_chunk = max(1, -(-n_cycles // 64))
-        chunk = per_chunk * cycle_period
-        n_chunks = int(window / chunk)
-    else:
-        n_chunks = 4
-        chunk = window / 4.0
-    edges = w_hi - chunk * np.arange(n_chunks, -1, -1.0)
-    averages = _window_integrals(trace, cfg, edges)[0] / chunk
-    scale = max(abs(average_v), 1e-30)
-    drift = float(np.max(np.abs(np.diff(averages)))) / scale
-    reliable = drift < DRIFT_LIMIT
-
+    w_lo = 0.75 * horizon
+    window = horizon - w_lo
+    v_int, p_int, vmin, vmax = _window_integrals(trace, cfg, w_lo, horizon)
+    average_v = v_int / window
+    drift = supply.max_value() * math.exp(-w_lo / cfg.tau) / max(abs(average_v), 1e-30)
     charge_time = _first_crossing(trace.tau, trace.seg_t0, trace.seg_t1,
                                   np.append(trace.seg_v0, trace.seg_v1[-1]),
                                   trace.seg_veq, average_v)
-    return TraceMetrics(average_v=average_v, swing=swing, charge_time=charge_time,
-                        avg_power=avg_power, reliable=reliable, drift=drift)
+    return TraceMetrics(average_v=average_v, swing=max(vmax - vmin, 0.0),
+                        charge_time=charge_time, avg_power=p_int / window,
+                        drift=drift)
 
 
 def _first_crossing(tau: float, t0, t1, b, veq, level: float) -> float | None:
@@ -513,8 +505,7 @@ def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
         average_v=average_v, swing=max(float(pss.max() - pss.min()), 0.0),
         charge_time=_charge_time(cfg, segments, prefix, pss, v_aff, c, average_v,
                                  stimulus.v0),
-        avg_power=float(p_int.sum()) / period, reliable=drift < DRIFT_LIMIT,
-        drift=drift)
+        avg_power=float(p_int.sum()) / period, drift=drift)
 
 
 def _period_map(cfg: VacConfig, prefix, period: float):

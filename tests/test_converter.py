@@ -38,6 +38,16 @@ class TestStageMap:
     def test_derivative_zero_in_cap(self):
         assert stage_map_deriv(0.95, MODEL) == 0.0
 
+    def test_derivative_shapes(self):
+        # a list is taken like stage_map takes it; a float or numpy scalar
+        # gives a float, an array its own shape
+        want = stage_map_deriv(np.array([0.1, 0.5]), MODEL)
+        np.testing.assert_array_equal(stage_map_deriv([0.1, 0.5], MODEL), want)
+        assert type(stage_map_deriv(0.5, MODEL)) is float
+        assert type(stage_map_deriv(np.float64(0.5), MODEL)) is float
+        assert stage_map_deriv(np.array(0.5), MODEL).shape == ()
+        assert stage_map_deriv(np.full((2, 3), 0.5), MODEL).shape == (2, 3)
+
     def test_output_range(self):
         xs = np.linspace(0.0, 1.0, 1001)
         ys = stage_map(xs, MODEL)

@@ -38,6 +38,15 @@ def seed_stage_map(x, model):
     return np.maximum(y, 0.0) / 100.0
 
 
+def seed_stage_map_deriv(x, model):
+    """stage_map_deriv as the package wrote it before it took the fused
+    function's slope."""
+    c3, c2, c1, _ = model.coefficients
+    raw = ((3.0 * c3 * x + 2.0 * c2) * x + c1) / 100.0
+    uncapped = model.cubic_percent(x)
+    return np.where((uncapped < model.output_cap) & (uncapped > 0.0), raw, 0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(MODELS)), values)
 def test_stage_map_and_slope_equals_the_separate_functions(name, xs):
@@ -48,8 +57,12 @@ def test_stage_map_and_slope_equals_the_separate_functions(name, xs):
         assert same_bits(y, stage_map(x, model))
         assert same_bits(y, seed_stage_map(x, model))
         assert same_bits(slope, stage_map_deriv(x, model))
+        assert same_bits(slope, seed_stage_map_deriv(x, model))
         for xi, yi, si in zip(xs, y, slope):
             assert same_bits(stage_map_and_slope(xi, model), (yi, si))
+            # a 0-d array keeps its shape
+            d = stage_map_deriv(np.array(xi), model)
+            assert d.shape == () and same_bits(d, si)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Property tests of the transient prefix scan against the sequential walk
-and window loop it replaced (references in test_transient.py)."""
+and window loop it replaced (references in test_transient.py), and of
+trace_metrics' settle bound against runs from both ends of the start range."""
 
 import numpy as np
 import pytest
@@ -56,19 +57,46 @@ def test_sample_equals_value_at(case, fractions):
 
 
 @settings(max_examples=60, deadline=None)
-@given(transients())
-def test_window_integrals_match_loop(case):
+@given(transients(), st.floats(0.0, 0.99), st.floats(0.01, 1.0), st.integers(0, 10**6))
+def test_window_integrals_match_loop(case, start, length, k):
     cfg, sigs, w, supply, horizon, v0 = case
     trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=v0)
-    edges = horizon - horizon / 4 / 16 * np.arange(16, -1, -1.0)
-    v_int, p_int, vmin, vmax = transient._window_integrals(trace, cfg, edges)
+    w_lo = start * horizon
+    t_k = float(trace.seg_t0[k % len(trace.seg_t0)])
+    # a drawn window, one from a segment boundary, one ending at the horizon
+    windows = [(w_lo, w_lo + length * (horizon - w_lo)),
+               (t_k, t_k + length * (horizon - t_k)),
+               (w_lo, horizon)]
     # the power integrand up*g*(vdd - v) can cancel to nearly 0: its
     # tolerance is relative to the largest power the bank can draw
     p_scale = supply.max_value() ** 2 * cfg.total_units / cfg.r_unit
-    for j in range(16):
-        v_ref, p_ref, _, _ = loop_window_integrals(trace, edges[j], edges[j + 1])
-        assert v_int[j] == pytest.approx(v_ref, rel=1e-12, abs=1e-300)
-        assert abs(p_int[j] - p_ref) <= 1e-12 * p_scale * (edges[j + 1] - edges[j])
-    _, _, lo_ref, hi_ref = loop_window_integrals(trace, edges[0], edges[-1])
-    assert vmin == pytest.approx(lo_ref, rel=0, abs=1e-12 * supply.max_value())
-    assert vmax == pytest.approx(hi_ref, rel=0, abs=1e-12 * supply.max_value())
+    for a, b in windows:
+        v_int, p_int, vmin, vmax = transient._window_integrals(trace, cfg, a, b)
+        v_ref, p_ref, lo_ref, hi_ref = loop_window_integrals(trace, a, b)
+        assert v_int == pytest.approx(v_ref, rel=1e-12, abs=1e-300)
+        assert abs(p_int - p_ref) <= 1e-12 * p_scale * (b - a)
+        assert vmin == pytest.approx(lo_ref, rel=0, abs=1e-12 * supply.max_value())
+        assert vmax == pytest.approx(hi_ref, rel=0, abs=1e-12 * supply.max_value())
+
+
+@settings(max_examples=60, deadline=None)
+@given(transients())
+def test_settle_bound_covers_the_start_voltage(case):
+    # trace_metrics' drift bounds how far the window can still move with v0:
+    # runs from 0 V and from the supply maximum stay within drift*|average|
+    cfg, sigs, w, supply, horizon, _ = case
+    vmax = supply.max_value()
+    w_lo = 0.75 * horizon
+    runs = []
+    for v0 in (0.0, vmax):
+        trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=v0)
+        m = transient.trace_metrics(trace, cfg, supply)
+        _, _, lo, hi = transient._window_integrals(trace, cfg, w_lo, horizon)
+        runs.append((m, lo, hi))
+    (m, lo, hi), (m_top, lo_top, hi_top) = runs
+    # drift is relative to the average, floored at 1e-30 V for a run that
+    # sits at 0 V
+    bound = m.drift * max(abs(m.average_v), 1e-30) + 1e-12 * vmax
+    assert abs(m_top.average_v - m.average_v) <= bound
+    assert abs(lo_top - lo) <= bound
+    assert abs(hi_top - hi) <= bound
