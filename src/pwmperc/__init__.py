@@ -24,7 +24,7 @@ from .nn import (ActivationKind, Network, NetworkConfig, TrainReport,
 from .perceptron import (PerceptronConfig, chain_eval, dynamic_duty_trace,
                          perceptron_eval, response_curve)
 from .signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
-                      SinusoidSupply, SupplyProfile, with_random_phases)
+                      SinusoidSupply, SupplyProfile)
 from .transient import (FloatingNodeError, TraceMetrics, TransientTrace,
                         VacConfig, VacStimulus, simulate_vac, steady_state,
                         sweep, trace_metrics)

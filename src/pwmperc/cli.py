@@ -55,10 +55,6 @@ class MissingDatasetError(FileNotFoundError):
 class SweepFailedError(RuntimeError):
     """Every point of a sweep failed; its CSV, error rows only, is written."""
 
-    def __init__(self, message: str, artifacts: list[str]):
-        super().__init__(message)
-        self.artifacts = artifacts
-
 
 @dataclass
 class ExperimentSpec:
@@ -195,7 +191,9 @@ TRAIN_PARAMS = {
     "seed": Param(int, lambda p, ctx: ctx["seed"] + ctx["index"]),
 }
 
-KINDS = {}  # kind -> (parameter table, runner)
+# kind -> (parameter table, runner); a runner yields the name of each
+# artifact once it is written
+KINDS = {}
 
 
 def _kind(name: str, params: dict, **bound):
@@ -238,7 +236,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         {"duties": [0.80, 0.20, 0.50], "weights": [7, 3, 4]},
     ]),
 })
-def _run_vac_table(spec: ExperimentSpec) -> list[str]:
+def _run_vac_table(spec: ExperimentSpec):
     p = spec.parameters
     vdd, freq = p["vdd"], p["frequency"]
     cfg = _vac_config(p)
@@ -260,7 +258,7 @@ def _run_vac_table(spec: ExperimentSpec) -> list[str]:
         header.extend([f"duty{i}", f"weight{i}"])
     header += ["v_theory_V", "v_sim_V", "rel_diff_pct"]
     _write_csv(spec.output_dir / "vac_table.csv", header, out_rows)
-    return ["vac_table.csv"]
+    yield "vac_table.csv"
 
 
 def _sweep_params(axis: str) -> dict:
@@ -274,7 +272,7 @@ def _sweep_params(axis: str) -> dict:
 
 @_kind("sweep-freq", _sweep_params("frequency"), axis="frequency")
 @_kind("sweep-vdd", _sweep_params("vdd"), axis="vdd")
-def _run_sweep(spec: ExperimentSpec, axis: str) -> list[str]:
+def _run_sweep(spec: ExperimentSpec, axis: str):
     p = spec.parameters
     cfg = _vac_config(p)
     # the swept axis has no key; sweep() sets it per grid point
@@ -296,10 +294,10 @@ def _run_sweep(spec: ExperimentSpec, axis: str) -> list[str]:
                [axis, "average_v_V", "ratio_v_over_vdd", "swing_V",
                 "charge_time_s", "avg_power_W", "error"],
                rows)
+    yield name
     if all(pt.metrics is None for pt in points):
         raise SweepFailedError(f"all {len(points)} sweep points failed; first: "
-                               f"{points[0].error}", [name])
-    return [name]
+                               f"{points[0].error}")
 
 
 # The reference dynamic run pairs the small-VAC resistors with the large
@@ -316,7 +314,7 @@ def _run_sweep(spec: ExperimentSpec, axis: str) -> list[str]:
     "horizon": Param(float, lambda p, ctx: 4 * p["supply_period"]),
     "converter": dataclasses.replace(CONVERTER, default="raw"),
 })
-def _run_dynamic_vdd(spec: ExperimentSpec) -> list[str]:
+def _run_dynamic_vdd(spec: ExperimentSpec):
     p = spec.parameters
     cfg = _vac_config(p)
     duties, freq, horizon = p["duties"], p["frequency"], p["horizon"]
@@ -325,22 +323,20 @@ def _run_dynamic_vdd(spec: ExperimentSpec) -> list[str]:
     pcfg = PerceptronConfig(vac=cfg, converter=CONVERTERS[p["converter"]](),
                             frequency=freq)
 
-    artifacts = []
     for tag, weights in (("region_a", p["weights_a"]), ("region_b", p["weights_b"])):
         w = WeightVector(tuple(weights), cfg.k)
         sigs = [PwmSignal(freq, d) for d in duties]
         trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=0.0)
         name = f"dynamic_trace_{tag}.csv"
         trace.write_csv(spec.output_dir / name)
-        artifacts.append(name)
+        yield name
         ts, out, ratio = duty_samples(pcfg, trace, supply)
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,
                    ["time_s", "duty_out", "v_over_vdd"],
                    [[t, ("" if np.isnan(d) else d), r]
                     for t, d, r in zip(ts, out, ratio)])
-        artifacts.append(name)
-    return artifacts
+        yield name
 
 
 @_kind("response-curve", {
@@ -350,7 +346,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec) -> list[str]:
     "depths": Param([int], [1, 2, 3]),
     "grid_points": Param(int, 21),
 })
-def _run_response_curve(spec: ExperimentSpec) -> list[str]:
+def _run_response_curve(spec: ExperimentSpec):
     p = spec.parameters
     cfg = PerceptronConfig.behavioral(n=p["n"], k=p["k"],
                                       converter=CONVERTERS[p["converter"]]())
@@ -359,15 +355,16 @@ def _run_response_curve(spec: ExperimentSpec) -> list[str]:
     dev_rows = []
     for depth in p["depths"]:
         curve = response_curve(cfg, grid, depth, vdd=p["vdd"])
-        for x, y in curve.rows():
+        for x, y in zip(curve.dc_in, curve.dc_out):
             rows.append([x, ("no-oscillation" if conv.is_no_oscillation(y) else y),
                          depth])
         dev_rows.append([depth, curve.deviation])
     _write_csv(spec.output_dir / "response_curve.csv",
                ["dc_in", "dc_out", "depth"], rows)
+    yield "response_curve.csv"
     _write_csv(spec.output_dir / "response_deviation.csv",
                ["depth", "deviation_sum_abs"], dev_rows)
-    return ["response_curve.csv", "response_deviation.csv"]
+    yield "response_deviation.csv"
 
 
 @_kind("fit", {
@@ -377,7 +374,7 @@ def _run_response_curve(spec: ExperimentSpec) -> list[str]:
     "vdd": Param(float, 2.5, when=("source", ("behavioral", "transient"))),
     "frequency": Param(float, 100e6, when=("source", ("transient",))),
 })
-def _run_fit(spec: ExperimentSpec) -> list[str]:
+def _run_fit(spec: ExperimentSpec):
     p = spec.parameters
     xs = np.linspace(0.0, p["grid_hi"], p["points"])
     if p["source"] == "exact":
@@ -391,21 +388,22 @@ def _run_fit(spec: ExperimentSpec) -> list[str]:
     result = conv.fit_cubic(xs, ys)
     _write_csv(spec.output_dir / "fit_data.csv", ["x", "y"],
                [[float(x), float(y)] for x, y in zip(xs, ys)])
+    yield "fit_data.csv"
     c3, c2, c1, c0 = result.coefficients
     _write_csv(spec.output_dir / "fit.csv", ["c3", "c2", "c1", "c0", "r2"],
                [[c3, c2, c1, c0, result.r_squared]])
-    return ["fit_data.csv", "fit.csv"]
+    yield "fit.csv"
 
 
 @_kind("fixed-points", {"converter": CONVERTER})
-def _run_fixed_points(spec: ExperimentSpec) -> list[str]:
+def _run_fixed_points(spec: ExperimentSpec):
     scan = conv.find_fixed_points(CONVERTERS[spec.parameters["converter"]]())
     rows = [[pt.x, pt.stability] for pt in scan.points]
     if scan.degenerate:
         rows = [[scan.degenerate_interval[0], "degenerate-interval-start"],
                 [scan.degenerate_interval[1], "degenerate-interval-end"]]
     _write_csv(spec.output_dir / "fixed_points.csv", ["x", "stability"], rows)
-    return ["fixed_points.csv"]
+    yield "fixed_points.csv"
 
 
 def _train_one(args):
@@ -425,11 +423,11 @@ def _train_one(args):
                            activation=nn.ActivationKind(p["activation"]), **fields)
     net = nn.Network.from_config(cfg)
     report = nn.train(net, train_ds, test_ds, cfg)
-    row = report.csv_row()
-    row["label_counts"] = [int(n) for n in train_ds.label_counts()]
-    row["per_epoch"] = [[*errors, seconds] for errors, seconds
-                        in zip(report.per_epoch, report.epoch_seconds)]
-    return row
+    return {**p, "topology": cfg.topology(), "train_error": report.train_error,
+            "test_error": report.test_error,
+            "label_counts": [int(n) for n in train_ds.label_counts()],
+            "per_epoch": [[*errors, seconds] for errors, seconds
+                          in zip(report.per_epoch, report.epoch_seconds)]}
 
 
 TRAIN_HEADER = ["topology", "activation", "mode", "learning_rate",
@@ -438,31 +436,33 @@ TRAIN_HEADER = ["topology", "activation", "mode", "learning_rate",
 
 
 @_kind("train", TRAIN_PARAMS)
-def _run_train(spec: ExperimentSpec) -> list[str]:
+def _run_train(spec: ExperimentSpec):
     row = _train_one((spec.parameters, spec.seed, spec.data_dir))
     _write_csv(spec.output_dir / "train.csv", TRAIN_HEADER,
                [[row[k] for k in TRAIN_HEADER]])
+    yield "train.csv"
     _write_csv(spec.output_dir / "train_label_counts.csv", ["class", "count"],
                [[c, n] for c, n in enumerate(row["label_counts"])])
+    yield "train_label_counts.csv"
     _write_csv(spec.output_dir / "train_epochs.csv",
                ["epoch", "train_error", "test_error", "seconds"], row["per_epoch"])
-    return ["train.csv", "train_label_counts.csv", "train_epochs.csv"]
+    yield "train_epochs.csv"
 
 
 @_kind("train-sweep", {"subsample": Param(int, None),
                        "configs": Param([TRAIN_PARAMS])})
-def _run_train_sweep(spec: ExperimentSpec) -> list[str]:
+def _run_train_sweep(spec: ExperimentSpec):
     tasks = [(cfg, spec.seed + i, spec.data_dir)
              for i, cfg in enumerate(spec.parameters["configs"])]
     rows = parallel_map(_train_one, tasks, spec.jobs)
     _write_csv(spec.output_dir / "train_sweep.csv", TRAIN_HEADER,
                [[r[k] for k in TRAIN_HEADER] for r in rows])
-    return ["train_sweep.csv"]
+    yield "train_sweep.csv"
 
 
 @_kind("report", {
     "search_dir": Param(str, lambda p, ctx: str(ctx["output_dir"].parent))})
-def _run_report(spec: ExperimentSpec) -> list[str]:
+def _run_report(spec: ExperimentSpec):
     rows = []
     for manifest_path in sorted(Path(spec.parameters["search_dir"]).glob(
             f"**/{MANIFEST_NAME}")):
@@ -483,7 +483,7 @@ def _run_report(spec: ExperimentSpec) -> list[str]:
                ["run_dir", "kind", "status", "seed", "spec_hash", "artifacts",
                 "error_class"],
                rows)
-    return ["report.csv"]
+    yield "report.csv"
 
 
 def resolve(spec: ExperimentSpec) -> dict:
@@ -499,7 +499,8 @@ def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment; always writes a manifest, raises nothing.
 
     Returns the manifest dict; status is "ok" or "error" with a distinct
-    error class name. It records the resolved parameters, once they resolve.
+    error class name. It records the resolved parameters, once they resolve,
+    and every artifact written, a failed run's included.
     """
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -516,12 +517,11 @@ def run(spec: ExperimentSpec) -> dict:
     try:
         spec = dataclasses.replace(spec, parameters=resolve(spec))
         manifest.update(spec_hash=spec.spec_hash(), parameters=spec.parameters)
-        manifest["artifacts"] = KINDS[spec.kind][1](spec)
+        for name in KINDS[spec.kind][1](spec):
+            manifest["artifacts"].append(name)
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, SweepFailedError):
-            manifest["artifacts"] = exc.artifacts
     manifest["wall_time_s"] = time.time() - started
     (spec.output_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, default=str) + "\n")

@@ -44,7 +44,7 @@ __all__ = [
 DEFAULT_COEFFS = (107.27, -53.25, 52.92, 13.44)
 DEFAULT_OUTPUT_CAP = 98.0
 # Raw-oscillator linear region as fractions of vdd (0.7 V and 2.3 V at 2.5 V).
-DEFAULT_LINEAR_REGION = (0.28, 0.92)
+LINEAR_REGION = (0.28, 0.92)
 # Synthetic calibration duties at the edges of the linear region.
 RAW_EDGE_DUTIES = (0.9, 0.1)
 
@@ -62,7 +62,6 @@ class ConverterModel:
     mode: str = "compensated"                       # "raw" | "compensated"
     coefficients: tuple[float, float, float, float] = DEFAULT_COEFFS  # percent
     output_cap: float = DEFAULT_OUTPUT_CAP          # percent
-    linear_region: tuple[float, float] = DEFAULT_LINEAR_REGION  # fractions of vdd
 
     def __post_init__(self):
         if self.mode not in ("raw", "compensated"):
@@ -71,10 +70,6 @@ class ConverterModel:
             raise ValueError(f"coefficients must be finite, got {self.coefficients}")
         if not math.isfinite(self.output_cap):
             raise ValueError(f"output_cap must be finite, got {self.output_cap}")
-        lo, hi = self.linear_region
-        # the raw map is calibrated at both edges and at vdd/2 in between
-        if not 0.0 <= lo < 0.5 < hi <= 1.0:
-            raise ValueError(f"linear_region must hold 0.5 inside, got {self.linear_region}")
 
     @classmethod
     def compensated(cls) -> "ConverterModel":
@@ -172,7 +167,7 @@ def v_to_dc(v, vdd, model: ConverterModel):
         raise ValueError(f"vdd must be > 0, got {vdd}")
     if model.mode == "compensated":
         return stage_map(np.clip(1.0 - v / vdd, 0.0, 1.0), model)
-    lo, hi = model.linear_region
+    lo, hi = LINEAR_REGION
     frac = v / vdd
     stalled = (frac < lo - 1e-12) | (frac > hi + 1e-12)
     frac = np.clip(frac, lo, hi)

@@ -72,8 +72,9 @@ def activation(kind: ActivationKind, x):
     elif kind is ActivationKind.OFT_RELU:
         y = np.where(arr < 0.0, 0.0, np.minimum(arr + OFT_OFFSET, 1.0))
     elif kind is ActivationKind.PWM_PERCEPT:
-        # the map is positive on [0, 1], so the mask zeroes it as np.where would
-        y = stage_map(np.clip(arr, 0.0, 1.0), _STAGE)
+        # no clip, as activation_and_slope explains; the capped map is finite
+        # and not negative, so the mask zeroes it as np.where would
+        y = stage_map(arr, _STAGE).reshape(arr.shape)
         y *= arr >= 0.0
     else:
         raise ValueError(f"unknown activation {kind}")
@@ -248,23 +249,7 @@ class TrainReport:
     train_error: float
     per_epoch: list[tuple[int, float, float]]  # (epoch, train_error, test_error)
     weight_stats: list[dict]
-    config: NetworkConfig
     epoch_seconds: list[float] = field(default_factory=list)  # wall time, evaluation included
-
-    def csv_row(self) -> dict:
-        return {
-            "topology": self.config.topology(),
-            "activation": self.config.activation.value,
-            "mode": self.config.mode,
-            "learning_rate": self.config.learning_rate,
-            "initial_weight": self.config.initial_weight,
-            "max_weight": self.config.max_weight,
-            "epochs": self.config.epochs,
-            "batch": self.config.batch,
-            "seed": self.config.seed,
-            "train_error": self.train_error,
-            "test_error": self.test_error,
-        }
 
 
 def loss_and_grads(net: Network, x: np.ndarray, targets: np.ndarray):
@@ -370,6 +355,5 @@ def train(net: Network, train_ds, test_ds,
         train_error=final_train,
         per_epoch=per_epoch,
         weight_stats=net.weight_stats(),
-        config=cfg,
         epoch_seconds=epoch_seconds,
     )

@@ -39,7 +39,6 @@ class PerceptronConfig:
     converter: ConverterModel
     path: str = "behavioral"        # "behavioral" | "transient"
     frequency: float = 100e6        # input frequency for the transient path
-    v0: float = 0.0
 
     def __post_init__(self):
         if self.path not in ("behavioral", "transient"):
@@ -72,7 +71,7 @@ def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
         v = np.empty(per_input[0].shape)
         for i in np.ndindex(v.shape):
             stim = VacStimulus(tuple(float(d[i]) for d in per_input), cfg.frequency,
-                               w, vdd=vdd, v0=cfg.v0)
+                               w, vdd=vdd)
             v[i] = steady_state(cfg.vac, stim).average_v
         v = v[()]  # a scalar for scalar duties
     return v_to_dc(v, vdd, cfg.converter)
@@ -105,9 +104,6 @@ class ResponseCurve:
     dc_out: np.ndarray                  # float64, NaN where the chain stalls
     deviation: float                    # sum |out - in| over oscillating points
 
-    def rows(self):
-        yield from zip(self.dc_in, self.dc_out)
-
 
 def response_curve(cfg: PerceptronConfig, grid, depth: int,
                    vdd: float = 2.5) -> ResponseCurve:
@@ -132,7 +128,7 @@ def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
     converter drops out near the threshold fraction).
     """
     sigs = [PwmSignal(cfg.frequency, d) for d in duties]
-    trace = simulate_vac(cfg.vac, sigs, w, supply, horizon, v0=cfg.v0)
+    trace = simulate_vac(cfg.vac, sigs, w, supply, horizon)
     ts, out, _ = duty_samples(cfg, trace, supply)
     return ts, out
 
@@ -147,5 +143,5 @@ def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
     """
     ts = np.linspace(0.0, trace.horizon, 400)
     v = trace.sample(ts)
-    vdd = np.fromiter(map(supply.value_at, ts.tolist()), np.float64, len(ts))
+    vdd = supply.values(ts)
     return ts, v_to_dc(v, vdd, cfg.converter), v / vdd

@@ -20,7 +20,6 @@ __all__ = [
     "ConstantSupply",
     "SinusoidSupply",
     "PiecewiseLinearSupply",
-    "with_random_phases",
 ]
 
 
@@ -88,22 +87,15 @@ class PwmSignal:
         return edges[lo:hi]
 
 
-def with_random_phases(signals: list[PwmSignal], rng: np.random.Generator) -> list[PwmSignal]:
-    """Copies of `signals` with phases drawn uniformly in [0, period).
-
-    Emulates unsynchronized inputs when several signals share a frequency.
-    """
-    return [
-        PwmSignal(s.frequency, s.duty, phase=float(rng.uniform(0.0, s.period)))
-        for s in signals
-    ]
-
-
 class SupplyProfile:
     """Supply voltage as a function of time. Must be > 0 over the horizon."""
 
     def value_at(self, t: float) -> float:
         raise NotImplementedError
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """value_at at each time of ts, one call per time."""
+        return np.fromiter(map(self.value_at, ts.tolist()), np.float64, len(ts))
 
     def max_value(self) -> float:
         raise NotImplementedError
@@ -131,6 +123,9 @@ class ConstantSupply(SupplyProfile):
 
     def value_at(self, t: float) -> float:
         return self.vdd
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(len(ts), self.vdd)
 
     def max_value(self) -> float:
         return self.vdd

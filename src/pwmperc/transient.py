@@ -237,10 +237,7 @@ def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
             dn_units += wi * (local < sig.duty * period)
     up_units = n_units - dn_units
 
-    if isinstance(supply, ConstantSupply):
-        vdd_seg = np.full(len(mids), supply.vdd)
-    else:
-        vdd_seg = np.fromiter(map(supply.value_at, t0s.tolist()), np.float64, len(t0s))
+    vdd_seg = supply.values(t0s)
 
     veq_seg = vdd_seg * (up_units / n_units)
     return t0s, t1s, veq_seg, vdd_seg, up_units, dn_units
@@ -379,11 +376,7 @@ def simulate_vac(cfg: VacConfig,
     order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
     trace.times = np.concatenate([boundary_ts, extra_ts])[order]
     trace.v_cap = np.concatenate([boundary_vs, trace.sample(extra_ts)])[order]
-    if isinstance(supply, ConstantSupply):
-        trace.vdd = np.full(len(trace.times), supply.vdd)
-    else:
-        trace.vdd = np.fromiter(map(supply.value_at, trace.times.tolist()),
-                                np.float64, len(trace.times))
+    trace.vdd = supply.values(trace.times)
     return trace
 
 

@@ -27,6 +27,26 @@ def mnist_dir():
     return found
 
 
+@pytest.fixture(scope="session")
+def synthetic_mnist_dir(tmp_path_factory):
+    """A seeded MNIST-shaped set: 2,000 training and 500 test images."""
+    directory = tmp_path_factory.mktemp("synthetic_mnist")
+    write_synthetic_mnist(directory, n_train=2000, n_test=500)
+    return directory
+
+
+# the real set only where its IDX files are found, so nothing skips without it
+TRAIN_SETS = (["mnist"] if mnist.find_data_dir() else []) + ["synthetic"]
+
+
+@pytest.fixture(params=TRAIN_SETS)
+def train_dir(request):
+    """An MNIST directory, once per set: the real files where they are
+    found, then the synthetic set."""
+    return request.getfixturevalue(
+        {"mnist": "mnist_dir", "synthetic": "synthetic_mnist_dir"}[request.param])
+
+
 def write_idx_pair(directory, images, labels, *, images_magic=mnist.IMAGES_MAGIC,
                    labels_magic=mnist.LABELS_MAGIC, truncate_images=0,
                    label_count=None, gz=False, stem="synthetic"):
@@ -46,3 +66,11 @@ def write_idx_pair(directory, images, labels, *, images_magic=mnist.IMAGES_MAGIC
     img_path.write_bytes(gzip.compress(img_blob) if gz else img_blob)
     lab_path.write_bytes(gzip.compress(lab_blob) if gz else lab_blob)
     return img_path, lab_path
+
+
+def write_synthetic_mnist(directory, n_train=96, n_test=32, seed=0):
+    """Seeded random 28x28 images under the four standard MNIST file names."""
+    rng = np.random.default_rng(seed)
+    for stem, n in (("train", n_train), ("t10k", n_test)):
+        write_idx_pair(directory, rng.integers(0, 256, (n, 28, 28)),
+                       rng.integers(0, 10, n), stem=stem)

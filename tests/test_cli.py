@@ -4,14 +4,13 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
 from pwmperc import cli, perceptron, transient
 from pwmperc.cli import ExperimentSpec, run
 
-from conftest import write_idx_pair
+from conftest import write_synthetic_mnist
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -200,6 +199,18 @@ class TestOtherKinds:
             for cell in (c for r in rows for c in r if c):
                 float(cell)  # plain numbers, no numpy reprs
 
+    def test_failed_run_lists_the_files_it_wrote(self, tmp_path):
+        # region B floats (all weights 0, clamp off) after region A is written
+        spec = make_spec("dynamic-vdd", {"weights_b": [0, 0, 0], "horizon": 5e-6},
+                         tmp_path)
+        manifest = run(spec)
+        assert manifest["status"] == "error"
+        assert manifest["error"]["class"] == "FloatingNodeError"
+        assert manifest["artifacts"] == ["dynamic_trace_region_a.csv",
+                                         "dynamic_duty_region_a.csv"]
+        assert sorted(p.name for p in spec.output_dir.glob("*.csv")) == \
+            sorted(manifest["artifacts"])
+
     def test_dynamic_vdd_simulates_each_region_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -223,14 +234,6 @@ class TestOtherKinds:
         kinds = {r[header.index("kind")]: r[header.index("status")] for r in rows}
         assert kinds["fixed-points"] == "ok"
         assert kinds["vac-table"] == "error"
-
-
-def write_synthetic_mnist(directory, n_train=96, n_test=32, seed=0):
-    """Seeded random 28x28 images under the four standard MNIST file names."""
-    rng = np.random.default_rng(seed)
-    for stem, n in (("train", n_train), ("t10k", n_test)):
-        write_idx_pair(directory, rng.integers(0, 256, (n, 28, 28)),
-                       rng.integers(0, 10, n), stem=stem)
 
 
 class TestTrainKind:
@@ -266,11 +269,11 @@ class TestTrainKind:
         assert manifest["status"] == "error"
         assert manifest["error"]["class"] == "MissingDatasetError"
 
-    def test_small_subsampled_run(self, tmp_path, mnist_dir):
+    def test_small_subsampled_run(self, tmp_path, train_dir):
         spec = make_spec("train", {"topology": "784/10", "activation": "cap_relu",
                                    "learning_rate": 0.008, "epochs": 1,
                                    "subsample": 2000}, tmp_path,
-                         data_dir=str(mnist_dir))
+                         data_dir=str(train_dir))
         manifest = run(spec)
         assert manifest["status"] == "ok"
         header, rows = read_rows(spec.output_dir / "train.csv")
@@ -278,7 +281,7 @@ class TestTrainKind:
         assert row["topology"] == "784/10"
         assert 0.0 <= float(row["test_error"]) <= 100.0
 
-    def test_train_sweep_parallel_deterministic(self, tmp_path, mnist_dir):
+    def test_train_sweep_parallel_deterministic(self, tmp_path, train_dir):
         configs = [
             {"topology": "784/10", "activation": "relu",
              "learning_rate": 0.01, "epochs": 1},
@@ -287,9 +290,9 @@ class TestTrainKind:
         ]
         params = {"configs": configs, "subsample": 1000}
         spec1 = make_spec("train-sweep", params, tmp_path, jobs=1, sub="a",
-                          data_dir=str(mnist_dir))
+                          data_dir=str(train_dir))
         spec2 = make_spec("train-sweep", params, tmp_path, jobs=2, sub="b",
-                          data_dir=str(mnist_dir))
+                          data_dir=str(train_dir))
         assert run(spec1)["status"] == "ok"
         assert run(spec2)["status"] == "ok"
         assert (spec1.output_dir / "train_sweep.csv").read_bytes() == \
@@ -321,7 +324,7 @@ class TestMainEntry:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_flag_overrides_config(self, tmp_path, mnist_dir):
+    def test_flag_overrides_config(self, tmp_path, train_dir):
         cfg = tmp_path / "train.yaml"
         cfg.write_text(yaml.safe_dump({
             "topology": "784/10", "activation": "relu", "epochs": 1,
@@ -329,7 +332,7 @@ class TestMainEntry:
         }))
         code = cli.main(["train", "--config", str(cfg), "--subsample", "500",
                          "--out", str(tmp_path / "o"),
-                         "--data-dir", str(mnist_dir)])
+                         "--data-dir", str(train_dir)])
         assert code == 0
         manifest = json.loads((tmp_path / "o" / cli.MANIFEST_NAME).read_text())
         assert manifest["parameters"]["subsample"] == 500

@@ -70,12 +70,6 @@ def test_model_rejects_non_finite(field, kwargs):
         ConverterModel(**kwargs)
 
 
-@pytest.mark.parametrize("region", [(0.5, 0.9), (0.1, 0.5), (0.6, 0.9), (0.9, 0.3)])
-def test_model_rejects_region_without_midpoint(region):
-    with pytest.raises(ValueError, match="linear_region"):
-        ConverterModel(mode="raw", linear_region=region)
-
-
 class TestVToDc:
     def test_compensated_recovers_dc_sum(self):
         assert v_to_dc(1.25, 2.5, MODEL) == pytest.approx(STAGE_AT_HALF, abs=1e-12)

@@ -255,7 +255,6 @@ class TestTraining:
         assert a.per_epoch == b.per_epoch
         assert a.test_error == b.test_error
         assert a.weight_stats == b.weight_stats
-        assert a.csv_row() == b.csv_row()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_detected(self):

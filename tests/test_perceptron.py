@@ -154,8 +154,8 @@ class TestResponseCurve:
     def test_rows_align_with_grid(self):
         grid = [0.0, 0.5, 1.0]
         curve = response_curve(BEHAVIORAL, grid, 1)
-        xs = [x for x, _ in curve.rows()]
-        assert xs == grid
+        assert curve.dc_in.tolist() == grid
+        assert curve.dc_out.shape == curve.dc_in.shape
 
 
 class TestDynamicSupply:

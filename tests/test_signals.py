@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
-                             SinusoidSupply, with_random_phases)
+                             SinusoidSupply)
 
 
 class TestPwmSignalState:
@@ -159,11 +159,10 @@ class TestSupplyProfiles:
             make()
 
 
-def test_with_random_phases_deterministic_and_in_range():
-    sigs = [PwmSignal(1e8, 0.5), PwmSignal(1.2e8, 0.3), PwmSignal(1.4e8, 0.7)]
-    a = with_random_phases(sigs, np.random.default_rng(7))
-    b = with_random_phases(sigs, np.random.default_rng(7))
-    assert [s.phase for s in a] == [s.phase for s in b]
-    for orig, shifted in zip(sigs, a):
-        assert 0.0 <= shifted.phase < orig.period
-        assert shifted.duty == orig.duty
+@pytest.mark.parametrize("supply", [
+    ConstantSupply(2.5), SinusoidSupply(2.5, 0.7, 1e-6),
+    PiecewiseLinearSupply(((0.0, 2.0), (1e-6, 3.0), (2e-6, 1.9)))],
+    ids=["constant", "sinusoid", "pwl"])
+def test_values_equal_value_at(supply):
+    ts = np.linspace(0.0, 3e-6, 13)
+    assert supply.values(ts).tolist() == [supply.value_at(t) for t in ts.tolist()]

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pwmperc import transient  # noqa: E402
 from pwmperc.analytic import WeightVector  # noqa: E402
 from pwmperc.signals import PwmSignal  # noqa: E402
 from pwmperc.transient import VacConfig, simulate_vac  # noqa: E402
-from test_transient import (SCAN_SUPPLIES, assert_matches_sequential,  # noqa: E402
-                            loop_window_integrals)
+from test_transient import (SCAN_SUPPLIES, W777,  # noqa: E402
+                            assert_matches_sequential, loop_window_integrals)
 
 
 @st.composite
@@ -58,14 +58,20 @@ def test_sample_equals_value_at(case, fractions):
 
 @settings(max_examples=60, deadline=None)
 @given(transients(), st.floats(0.0, 0.99), st.floats(0.01, 1.0), st.integers(0, 10**6))
+# t_k + 1.0*(horizon - t_k) rounds one ulp past the horizon at t_k = 6e-8
+@example(case=(VacConfig.small(), [PwmSignal(1e5, 0.5)] * 3, W777,
+               SCAN_SUPPLIES["pwl"], 8.392857142857143e-07, 0.0),
+         start=0.0, length=1.0, k=2)
 def test_window_integrals_match_loop(case, start, length, k):
     cfg, sigs, w, supply, horizon, v0 = case
     trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=v0)
     w_lo = start * horizon
     t_k = float(trace.seg_t0[k % len(trace.seg_t0)])
-    # a drawn window, one from a segment boundary, one ending at the horizon
-    windows = [(w_lo, w_lo + length * (horizon - w_lo)),
-               (t_k, t_k + length * (horizon - t_k)),
+    # a drawn window, one from a segment boundary, one ending at the horizon;
+    # _window_integrals takes windows inside the horizon, so a drawn end that
+    # rounds past it is capped
+    windows = [(w_lo, min(w_lo + length * (horizon - w_lo), horizon)),
+               (t_k, min(t_k + length * (horizon - t_k), horizon)),
                (w_lo, horizon)]
     # the power integrand up*g*(vdd - v) can cancel to nearly 0: its
     # tolerance is relative to the largest power the bank can draw
