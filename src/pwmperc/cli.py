@@ -3,8 +3,9 @@
 Each subcommand materializes one experiment kind from a YAML config file
 (flags override config), runs it, and writes CSV artifacts plus a JSON run
 manifest (spec hash, seed, wall time, artifact list, error record). Runs are
-reproducible: identical spec + seed produce byte-identical CSVs regardless of
---jobs.
+reproducible: identical spec + seed produce byte-identical CSVs. Only
+train-sweep runs in parallel, its configs over ``--jobs`` worker processes,
+and its CSV is byte-identical whatever ``--jobs`` is.
 
 Each kind declares every key it reads once, with its type and default. A run
 first resolves the given parameters: unread keys are rejected, and missing
@@ -36,8 +37,8 @@ from .analytic import WeightVector, vac_equilibrium
 from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
 from .signals import PwmSignal, SinusoidSupply
-from .transient import (VacConfig, VacStimulus, parallel_map, simulate_vac,
-                        steady_state, sweep)
+from .transient import (VacConfig, VacStimulus, simulate_vac, steady_state,
+                        sweep)
 
 __all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
            "SweepFailedError", "resolve", "run", "main"]
@@ -62,8 +63,8 @@ class ExperimentSpec:
     parameters: dict
     output_dir: Path
     seed: int
-    jobs: int = 1
-    data_dir: str | None = None
+    jobs: int = 1                 # read by train-sweep only
+    data_dir: str | None = None   # read by train and train-sweep only
 
     def spec_hash(self) -> str:
         canon = json.dumps(
@@ -280,7 +281,7 @@ def _run_sweep(spec: ExperimentSpec, axis: str):
     stim = VacStimulus(duties=tuple(p["duties"]),
                        w=WeightVector(tuple(p["weights"]), cfg.k),
                        v0=p["v0"], **fixed)
-    points = sweep(cfg, stim, axis, p["grid"], jobs=spec.jobs)
+    points = sweep(cfg, stim, axis, p["grid"])
     rows = []
     for pt in points:
         if pt.metrics is None:
@@ -415,7 +416,7 @@ def _train_one(args):
             f"${mnist.DATA_DIR_ENV}")
     train_ds = mnist.load_mnist(found, "train")
     test_ds = mnist.load_mnist(found, "test")
-    if p["subsample"]:
+    if p["subsample"] is not None:
         train_ds = mnist.subsample(train_ds, p["subsample"], subsample_seed)
     # the other training keys are NetworkConfig fields
     fields = {k: v for k, v in p.items() if k not in ("topology", "activation", "subsample")}
@@ -452,9 +453,19 @@ def _run_train(spec: ExperimentSpec):
 @_kind("train-sweep", {"subsample": Param(int, None),
                        "configs": Param([TRAIN_PARAMS])})
 def _run_train_sweep(spec: ExperimentSpec):
+    if spec.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {spec.jobs}")
     tasks = [(cfg, spec.seed + i, spec.data_dir)
              for i, cfg in enumerate(spec.parameters["configs"])]
-    rows = parallel_map(_train_one, tasks, spec.jobs)
+    workers = min(spec.jobs, len(tasks))  # a worker per config at most
+    if workers > 1:
+        # imported here: the pool loads multiprocessing, socket and pickle,
+        # about 2 MB that a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_train_one, tasks))
+    else:
+        rows = [_train_one(t) for t in tasks]
     _write_csv(spec.output_dir / "train_sweep.csv", TRAIN_HEADER,
                [[r[k] for k in TRAIN_HEADER] for r in rows])
     yield "train_sweep.csv"
@@ -544,12 +555,14 @@ def _build_parser() -> argparse.ArgumentParser:
         k.add_argument("--seed", type=int, default=0)
         k.add_argument("--out", type=Path, default=None,
                        help="output directory (default runs/<kind>)")
-        k.add_argument("--data-dir", type=str, default=None,
-                       help=f"MNIST directory (default ${mnist.DATA_DIR_ENV})")
-        k.add_argument("--jobs", type=int, default=1)
         if kind in ("train", "train-sweep"):
+            k.add_argument("--data-dir", type=str, default=None,
+                           help=f"MNIST directory (default ${mnist.DATA_DIR_ENV})")
             k.add_argument("--subsample", type=int, default=None,
                            help="train on a seeded subsample of this size")
+        if kind == "train-sweep":
+            k.add_argument("--jobs", type=int, default=1,
+                           help="worker processes, one config each at a time")
     return parser
 
 
@@ -575,8 +588,8 @@ def main(argv=None) -> int:
         parameters=params,
         output_dir=args.out if args.out is not None else Path("runs") / args.kind,
         seed=args.seed,
-        jobs=args.jobs,
-        data_dir=args.data_dir,
+        jobs=getattr(args, "jobs", 1),
+        data_dir=getattr(args, "data_dir", None),
     )
     manifest = run(spec)
     if manifest["status"] == "ok":

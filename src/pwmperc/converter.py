@@ -106,6 +106,14 @@ def _floats(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
+def _like(x, y):
+    """``y``, computed elementwise from ``x``, in x's form: a float for a
+    Python or numpy scalar, otherwise an array of x's shape (a 0-d array
+    stays 0-d)."""
+    y = np.asarray(y).reshape(np.shape(x))
+    return y if y.ndim or isinstance(x, np.ndarray) else float(y)
+
+
 def _cap_percent(y: np.ndarray, model: ConverterModel) -> np.ndarray:
     """max(min(y, cap), 0)/100 of cubic values y, in place."""
     np.minimum(y, model.output_cap, out=y)
@@ -123,14 +131,13 @@ def stage_map(x: float, model: ConverterModel | None = None) -> float:
     if model.mode != "compensated":
         raise ValueError("stage_map is defined for compensated models")
     y = _cap_percent(model.cubic_percent(_floats(x)), model)
-    return float(y[0]) if np.isscalar(x) else y
+    return _like(x, y)
 
 
 def stage_map_deriv(x: float, model: ConverterModel | None = None) -> float:
     """d(stage_map)/dx; zero inside the capped or floored regions. The slope
     of ``stage_map_and_slope``, in the shape of x."""
-    slope = stage_map_and_slope(x, model)[1]
-    return slope if np.isscalar(x) else slope.reshape(np.shape(x))
+    return stage_map_and_slope(x, model)[1]
 
 
 def stage_map_and_slope(x, model: ConverterModel | None = None):
@@ -150,9 +157,7 @@ def stage_map_and_slope(x, model: ConverterModel | None = None):
     slope += c1
     slope /= 100.0
     slope = np.where(outside, 0.0, slope)
-    if np.isscalar(x):
-        return float(y[0]), float(slope[0])
-    return y, slope
+    return _like(x, y), _like(x, slope)
 
 
 def v_to_dc(v, vdd, model: ConverterModel):
@@ -161,12 +166,13 @@ def v_to_dc(v, vdd, model: ConverterModel):
     compensated: recovers the normalized weighted sum as 1 - v/vdd and applies
     the cubic stage map. raw: piecewise-linear decreasing map over the linear
     region, calibrated at (0.28*vdd -> 0.9), (0.5*vdd -> 0.5), (0.92*vdd ->
-    0.1); outside the region the oscillator stalls and the duty is NaN.
+    0.1); outside the region the oscillator stalls and the duty is NaN. vdd is
+    a float or an array of v's shape; the result takes v's form.
     """
     if np.any(vdd <= 0):
         raise ValueError(f"vdd must be > 0, got {vdd}")
     if model.mode == "compensated":
-        return stage_map(np.clip(1.0 - v / vdd, 0.0, 1.0), model)
+        return _like(v, stage_map(np.clip(1.0 - v / vdd, 0.0, 1.0), model))
     lo, hi = LINEAR_REGION
     frac = v / vdd
     stalled = (frac < lo - 1e-12) | (frac > hi + 1e-12)
@@ -176,7 +182,7 @@ def v_to_dc(v, vdd, model: ConverterModel):
     duty = np.where(frac <= 0.5, d_lo + (0.5 - d_lo) * (frac - lo) / (0.5 - lo),
                     0.5 + (d_hi - 0.5) * (frac - 0.5) / (hi - 0.5))
     duty = np.where(stalled, np.nan, duty)
-    return float(duty) if duty.ndim == 0 else duty
+    return _like(v, duty)
 
 
 @dataclass(frozen=True)

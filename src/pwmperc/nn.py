@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .converter import (ConverterModel, stage_map, stage_map_and_slope,
+from .converter import (ConverterModel, _like, stage_map, stage_map_and_slope,
                         stage_map_deriv)
 
 __all__ = [
@@ -63,7 +63,8 @@ EVAL_CHUNK = 8192                            # images per evaluate step
 
 
 def activation(kind: ActivationKind, x):
-    """Apply an activation elementwise. Scalars in, scalar out."""
+    """Apply an activation elementwise: a float for a Python or numpy scalar,
+    otherwise an array of x's shape."""
     arr = np.asarray(x, dtype=np.float64)
     if kind is ActivationKind.RELU:
         y = np.maximum(arr, 0.0)
@@ -74,11 +75,11 @@ def activation(kind: ActivationKind, x):
     elif kind is ActivationKind.PWM_PERCEPT:
         # no clip, as activation_and_slope explains; the capped map is finite
         # and not negative, so the mask zeroes it as np.where would
-        y = stage_map(arr, _STAGE).reshape(arr.shape)
+        y = stage_map(arr, _STAGE)
         y *= arr >= 0.0
     else:
         raise ValueError(f"unknown activation {kind}")
-    return float(y) if np.isscalar(x) else y
+    return _like(x, y)
 
 
 def activation_deriv(kind: ActivationKind, x):
@@ -94,7 +95,7 @@ def activation_deriv(kind: ActivationKind, x):
         y = np.where(arr < 0.0, 0.0, stage_map_deriv(arr, _STAGE))
     else:
         raise ValueError(f"unknown activation {kind}")
-    return float(y) if np.isscalar(x) else y
+    return _like(x, y)
 
 
 def activation_and_slope(kind: ActivationKind, x: np.ndarray):
@@ -226,18 +227,6 @@ class Network:
                 raise AssertionError(
                     f"layer {i} weight magnitude {top} exceeds {self.cfg.max_weight}")
 
-    def weight_stats(self):
-        stats = []
-        for layer in self.layers:
-            hist, edges = np.histogram(layer.weights, bins=16)
-            stats.append({
-                "min": float(layer.weights.min()),
-                "max": float(layer.weights.max()),
-                "histogram": hist.tolist(),
-                "bin_edges": [float(e) for e in edges],
-            })
-        return stats
-
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -248,7 +237,6 @@ class TrainReport:
     test_error: float
     train_error: float
     per_epoch: list[tuple[int, float, float]]  # (epoch, train_error, test_error)
-    weight_stats: list[dict]
     epoch_seconds: list[float] = field(default_factory=list)  # wall time, evaluation included
 
 
@@ -354,6 +342,5 @@ def train(net: Network, train_ds, test_ds,
         test_error=final_test,
         train_error=final_train,
         per_epoch=per_epoch,
-        weight_stats=net.weight_stats(),
         epoch_seconds=epoch_seconds,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import WeightVector, vac_equilibrium
-from .converter import ConverterModel, v_to_dc
+from .converter import ConverterModel, _like, v_to_dc
 from .signals import PwmSignal, SupplyProfile
 from .transient import (TransientTrace, VacConfig, VacStimulus, simulate_vac,
                         steady_state)
@@ -58,8 +58,8 @@ class PerceptronConfig:
 def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
     """Output duty cycle of one perceptron, NaN where the raw oscillator stalls.
 
-    ``duties`` holds one entry per input, each a float or an array (one shape
-    for all); the result has that shape. behavioral:
+    ``duties`` holds one entry per input, each a float or an array (one form
+    for all); the result takes that form. behavioral:
     v_to_dc(vac_equilibrium(duties, w, vdd)). transient: the average capacitor
     voltage of each point's periodic steady state replaces the analytic
     equilibrium.
@@ -73,8 +73,7 @@ def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
             stim = VacStimulus(tuple(float(d[i]) for d in per_input), cfg.frequency,
                                w, vdd=vdd)
             v[i] = steady_state(cfg.vac, stim).average_v
-        v = v[()]  # a scalar for scalar duties
-    return v_to_dc(v, vdd, cfg.converter)
+    return _like(duties[0], v_to_dc(v, vdd, cfg.converter))
 
 
 def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
@@ -94,7 +93,7 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
         out = perceptron_eval(cfg, [flat[live]] * cfg.vac.n, w, vdd)
         flat[live] = out
         live = live[~np.isnan(out)]
-    return float(dc) if dc.ndim == 0 else dc
+    return _like(dc_in, dc)
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,7 +59,6 @@ __all__ = [
     "trace_metrics",
     "steady_state",
     "sweep",
-    "parallel_map",
 ]
 
 
@@ -607,43 +606,24 @@ class SweepPoint:
     error: str | None = None
 
 
-def _sweep_one(args) -> SweepPoint:
-    cfg, stim, axis, value = args
-    try:
-        if axis not in ("vdd", "frequency"):
-            raise ValueError(f"unknown sweep axis {axis!r}")
-        stim = dataclasses.replace(stim, **{axis: float(value)})
-        metrics = steady_state(cfg, stim)
-        return SweepPoint(float(value), metrics, metrics.average_v / stim.vdd)
-    except Exception as exc:  # recorded, not fatal
-        return SweepPoint(float(value), None, None,
-                          error=f"{type(exc).__name__}: {exc}")
-
-
 def sweep(cfg: VacConfig, stimulus: VacStimulus, axis: str,
-          grid: list[float], jobs: int = 1) -> list[SweepPoint]:
-    """One steady_state per grid point; failures are recorded per point.
-
-    Results are ordered by grid index whatever the worker count, so output is
-    parallelism-invariant.
-    """
+          grid: list[float]) -> list[SweepPoint]:
+    """One steady_state per grid point, in grid order, with ``axis`` ("vdd"
+    or "frequency") set to the point's value; failures are recorded per
+    point."""
+    if axis not in ("vdd", "frequency"):
+        raise ValueError(f"unknown sweep axis {axis!r}")
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be ascending")
-    return parallel_map(_sweep_one, [(cfg, stimulus, axis, v) for v in grid], jobs)
-
-
-def parallel_map(fn, tasks: list, jobs: int) -> list:
-    """[fn(t) for t in tasks], over ``jobs`` worker processes when jobs > 1.
-
-    Results keep the order of ``tasks`` whatever the worker count; ``fn`` and
-    the tasks must be picklable.
-    """
-    if jobs > 1:
-        # imported here: the pool loads multiprocessing, socket and pickle,
-        # about 2 MB that a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    points = []
+    for value in map(float, grid):
+        try:
+            stim = dataclasses.replace(stimulus, **{axis: value})
+            metrics = steady_state(cfg, stim)
+            points.append(SweepPoint(value, metrics, metrics.average_v / stim.vdd))
+        except Exception as exc:  # recorded, not fatal
+            points.append(SweepPoint(value, None, None,
+                                     error=f"{type(exc).__name__}: {exc}"))
+    return points

@@ -1,11 +1,16 @@
 import gzip
 import os
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pwmperc import mnist
+
+# the repository's tools import as modules, e.g. snapshot_artifacts
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 try:
     from hypothesis import settings

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -11,22 +12,12 @@ from pwmperc import cli, perceptron, transient
 from pwmperc.cli import ExperimentSpec, run
 
 from conftest import write_synthetic_mnist
+from snapshot_artifacts import config_kind
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-# Every reference config with its experiment kind.
-CONFIG_KINDS = {
-    "dynamic_vdd": "dynamic-vdd",
-    "fit_behavioral": "fit",
-    "fit_transient": "fit",
-    "response_curve": "response-curve",
-    "sweep_freq_large": "sweep-freq",
-    "sweep_freq_small": "sweep-freq",
-    "sweep_vdd": "sweep-vdd",
-    "train_fp_784_10": "train",
-    "train_int_784_10": "train",
-    "train_sweep_fp_depths": "train-sweep",
-}
+# Every reference config with the experiment kind it is named after.
+CONFIG_KINDS = {p.stem: config_kind(p.stem) for p in CONFIG_DIR.glob("*.yaml")}
 NON_MNIST_CONFIGS = sorted(name for name, kind in CONFIG_KINDS.items()
                            if not kind.startswith("train"))
 
@@ -40,6 +31,15 @@ def make_spec(kind, params, tmp_path, seed=0, jobs=1, data_dir=None,
     return ExperimentSpec(kind=kind, parameters=params,
                           output_dir=tmp_path / sub, seed=seed, jobs=jobs,
                           data_dir=data_dir)
+
+
+@pytest.fixture
+def small_mnist(tmp_path):
+    """write_synthetic_mnist's 96 training and 32 test images."""
+    data = tmp_path / "mnist"
+    data.mkdir()
+    write_synthetic_mnist(data)
+    return data
 
 
 def read_rows(path):
@@ -123,16 +123,6 @@ class TestSweeps:
         # one good point keeps the run ok
         assert run(make_spec("sweep-vdd", {"grid": [-1.0, 1.0]},
                              tmp_path))["status"] == "ok"
-
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        params = {"grid": [1.0, 1.5, 2.5]}
-        spec1 = make_spec("sweep-vdd", params, tmp_path, jobs=1, sub="a")
-        spec2 = make_spec("sweep-vdd", params, tmp_path, jobs=3, sub="b")
-        run(spec1)
-        run(spec2)
-        a = (spec1.output_dir / "sweep_vdd.csv").read_bytes()
-        b = (spec2.output_dir / "sweep_vdd.csv").read_bytes()
-        assert a == b
 
     def test_rerun_byte_identical(self, tmp_path):
         params = {"grid": [1e6, 1e7]}
@@ -237,13 +227,10 @@ class TestOtherKinds:
 
 
 class TestTrainKind:
-    def test_per_epoch_csv(self, tmp_path):
-        data = tmp_path / "mnist"
-        data.mkdir()
-        write_synthetic_mnist(data)
+    def test_per_epoch_csv(self, tmp_path, small_mnist):
         spec = make_spec("train", {"topology": "784/10", "activation": "cap_relu",
                                    "learning_rate": 0.05, "epochs": 3},
-                         tmp_path, data_dir=str(data))
+                         tmp_path, data_dir=str(small_mnist))
         manifest = run(spec)
         assert manifest["status"] == "ok"
         assert "train_epochs.csv" in manifest["artifacts"]
@@ -280,6 +267,47 @@ class TestTrainKind:
         row = dict(zip(header, rows[0]))
         assert row["topology"] == "784/10"
         assert 0.0 <= float(row["test_error"]) <= 100.0
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_zero_subsample_rejected(self, flag, tmp_path, small_mnist):
+        cfg = tmp_path / "train.yaml"
+        params = {"topology": "784/10", "activation": "relu", "epochs": 1}
+        cfg.write_text(yaml.safe_dump(params if flag else {**params, "subsample": 0}))
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--data-dir", str(small_mnist)] + (["--subsample", "0"] if flag else [])
+        assert cli.main(argv) == 1
+        manifest = json.loads((tmp_path / "o" / cli.MANIFEST_NAME).read_text())
+        assert manifest["parameters"]["subsample"] == 0
+        assert manifest["error"]["message"] == "subsample size 0 outside [1, 96]"
+        assert manifest["artifacts"] == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(yaml.safe_dump({"configs": [
+            {"topology": "784/10", "activation": "relu", "epochs": 1}]}))
+        assert cli.main(["train-sweep", "--config", str(cfg), "--jobs", jobs,
+                         "--out", str(tmp_path / "o")]) == 2
+        manifest = json.loads((tmp_path / "o" / cli.MANIFEST_NAME).read_text())
+        assert manifest["error"] == {"class": "ConfigError",
+                                     "message": f"jobs must be >= 1, got {jobs}"}
+
+    def test_train_sweep_starts_a_worker_per_config_at_most(
+            self, tmp_path, small_mnist, monkeypatch):
+        # a forking pool starts all its workers at once, used or not
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = {"topology": "784/10", "activation": "relu", "epochs": 1}
+        for n_configs, sub in ((2, "two"), (1, "one")):
+            spec = make_spec("train-sweep", {"configs": [config] * n_configs},
+                             tmp_path, jobs=8, sub=sub, data_dir=str(small_mnist))
+            assert run(spec)["status"] == "ok"
+        assert sizes == [2]
 
     def test_train_sweep_parallel_deterministic(self, tmp_path, train_dir):
         configs = [
@@ -319,6 +347,16 @@ class TestMainEntry:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
+    # a subcommand takes only the flags it reads
+    @pytest.mark.parametrize("argv", [["sweep-vdd", "--jobs", "3"],
+                                      ["fixed-points", "--data-dir", "x"]],
+                             ids=["sweep-vdd-jobs", "fixed-points-data-dir"])
+    def test_unread_flag_exits_2(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_main_missing_config_file(self, tmp_path):
         code = cli.main(["vac-table", "--config", str(tmp_path / "none.yaml"),
                          "--out", str(tmp_path / "o")])
@@ -340,7 +378,7 @@ class TestMainEntry:
 
 class TestParameters:
     def test_every_config_has_a_kind(self):
-        assert {p.stem for p in CONFIG_DIR.glob("*.yaml")} == set(CONFIG_KINDS)
+        assert CONFIG_KINDS and set(CONFIG_KINDS.values()) <= set(cli.KINDS)
 
     @pytest.mark.parametrize("name", sorted(CONFIG_KINDS))
     def test_config_resolves_to_a_fixed_point(self, name, tmp_path):

@@ -277,15 +277,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(cfg, stim, "vdd", [2.0, 1.0])
 
-    def test_parallel_matches_serial(self):
+    def test_unknown_axis_raised_up_front(self):
+        # one error for the call, not one recorded at every point
         cfg = VacConfig.small()
         stim = VacStimulus(duties=(0.5,) * 3, frequency=1e8, w=W777)
-        grid = [1.0, 2.0, 3.0]
-        serial = sweep(cfg, stim, "vdd", grid, jobs=1)
-        parallel = sweep(cfg, stim, "vdd", grid, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.metrics.average_v == b.metrics.average_v
-            assert a.metrics.avg_power == b.metrics.avg_power
+        with pytest.raises(ValueError, match="unknown sweep axis 'duty'"):
+            sweep(cfg, stim, "duty", [0.1, 0.2])
 
 
 # the weighted-adder rows of the vac-table experiment

@@ -29,7 +29,7 @@ def config_kind(stem: str) -> str:
     whose name, with '_' for '-', starts the file stem."""
     kinds = [k for k in cli.KINDS if stem.startswith(k.replace("-", "_"))]
     if not kinds:
-        raise SystemExit(f"configs/{stem}.yaml names no experiment kind")
+        raise ValueError(f"configs/{stem}.yaml names no experiment kind")
     return max(kinds, key=len)
 
 
