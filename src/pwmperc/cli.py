@@ -248,7 +248,10 @@ def _run_vac_table(spec: ExperimentSpec):
         w = WeightVector(tuple(row["weights"]), cfg.k)
         v_theory = vac_equilibrium(duties, w, vdd)
         metrics = steady_state(cfg, VacStimulus(tuple(duties), freq, w, vdd=vdd))
-        rel = abs(metrics.average_v - v_theory) / v_theory * 100.0 if v_theory else 0.0
+        if v_theory:
+            rel = abs(metrics.average_v - v_theory) / v_theory * 100.0
+        else:            # 0 V in theory: an empty cell, unless sim is 0 V too
+            rel = None if metrics.average_v else 0.0
         flat = []
         for d, wi in zip(duties, w.weights):
             flat.extend([d, wi])
@@ -321,8 +324,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
     duties, freq, horizon = p["duties"], p["frequency"], p["horizon"]
     supply = SinusoidSupply(mean=p["supply_mean"], amplitude=p["supply_amplitude"],
                             period=p["supply_period"])
-    pcfg = PerceptronConfig(vac=cfg, converter=CONVERTERS[p["converter"]](),
-                            frequency=freq)
+    converter = CONVERTERS[p["converter"]]()
 
     for tag, weights in (("region_a", p["weights_a"]), ("region_b", p["weights_b"])):
         w = WeightVector(tuple(weights), cfg.k)
@@ -331,7 +333,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
         name = f"dynamic_trace_{tag}.csv"
         trace.write_csv(spec.output_dir / name)
         yield name
-        ts, out, ratio = duty_samples(pcfg, trace, supply)
+        ts, out, ratio = duty_samples(converter, trace, supply)
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,
                    ["time_s", "duty_out", "v_over_vdd"],
@@ -357,8 +359,7 @@ def _run_response_curve(spec: ExperimentSpec):
     for depth in p["depths"]:
         curve = response_curve(cfg, grid, depth, vdd=p["vdd"])
         for x, y in zip(curve.dc_in, curve.dc_out):
-            rows.append([x, ("no-oscillation" if conv.is_no_oscillation(y) else y),
-                         depth])
+            rows.append([x, ("no-oscillation" if np.isnan(y) else y), depth])
         dev_rows.append([depth, curve.deviation])
     _write_csv(spec.output_dir / "response_curve.csv",
                ["dc_in", "dc_out", "depth"], rows)

@@ -10,6 +10,7 @@ gzip-compressed variants.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -63,7 +64,6 @@ class Dataset:
 
     images: np.ndarray   # (n, 784)
     labels: np.ndarray   # (n,) int64 class ids 0-9
-    split: str           # "train" | "test" | derived tags
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -84,7 +84,25 @@ def _read_file(path) -> bytes:
     return raw
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def _header(raw: bytes, path, magic: int, ndim: int, what: str) -> list[int]:
+    """The dimensions an IDX header declares, after checking its magic, that
+    none is negative and that the file holds as many bytes as they promise."""
+    size = 4 + 4 * ndim
+    if len(raw) < size:
+        raise TruncatedFileError(f"{path}: too short for an IDX {what} header")
+    found, *dims = struct.unpack(f">{1 + ndim}i", raw[:size])
+    if found != magic:
+        raise BadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+    if min(dims) < 0:
+        raise DatasetError(f"{path}: header declares negative dimensions {dims}")
+    if len(raw) - size < math.prod(dims):
+        raise TruncatedFileError(
+            f"{path}: header promises {'x'.join(map(str, dims))} bytes, "
+            f"file holds {len(raw) - size} bytes")
+    return dims
+
+
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair.
 
     Validates the big-endian magics, the declared dimensions against the file
@@ -93,28 +111,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """
     img_raw = _read_file(images_path)
     lab_raw = _read_file(labels_path)
-
-    if len(img_raw) < 16:
-        raise TruncatedFileError(f"{images_path}: too short for an IDX image header")
-    magic, n_img, rows, cols = struct.unpack(">iiii", img_raw[:16])
-    if magic != IMAGES_MAGIC:
-        raise BadMagicError(
-            f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
-    if len(img_raw) - 16 < n_img * rows * cols:
-        raise TruncatedFileError(
-            f"{images_path}: header promises {n_img}x{rows}x{cols} pixels, "
-            f"file holds {len(img_raw) - 16} bytes")
-
-    if len(lab_raw) < 8:
-        raise TruncatedFileError(f"{labels_path}: too short for an IDX label header")
-    magic_l, n_lab = struct.unpack(">ii", lab_raw[:8])
-    if magic_l != LABELS_MAGIC:
-        raise BadMagicError(
-            f"{labels_path}: magic 0x{magic_l:08x}, expected 0x{LABELS_MAGIC:08x}")
-    if len(lab_raw) - 8 < n_lab:
-        raise TruncatedFileError(
-            f"{labels_path}: header promises {n_lab} labels, "
-            f"file holds {len(lab_raw) - 8} bytes")
+    n_img, rows, cols = _header(img_raw, images_path, IMAGES_MAGIC, 3, "image")
+    (n_lab,) = _header(lab_raw, labels_path, LABELS_MAGIC, 1, "label")
     if n_img != n_lab:
         raise CountMismatchError(f"{n_img} images vs {n_lab} labels")
 
@@ -122,7 +120,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
                            offset=16)
     images = pixels.reshape(n_img, rows * cols)
     labels = np.frombuffer(lab_raw, dtype=np.uint8, count=n_lab, offset=8)
-    return Dataset(images=images, labels=labels.astype(np.int64), split=split)
+    return Dataset(images=images, labels=labels.astype(np.int64))
 
 
 def _resolve(directory: Path, name: str) -> Path:
@@ -136,8 +134,7 @@ def load_mnist(data_dir, split: str = "train") -> Dataset:
     """Load one split from a directory holding the four standard files."""
     directory = Path(data_dir)
     names = TRAIN_FILES if split == "train" else TEST_FILES
-    return load_idx(_resolve(directory, names[0]), _resolve(directory, names[1]),
-                    split=split)
+    return load_idx(_resolve(directory, names[0]), _resolve(directory, names[1]))
 
 
 def find_data_dir(explicit=None):
@@ -168,8 +165,7 @@ def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     if not 0 < n <= len(ds):
         raise ValueError(f"subsample size {n} outside [1, {len(ds)}]")
     if n == len(ds):
-        return Dataset(ds.images, ds.labels, split=ds.split)
+        return ds
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(ds), size=n, replace=False))
-    return Dataset(ds.images[idx], ds.labels[idx],
-                   split=f"{ds.split}[{n}@{seed}]")
+    return Dataset(ds.images[idx], ds.labels[idx])

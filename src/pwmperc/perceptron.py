@@ -98,7 +98,6 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
 
 @dataclass(frozen=True, eq=False)
 class ResponseCurve:
-    depth: int
     dc_in: np.ndarray                   # the grid, float64
     dc_out: np.ndarray                  # float64, NaN where the chain stalls
     deviation: float                    # sum |out - in| over oscillating points
@@ -112,8 +111,7 @@ def response_curve(cfg: PerceptronConfig, grid, depth: int,
     steps = np.abs(dc_out - dc_in)[~np.isnan(dc_out)]
     # a running sum, in grid order: np.sum's pairwise order differs in the last bit
     deviation = float(np.cumsum(steps)[-1]) if steps.size else 0.0
-    return ResponseCurve(depth=depth, dc_in=dc_in, dc_out=dc_out,
-                         deviation=deviation)
+    return ResponseCurve(dc_in=dc_in, dc_out=dc_out, deviation=deviation)
 
 
 def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
@@ -128,11 +126,11 @@ def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
     """
     sigs = [PwmSignal(cfg.frequency, d) for d in duties]
     trace = simulate_vac(cfg.vac, sigs, w, supply, horizon)
-    ts, out, _ = duty_samples(cfg, trace, supply)
+    ts, out, _ = duty_samples(cfg.converter, trace, supply)
     return ts, out
 
 
-def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
+def duty_samples(converter: ConverterModel, trace: TransientTrace,
                  supply: SupplyProfile):
     """Converter output and v_cap/vdd at 400 times evenly spread over the
     trace's horizon.
@@ -143,4 +141,4 @@ def duty_samples(cfg: PerceptronConfig, trace: TransientTrace,
     ts = np.linspace(0.0, trace.horizon, 400)
     v = trace.sample(ts)
     vdd = supply.values(ts)
-    return ts, v_to_dc(v, vdd, cfg.converter), v / vdd
+    return ts, v_to_dc(v, vdd, converter), v / vdd

@@ -48,23 +48,21 @@ class PwmSignal:
     def period(self) -> float:
         return 1.0 / self.frequency
 
-    def state_at(self, t: float) -> bool:
-        """True when the signal is high at time t (t >= 0).
+    def high(self, ts) -> np.ndarray:
+        """True where the signal is high at the times ts (all >= 0), as a
+        bool array of ts's shape.
 
-        fmod keeps this exact for arbitrarily large t: IEEE fmod introduces no
-        rounding error, so there is no drift even after 1e6+ periods.
+        np.mod is IEEE fmod, which introduces no rounding error, shifted into
+        [0, period): the state stays exact for arbitrarily large t, with no
+        drift even after 1e6+ periods.
         """
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        if self.duty == 0.0:
-            return False
-        if self.duty == 1.0:
-            return True
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.size and ts.min() < 0:
+            raise ValueError(f"t must be >= 0, got {ts.min()}")
+        if self.duty == 0.0 or self.duty == 1.0:
+            return np.full(ts.shape, self.duty == 1.0)
         period = self.period
-        local = math.fmod(t - self.phase, period)
-        if local < 0.0:
-            local += period
-        return local < self.duty * period
+        return np.mod(ts - self.phase, period) < self.duty * period
 
     def edges_in(self, t0: float, t1: float) -> np.ndarray:
         """All state-change times in [t0, t1), sorted ascending.
@@ -103,12 +101,16 @@ class SupplyProfile:
     def min_value(self) -> float:
         raise NotImplementedError
 
-    def substep(self) -> float | None:
-        """Max segment length for zero-order-hold sampling; None = constant."""
-        return None
-
-    def breakpoints_in(self, t0: float, t1: float) -> np.ndarray:
+    def cuts(self, horizon: float) -> np.ndarray:
+        """Times in [0, horizon] at which a zero-order hold must re-sample the
+        supply; none for a constant one."""
         return np.empty(0)
+
+
+def _inside(ts: np.ndarray, horizon: float) -> np.ndarray:
+    """The times of ts in [0, horizon]; np.arange's last step can overshoot
+    its stop."""
+    return ts[(ts >= 0.0) & (ts <= horizon)]
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,9 @@ class SinusoidSupply(SupplyProfile):
     def min_value(self) -> float:
         return self.mean - abs(self.amplitude)
 
-    def substep(self) -> float | None:
-        return self.period / 200.0
+    def cuts(self, horizon: float) -> np.ndarray:
+        """Every period/200 from 0."""
+        return _inside(np.arange(0.0, horizon, self.period / 200.0), horizon)
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,12 @@ class PiecewiseLinearSupply(SupplyProfile):
     def min_value(self) -> float:
         return min(v for _, v in self.breakpoints)
 
-    def substep(self) -> float | None:
-        span = self.breakpoints[-1][0] - self.breakpoints[0][0]
-        return span / 200.0 if span > 0 else None
-
-    def breakpoints_in(self, t0: float, t1: float) -> np.ndarray:
-        ts = np.array([t for t, _ in self.breakpoints])
-        return ts[(ts >= t0) & (ts < t1)]
+    def cuts(self, horizon: float) -> np.ndarray:
+        """The knots, and every span/200 from the first knot to the last; the
+        supply holds still outside them."""
+        knots = np.array(self._times)
+        t_a, t_b = knots[0], knots[-1]
+        if t_b == t_a:
+            return np.empty(0)           # one knot: a constant supply
+        steps = np.arange(t_a, min(t_b, horizon), (t_b - t_a) / 200.0)
+        return _inside(np.concatenate((knots, steps)), horizon)

@@ -5,8 +5,10 @@ cell is a resistor to the supply (input low, or cell disabled) or to ground
 (input high), so the capacitor follows the exact exponential toward the
 instantaneous divider equilibrium. Segments are solved analytically - there is
 no global timestep and no integration error for constant supplies. A
-time-varying supply is zero-order-held over sub-steps of at most 1/200 of its
-period.
+time-varying supply is zero-order-held and re-sampled only where it varies,
+at the times its SupplyProfile.cuts gives: every 1/200 of a sinusoid's period,
+and a piecewise-linear profile's knots plus every 1/200 of its span between
+its first and last knot.
 
 The optional compensation clamp floors the capacitor voltage at the PMOS
 threshold: a segment maps v to max(veq + (v - veq)*e^(-dt/tau), floor), the
@@ -124,15 +126,13 @@ class TransientTrace:
     v_cap: np.ndarray
     vdd: np.ndarray            # supply value at `times`
     tau: float
-    g_unit: float              # conductance of one unit cell, 1/r_unit
     seg_t0: np.ndarray
     seg_t1: np.ndarray
     seg_v0: np.ndarray
     seg_v1: np.ndarray
     seg_veq: np.ndarray
     seg_vdd: np.ndarray
-    seg_up: np.ndarray         # unit cells pulling up
-    seg_dn: np.ndarray         # unit cells pulling down
+    seg_up: np.ndarray         # unit cells pulling up; the rest pull down
     seg_clamped: np.ndarray    # bool
 
     @property
@@ -149,10 +149,6 @@ class TransientTrace:
         v0, veq = self.seg_v0[i], self.seg_veq[i]
         v = veq + (v0 - veq) * np.exp(-(ts - self.seg_t0[i]) / self.tau)
         return np.where(self.seg_clamped[i], v0, v)
-
-    def value_at(self, t: float) -> float:
-        """Exact capacitor voltage at one time inside the horizon."""
-        return float(self.sample([t])[0])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -201,9 +197,9 @@ def _check_run(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
 
 def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
               supply: SupplyProfile, horizon: float):
-    """Timeline of [0, horizon]: input edges plus supply sub-steps and
-    breakpoints. Returns per-segment start, end, divider equilibrium, supply,
-    pull-up and pull-down unit counts."""
+    """Timeline of [0, horizon]: input edges plus the supply's cuts. Returns
+    per-segment start, end, divider equilibrium, supply and pull-up unit
+    count."""
     n_units = cfg.total_units
     # equal inputs have equal edges and states: cut and count each one once
     weights: dict[PwmSignal, int] = {}
@@ -211,35 +207,18 @@ def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
         weights[sig] = weights.get(sig, 0) + wi
     parts = [np.array([0.0, horizon])]
     parts += [sig.edges_in(0.0, horizon) for sig in weights]
-    step = supply.substep()
-    if step is not None:
-        steps = np.arange(0.0, horizon, step)
-        parts.append(steps[steps <= horizon])    # a float step can overshoot
-        parts.append(supply.breakpoints_in(0.0, horizon))
+    parts.append(supply.cuts(horizon))
     boundaries = np.concatenate(parts)
     boundaries.sort()
     boundaries = boundaries[np.concatenate(([True], boundaries[1:] != boundaries[:-1]))]
 
-    # per-segment pull-down unit counts, from input states at segment midpoints
+    # input states at segment midpoints: a high input pulls its cells down
     t0s = boundaries[:-1]
     t1s = boundaries[1:]
     mids = 0.5 * (t0s + t1s)
-    dn_units = np.zeros(len(mids), dtype=np.int64)
-    for sig, wi in weights.items():
-        if wi == 0:
-            continue
-        if sig.duty == 1.0:
-            dn_units += wi
-        elif sig.duty > 0.0:
-            period = sig.period
-            local = np.mod(mids - sig.phase, period)
-            dn_units += wi * (local < sig.duty * period)
-    up_units = n_units - dn_units
-
+    up_units = n_units - sum(wi * sig.high(mids) for sig, wi in weights.items())
     vdd_seg = supply.values(t0s)
-
-    veq_seg = vdd_seg * (up_units / n_units)
-    return t0s, t1s, veq_seg, vdd_seg, up_units, dn_units
+    return t0s, t1s, vdd_seg * (up_units / n_units), vdd_seg, up_units
 
 
 def _prefix(cfg: VacConfig, segments):
@@ -325,7 +304,7 @@ def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
     prefix compositions. A segment that reaches the floor is cut into a free
     part up to the crossing (none if it starts on the floor) and a clamped
     rest. The trace holds no samples."""
-    t0s, t1s, veqs, vdds, ups, dns = segments
+    t0s, t1s, veqs, vdds, ups = segments
     v_th = cfg.compensation_threshold
     p = _boundaries(_prefix(cfg, segments), max(float(v0), v_th))
     t_free, clamped = _clamp(cfg, segments, p)
@@ -342,10 +321,8 @@ def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
     v0s[piece_clamped] = v_th
     return TransientTrace(
         times=np.empty(0), v_cap=np.empty(0), vdd=np.empty(0),
-        tau=cfg.tau, g_unit=1.0 / cfg.r_unit,
-        seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
-        seg_veq=veqs.take(seg), seg_vdd=vdds.take(seg),
-        seg_up=ups.take(seg), seg_dn=dns.take(seg),
+        tau=cfg.tau, seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
+        seg_veq=veqs.take(seg), seg_vdd=vdds.take(seg), seg_up=ups.take(seg),
         seg_clamped=piece_clamped,
     )
 
@@ -379,10 +356,11 @@ def simulate_vac(cfg: VacConfig,
     return trace
 
 
-def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up, dn):
+def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up):
     """Per piece of length dt: the integrals of v and of the supply power,
     the voltage following the exponential from v0 toward veq for t_free and
-    sitting on the threshold for the rest."""
+    sitting on the threshold for the rest. `up` cells pull up; the other
+    cells of the bank pull down."""
     tau = cfg.tau
     dv = tau * (v0 - veq) * -np.expm1(-t_free / tau)       # tau*(v0 - v(t_free))
     v_int = veq * t_free + dv
@@ -393,7 +371,7 @@ def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up, dn):
         t_clamped = dt - t_free
         v_int += v_th * t_clamped
         # clamp + pull-up current together equal the pull-down current
-        p_int += dn * v_th * t_clamped
+        p_int += (cfg.total_units - up) * v_th * t_clamped
     return v_int, vdd * p_int / cfg.r_unit
 
 
@@ -412,7 +390,7 @@ def _window_integrals(trace: TransientTrace, cfg: VacConfig, w_lo: float, w_hi: 
     j = np.searchsorted(trace.seg_t0, starts, side="right") - 1
     v_int, p_int = _integrals(cfg, np.where(trace.seg_clamped[j], 0.0, lengths),
                               lengths, va, trace.seg_veq[j], trace.seg_vdd[j],
-                              trace.seg_up[j], trace.seg_dn[j])
+                              trace.seg_up[j])
     # the exponentials are monotone: extremes lie on part or window ends
     ends = np.append(va, trace.sample(cuts[-1:]))
     return float(v_int.sum()), float(p_int.sum()), float(ends.min()), float(ends.max())
@@ -489,8 +467,8 @@ def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
     v_aff, c = _period_map(cfg, prefix, period)
     pss = _boundaries(prefix, v_aff if c is None else max(v_aff, c))
     t_free, _ = _clamp(cfg, segments, pss)
-    t0s, t1s, veq, vdd, up, dn = segments
-    v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:-1], veq, vdd, up, dn)
+    t0s, t1s, veq, vdd, up = segments
+    v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:-1], veq, vdd, up)
     average_v = float(v_int.sum()) / period
     drift = abs(float(pss[-1] - pss[0])) / max(abs(average_v), 1e-30)
     return TraceMetrics(

@@ -64,6 +64,18 @@ class TestVacTable:
         for r in rows:
             assert float(r[-1]) <= 10.0  # sim within 10% of theory
 
+    @pytest.mark.parametrize("v_th, want", [(0.4, ["0.0", "0.4", ""]),
+                                            (0.0, ["0.0", "0.0", "0.0"])])
+    def test_no_relative_difference_from_zero_theory(self, tmp_path, v_th, want):
+        # all inputs high pull the bank to 0 V; the clamp holds it at 0.4 V,
+        # which is no agreement with 0 V, so its relative difference is empty
+        rows = [{"duties": [1.0, 1.0, 1.0], "weights": [7, 7, 7]}]
+        spec = make_spec("vac-table", {"compensation_threshold": v_th, "rows": rows},
+                         tmp_path)
+        assert run(spec)["status"] == "ok"
+        _, (row,) = read_rows(spec.output_dir / "vac_table.csv")
+        assert row[-3:] == want
+
     def test_unknown_key_rejected(self, tmp_path):
         spec = make_spec("vac-table", {"bogus": 1}, tmp_path)
         manifest = run(spec)

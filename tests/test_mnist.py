@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from pwmperc.mnist import (BadMagicError, CountMismatchError, Dataset,
-                           TruncatedFileError, load_idx, load_mnist, subsample)
+                           DatasetError, TruncatedFileError, load_idx, load_mnist,
+                           subsample)
 
 from conftest import write_idx_pair
 
@@ -50,6 +53,21 @@ class TestLoadIdx:
         with pytest.raises(TruncatedFileError):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("magic, dims", [
+        (0x00000803, (-1, 28, 28)), (0x00000803, (2, -28, -28)),
+        (0x00000801, (-1,))], ids=["images", "rows-and-cols", "labels"])
+    def test_negative_dimension_rejected(self, tmp_path, magic, dims):
+        # numpy reads a count of -1 as "all of the file", and (2, -28, -28)
+        # promises as many bytes as (2, 28, 28)
+        images, labels = synthetic(n=4)
+        img, lab = write_idx_pair(tmp_path, images, labels)
+        path = img if magic == 0x00000803 else lab
+        raw = path.read_bytes()
+        head = struct.pack(f">{1 + len(dims)}i", magic, *dims)
+        path.write_bytes(head + raw[len(head):])
+        with pytest.raises(DatasetError, match=f"{path.name}.*negative"):
+            load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         images, labels = synthetic()
         lab_extra = np.concatenate([labels, [3, 4]]).astype(np.uint8)
@@ -67,13 +85,12 @@ class TestSubsample:
     def _ds(self, n=50):
         rng = np.random.default_rng(1)
         return Dataset(images=rng.uniform(0, 1, (n, 4)),
-                       labels=rng.integers(0, 10, n), split="train")
+                       labels=rng.integers(0, 10, n))
 
     def test_full_size_preserves_order(self):
+        # the whole set is the set itself, in its own order
         ds = self._ds()
-        sub = subsample(ds, 50, seed=123)
-        np.testing.assert_array_equal(sub.images, ds.images)
-        np.testing.assert_array_equal(sub.labels, ds.labels)
+        assert subsample(ds, 50, seed=123) is ds
 
     def test_deterministic(self):
         ds = self._ds()

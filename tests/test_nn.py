@@ -18,9 +18,9 @@ BREAKPOINTS = {
 }
 
 
-def make_dataset(images, labels, split="train"):
+def make_dataset(images, labels):
     return Dataset(images=np.asarray(images, dtype=np.float64),
-                   labels=np.asarray(labels, dtype=np.int64), split=split)
+                   labels=np.asarray(labels, dtype=np.int64))
 
 
 class TestActivations:
@@ -355,7 +355,7 @@ def reference_train(cfg, images, labels):
 def pixel_dataset(n, seed):
     rng = np.random.default_rng(seed)
     return Dataset(images=rng.integers(0, 256, (n, 784), dtype=np.uint8),
-                   labels=rng.integers(0, 10, n), split="train")
+                   labels=rng.integers(0, 10, n))
 
 
 class TestOracle:

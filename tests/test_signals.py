@@ -10,34 +10,58 @@ from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
 class TestPwmSignalState:
     def test_first_half_period_high(self):
         sig = PwmSignal(1e6, 0.5)
-        assert sig.state_at(0.25e-6) is True
+        assert bool(sig.high(0.25e-6)) is True
 
     def test_second_half_period_low(self):
         sig = PwmSignal(1e6, 0.5)
-        assert sig.state_at(0.75e-6) is False
+        assert bool(sig.high(0.75e-6)) is False
 
     def test_100mhz_duty_30_at_17p5ns(self):
         # 17.5 ns mod 10 ns = 7.5 ns >= 3 ns -> low
         sig = PwmSignal(100e6, 0.3)
-        assert sig.state_at(17.5e-9) is False
+        assert bool(sig.high(17.5e-9)) is False
 
     def test_duty_zero_and_one_are_constant(self):
         lo = PwmSignal(1e6, 0.0)
         hi = PwmSignal(1e6, 1.0)
         for t in [0.0, 1e-7, 3.7e-6, 1.0]:
-            assert lo.state_at(t) is False
-            assert hi.state_at(t) is True
+            assert bool(lo.high(t)) is False
+            assert bool(hi.high(t)) is True
         assert len(lo.edges_in(0, 1e-3)) == 0
         assert len(hi.edges_in(0, 1e-3)) == 0
 
     def test_phase_shifts_pattern(self):
         sig = PwmSignal(1e6, 0.5, phase=0.25e-6)
-        assert sig.state_at(0.3e-6) is True
-        assert sig.state_at(0.1e-6) is False  # before the rising edge
+        assert bool(sig.high(0.3e-6)) is True
+        assert bool(sig.high(0.1e-6)) is False  # before the rising edge
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            PwmSignal(1e6, 0.5).state_at(-1e-9)
+            PwmSignal(1e6, 0.5).high(-1e-9)
+        with pytest.raises(ValueError):
+            PwmSignal(1e6, 0.0).high(np.array([0.0, 1e-6, -1e-9]))
+
+    @pytest.mark.parametrize("sig", [PwmSignal(1e6, 0.5), PwmSignal(3.7e7, 0.123, 5e-9),
+                                     PwmSignal(2.5e6, 0.4, phase=1e-7),
+                                     PwmSignal(1e6, 0.0), PwmSignal(1e6, 1.0)])
+    def test_array_call_is_the_elementwise_rule(self, sig):
+        def rule(t):
+            # fmod of t - phase, shifted into [0, period): negative before
+            # the first rising edge
+            if sig.duty in (0.0, 1.0):
+                return sig.duty == 1.0
+            local = math.fmod(t - sig.phase, sig.period)
+            if local < 0.0:
+                local += sig.period
+            return local < sig.duty * sig.period
+
+        rng = np.random.default_rng(11)
+        frac = rng.uniform(0.0, 1.0, 300)
+        ts = np.concatenate([frac * sig.period * 3, (1_000_000 + frac) * sig.period,
+                             [0.0, sig.phase, np.nextafter(sig.phase, 0.0)]])
+        got = sig.high(ts.reshape(3, -1))
+        assert got.shape == (3, ts.size // 3) and got.dtype == bool
+        assert got.ravel().tolist() == [rule(t) for t in ts.tolist()]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,13 +80,13 @@ class TestPwmSignalIntegral:
         (1e3, 0.9, 0.0, 200),
     ])
     def test_high_time_equals_duty_over_whole_periods(self, freq, duty, phase, periods):
-        # integrate state_at exactly using the edge list as breakpoints
+        # integrate the high state exactly using the edge list as breakpoints
         sig = PwmSignal(freq, duty, phase)
         t_end = periods * sig.period
         cuts = np.concatenate([[0.0], sig.edges_in(0.0, t_end), [t_end]])
         high = 0.0
         for a, b in zip(cuts, cuts[1:]):
-            if b > a and sig.state_at(0.5 * (a + b)):
+            if b > a and bool(sig.high(0.5 * (a + b))):
                 high += b - a
         expect = duty * periods * sig.period
         assert high == pytest.approx(expect, rel=1e-12)
@@ -71,8 +95,8 @@ class TestPwmSignalIntegral:
         sig = PwmSignal(1e6, 0.5)
         period = sig.period
         for delta in [0.01, 0.26, 0.49, 0.51, 0.74, 0.99]:
-            near = sig.state_at(delta * period)
-            far = sig.state_at(1_000_000 * period + delta * period)
+            near = bool(sig.high(delta * period))
+            far = bool(sig.high(1_000_000 * period + delta * period))
             assert near == far
 
     def test_edges_match_state_transitions(self):
@@ -82,7 +106,7 @@ class TestPwmSignalIntegral:
         for e in edges:
             if e - eps < 0:
                 continue
-            assert sig.state_at(e - eps) != sig.state_at(e + eps)
+            assert bool(sig.high(e - eps)) != bool(sig.high(e + eps))
 
 
 class TestSupplyProfiles:
@@ -157,6 +181,44 @@ class TestSupplyProfiles:
     def test_non_finite_input_named(self, field, make):
         with pytest.raises(ValueError, match=field):
             make()
+
+
+class TestSupplyCuts:
+    def test_constant_supply_has_none(self):
+        assert ConstantSupply(2.5).cuts(1e-3).size == 0
+        assert PiecewiseLinearSupply(((1e-6, 2.5),)).cuts(1e-3).size == 0
+
+    def test_sinusoid_every_two_hundredth_of_its_period(self):
+        cuts = SinusoidSupply(2.5, 0.7, 1e-6).cuts(3.3e-6)
+        steps = np.arange(0.0, 3.3e-6, 1e-6 / 200)
+        np.testing.assert_array_equal(cuts, steps[steps <= 3.3e-6])
+
+    @pytest.mark.parametrize("horizon", [1e-6, 2.5e-6, 4e-6])
+    def test_pwl_from_zero_steps_over_its_span(self, horizon):
+        # a first knot at 0 and a horizon inside the span: every span/200
+        # from 0, and the knots
+        sup = PiecewiseLinearSupply(((0.0, 2.0), (2e-6, 3.0), (4e-6, 1.9)))
+        steps = np.arange(0.0, horizon, 4e-6 / 200)
+        want = np.union1d(steps[steps <= horizon], [t for t in sup._times if t <= horizon])
+        np.testing.assert_array_equal(np.unique(sup.cuts(horizon)), want)
+
+    def test_pwl_holds_still_after_its_last_knot(self):
+        sup = PiecewiseLinearSupply(((0.0, 2.0), (1e-6, 3.0)))
+        cuts = sup.cuts(2e-3)
+        assert cuts.max() == 1e-6
+        assert len(np.unique(cuts)) <= 202
+
+    @pytest.mark.parametrize("knots", [(-3e-6, -1e-6), (-1e-6, 1.5e-6, 5e-6),
+                                       (2e-6, 9e-6)])
+    def test_pwl_cuts_stay_inside_the_horizon(self, knots):
+        sup = PiecewiseLinearSupply(tuple((t, 2.0 + i) for i, t in enumerate(knots)))
+        for horizon in (0.5e-6, 3e-6, 1e-5):
+            cuts = sup.cuts(horizon)
+            assert cuts.size == 0 or (cuts.min() >= 0.0 and cuts.max() <= horizon)
+            # the knots inside and the steps between the end knots only
+            inner = [t for t in knots if 0.0 <= t <= horizon]
+            assert set(inner) <= set(cuts.tolist())
+            assert np.all((cuts >= knots[0]) & (cuts <= knots[-1]))
 
 
 @pytest.mark.parametrize("supply", [

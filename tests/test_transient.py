@@ -232,7 +232,7 @@ class TestDynamicSupply:
         # in the settled half, the ratio to the supply stays near 0.5
         ratios = []
         for t in np.linspace(20e-6, 40e-6, 101):
-            ratios.append(trace.value_at(float(t)) / supply.value_at(float(t)))
+            ratios.append(trace.sample([t])[0] / supply.value_at(float(t)))
         ratios = np.array(ratios)
         assert abs(ratios.mean() - 0.5) < 0.02
         assert ratios.max() - ratios.min() < 0.12  # bounded excursion from lag
@@ -244,6 +244,25 @@ class TestDynamicSupply:
         # zero-order-hold steps bounded by period/200
         gaps = np.diff(np.unique(trace.seg_t0))
         assert gaps.max() <= 10e-6 / 200 + 1e-12
+
+    @pytest.mark.parametrize("v_th", [0.0, 0.4])
+    def test_pwl_tail_is_not_sub_stepped(self, v_th):
+        # a 1 us ramp, then 2 ms of a constant 3 V: sub-steps only under the
+        # ramp; a cut every 1/200 of the span over the whole horizon would
+        # make about 400,000 segments
+        class DenselyCut(PiecewiseLinearSupply):
+            def cuts(self, horizon):
+                steps = np.arange(0.0, horizon, 1e-6 / 200)
+                return np.concatenate((super().cuts(horizon), steps))
+
+        knots = ((0.0, 2.0), (1e-6, 3.0))
+        cfg = VacConfig.small(compensation_threshold=v_th)
+        sigs = [PwmSignal(1e5, d) for d in (0.3, 0.5, 0.7)]
+        trace = simulate_vac(cfg, sigs, W777, PiecewiseLinearSupply(knots), 2e-3)
+        dense = simulate_vac(cfg, sigs, W777, DenselyCut(knots), 2e-3)
+        assert len(trace.seg_t0) <= 2000 < len(dense.seg_t0)
+        ts = np.linspace(0.0, 2e-3, 5001)
+        np.testing.assert_allclose(trace.sample(ts), dense.sample(ts), rtol=0, atol=1e-12)
 
 
 class TestSweep:
@@ -408,7 +427,7 @@ def sequential_walk(cfg, segments, v0):
     """Reference: the segment rule v -> max(veq + (v - veq)*e^(-dt/tau),
     floor) applied one segment after another, a segment that reaches the
     floor cut into a free part up to the crossing and a clamped rest."""
-    t0s, t1s, veqs, vdds, ups, dns = segments
+    t0s, t1s, veqs, vdds, ups = segments
     tau = cfg.tau
     v_th = cfg.compensation_threshold
     floor = v_th if v_th > 0.0 else -math.inf
@@ -430,13 +449,13 @@ def sequential_walk(cfg, segments, v0):
     seg, t0, t1, v0s, v1s, clamped = (np.array(c) for c in zip(*pieces))
     return dict(seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
                 seg_veq=veqs[seg], seg_vdd=vdds[seg], seg_up=ups[seg],
-                seg_dn=dns[seg], seg_clamped=clamped)
+                seg_clamped=clamped)
 
 
-def loop_window_integrals(trace, w_lo, w_hi):
+def loop_window_integrals(trace, cfg, w_lo, w_hi):
     """Reference: integral of v, of supply power, and extremes over
     [w_lo, w_hi], one piece after another."""
-    tau, g = trace.tau, trace.g_unit
+    tau, g = trace.tau, 1.0 / cfg.r_unit
     v_int = p_int = 0.0
     vmin, vmax = math.inf, -math.inf
     for i in range(len(trace.seg_t0)):
@@ -448,7 +467,8 @@ def loop_window_integrals(trace, w_lo, w_hi):
         if trace.seg_clamped[i]:
             v_th = float(trace.seg_v0[i])
             v_int += v_th * (b - a)
-            p_int += vdd * float(trace.seg_dn[i]) * g * v_th * (b - a)
+            dn = cfg.total_units - float(trace.seg_up[i])
+            p_int += vdd * dn * g * v_th * (b - a)
             vmin, vmax = min(vmin, v_th), max(vmax, v_th)
             continue
         veq = float(trace.seg_veq[i])
@@ -483,7 +503,7 @@ def assert_matches_sequential(cfg, sigs, w, supply, horizon, v0):
     for name in ("seg_t0", "seg_t1"):
         np.testing.assert_allclose(getattr(trace, name), ref[name], rtol=0,
                                    atol=1e-12 * horizon)
-    for name in ("seg_veq", "seg_vdd", "seg_up", "seg_dn"):
+    for name in ("seg_veq", "seg_vdd", "seg_up"):
         np.testing.assert_array_equal(getattr(trace, name), ref[name])
     return trace
 

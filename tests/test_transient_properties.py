@@ -46,14 +46,21 @@ def test_matches_sequential_walk(case):
 def test_sample_equals_value_at(case, fractions):
     cfg, sigs, w, supply, horizon, v0 = case
     trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=v0)
+
+    def closed_form(t):
+        # the piece holding t: on the threshold, or the exponential from its
+        # start toward its equilibrium
+        i = int(np.searchsorted(trace.seg_t0, t, side="right")) - 1
+        v0, veq = float(trace.seg_v0[i]), float(trace.seg_veq[i])
+        if trace.seg_clamped[i]:
+            return v0
+        return veq + (v0 - veq) * float(np.exp(-(t - float(trace.seg_t0[i])) / trace.tau))
+
     ts = np.array(fractions) * horizon
-    got = trace.sample(ts)
-    want = [trace.value_at(float(t)) for t in ts]
-    assert got.tolist() == want
+    assert trace.sample(ts).tolist() == [closed_form(t) for t in ts.tolist()]
     # and at every event boundary
-    np.testing.assert_array_equal(
-        trace.sample(trace.seg_t0[:200]),
-        [trace.value_at(float(t)) for t in trace.seg_t0[:200]])
+    np.testing.assert_array_equal(trace.sample(trace.seg_t0[:200]),
+                                  [closed_form(t) for t in trace.seg_t0[:200].tolist()])
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,7 +85,7 @@ def test_window_integrals_match_loop(case, start, length, k):
     p_scale = supply.max_value() ** 2 * cfg.total_units / cfg.r_unit
     for a, b in windows:
         v_int, p_int, vmin, vmax = transient._window_integrals(trace, cfg, a, b)
-        v_ref, p_ref, lo_ref, hi_ref = loop_window_integrals(trace, a, b)
+        v_ref, p_ref, lo_ref, hi_ref = loop_window_integrals(trace, cfg, a, b)
         assert v_int == pytest.approx(v_ref, rel=1e-12, abs=1e-300)
         assert abs(p_int - p_ref) <= 1e-12 * p_scale * (b - a)
         assert vmin == pytest.approx(lo_ref, rel=0, abs=1e-12 * supply.max_value())
