@@ -131,7 +131,10 @@ def _resolve(directory: Path, name: str) -> Path:
 
 
 def load_mnist(data_dir, split: str = "train") -> Dataset:
-    """Load one split from a directory holding the four standard files."""
+    """Load one split, "train" or "test", from a directory holding the four
+    standard files."""
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     directory = Path(data_dir)
     names = TRAIN_FILES if split == "train" else TEST_FILES
     return load_idx(_resolve(directory, names[0]), _resolve(directory, names[1]))

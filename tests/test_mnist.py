@@ -75,6 +75,12 @@ class TestLoadIdx:
         with pytest.raises(CountMismatchError):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("split", ["Train", "validation"])
+    def test_unknown_split_rejected(self, synthetic_mnist_dir, split):
+        # before, any split but "train" silently loaded the test files
+        with pytest.raises(ValueError, match=f"split.*{split!r}"):
+            load_mnist(synthetic_mnist_dir, split)
+
     def test_error_types_are_distinct(self):
         assert not issubclass(BadMagicError, TruncatedFileError)
         assert not issubclass(TruncatedFileError, CountMismatchError)

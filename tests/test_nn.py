@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pwmperc import nn
 from pwmperc.mnist import Dataset
 from pwmperc.nn import (ActivationKind, Network, NetworkConfig,
                         TrainingDivergedError, activation, activation_deriv,
@@ -93,6 +96,30 @@ class TestActivationDerivs:
             numeric = (activation(kind, x + h) - activation(kind, x - h)) / (2 * h)
             assert abs(activation_deriv(kind, x) - numeric) <= 1e-5
             checked += 1
+
+
+class TestConfig:
+    BASE = dict(layer_sizes=(4, 2), activation=ActivationKind.RELU,
+                learning_rate=0.01)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch", 0), ("batch", -1), ("epochs", -1),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("layer_sizes", (784, 0, 10)),
+        ("layer_sizes", (4,)),
+    ])
+    def test_ill_posed_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{**self.BASE, field: value})
+
+    def test_negative_integer_initial_weight_names_its_field(self):
+        with pytest.raises(ValueError, match="initial_weight"):
+            NetworkConfig(**self.BASE, mode="integer", max_weight=7,
+                          initial_weight=-1)
+
+    def test_edge_values_accepted(self):
+        NetworkConfig(**self.BASE, epochs=0, batch=1)
+        NetworkConfig(**self.BASE, mode="integer", max_weight=7, initial_weight=0)
 
 
 class TestForward:
@@ -268,6 +295,22 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError):
             train(net, ds, ds, cfg)
 
+    def test_one_loss_and_grads_call_per_step(self, monkeypatch):
+        # the benchmark's tracer counts steps as loss_and_grads calls
+        batches = []
+
+        def counted(net, x, targets):
+            batches.append((len(x), targets.shape))
+            return loss_and_grads(net, x, targets)
+
+        monkeypatch.setattr(nn, "loss_and_grads", counted)
+        ds = self._toy(n=100)
+        cfg = NetworkConfig(layer_sizes=(4, 2), activation=ActivationKind.RELU,
+                            learning_rate=0.05, epochs=2, batch=32, seed=9)
+        train(Network.from_config(cfg), ds, ds, cfg)
+        sizes = [32, 32, 32, 4]
+        assert batches == [(n, (n, 2)) for n in sizes * 2]
+
 
 class TestEvaluate:
     def test_perfect_net_zero_error(self):
@@ -315,6 +358,33 @@ class TestEvaluate:
         after = net.predict(images)
         np.testing.assert_array_equal(before, after)
 
+    def test_chunks_and_a_partial_chunk_count_like_predict(self, monkeypatch):
+        monkeypatch.setattr(nn, "EVAL_CHUNK", 7)
+        ds = pixel_dataset(4 * 7 + 3, seed=12)
+        cfg = NetworkConfig(layer_sizes=(784, 30, 10),
+                            activation=ActivationKind.PWM_PERCEPT,
+                            learning_rate=0.1, seed=13)
+        net = Network.from_config(cfg)
+        wrong = int(np.sum(net.predict(ds.images) != ds.labels))
+        assert evaluate(net, ds) == 100.0 * wrong / len(ds)
+
+    def test_memory_does_not_grow_with_the_dataset(self):
+        # the float64 temporaries of one chunk, not of the whole dataset
+        cfg = NetworkConfig(layer_sizes=(784, 300, 10),
+                            activation=ActivationKind.PWM_PERCEPT,
+                            learning_rate=0.1, seed=14)
+        net = Network.from_config(cfg)
+        ds = pixel_dataset(8192, seed=15)
+        peaks = []
+        for n in (2048, 8192):
+            tracemalloc.start()
+            try:
+                evaluate(net, Dataset(ds.images[:n], ds.labels[:n]))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
 
 def reference_train(cfg, images, labels):
     """Final weights of one epoch of nn.train, stepped with the formulas of
@@ -359,15 +429,18 @@ def pixel_dataset(n, seed):
 
 
 class TestOracle:
-    @pytest.mark.parametrize("cfg", [
-        NetworkConfig(layer_sizes=(784, 30, 10), activation=ActivationKind.PWM_PERCEPT,
-                      learning_rate=0.2, epochs=1, batch=16, seed=3),
-        NetworkConfig(layer_sizes=(784, 10), activation=ActivationKind.CAP_RELU,
-                      learning_rate=0.04, epochs=1, batch=16, seed=4,
-                      mode="integer", max_weight=63, initial_weight=3),
-    ], ids=["pwm_percept-fp", "cap_relu-integer"])
-    def test_training_on_pixel_bytes_matches_reference_bit_for_bit(self, cfg):
-        ds = pixel_dataset(16 * 300, seed=cfg.seed)
+    @pytest.mark.parametrize("cfg, n", [
+        (NetworkConfig(layer_sizes=(784, 30, 10), activation=ActivationKind.PWM_PERCEPT,
+                       learning_rate=0.2, epochs=1, batch=16, seed=3), 16 * 300),
+        (NetworkConfig(layer_sizes=(784, 10), activation=ActivationKind.CAP_RELU,
+                       learning_rate=0.04, epochs=1, batch=16, seed=4,
+                       mode="integer", max_weight=63, initial_weight=3), 16 * 300),
+        # the benchmark's FP shape, its last batch partial
+        (NetworkConfig(layer_sizes=(784, 300, 10), activation=ActivationKind.PWM_PERCEPT,
+                       learning_rate=0.2, epochs=1, batch=32, seed=5), 32 * 40 + 17),
+    ], ids=["pwm_percept-fp", "cap_relu-integer", "784-300-10-partial-batch"])
+    def test_training_on_pixel_bytes_matches_reference_bit_for_bit(self, cfg, n):
+        ds = pixel_dataset(n, seed=cfg.seed)
         net = Network.from_config(cfg)
         train(net, ds, ds, cfg)
         expected = reference_train(cfg, ds.images, ds.labels)

@@ -11,14 +11,23 @@ import snapshot_artifacts
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_reference_runs_cover_every_non_training_config():
+def test_reference_runs_cover_every_config():
     runs = list(snapshot_artifacts.reference_runs())
     names = [name for name, _, _ in runs]
     assert len(names) == len(set(names))
-    configs = {p.stem for p in CONFIG_DIR.glob("*.yaml")
-               if not snapshot_artifacts.config_kind(p.stem).startswith("train")}
+    configs = {p.stem for p in CONFIG_DIR.glob("*.yaml")}
     assert configs and configs <= set(names)
-    assert all(not kind.startswith("train") for _, kind, _ in runs)
+    assert {kind for _, kind, _ in runs} >= {"train", "train-sweep"}
+
+
+def test_training_runs_are_short():
+    epochs = snapshot_artifacts.TRAIN_EPOCHS
+    for _, kind, params in snapshot_artifacts.reference_runs():
+        if kind == "train":
+            assert params["epochs"] == epochs
+        elif kind == "train-sweep":
+            assert params["subsample"] == snapshot_artifacts.SWEEP_SUBSAMPLE
+            assert all(c["epochs"] == epochs for c in params["configs"])
 
 
 def test_main_writes_a_clean_manifest_per_run(tmp_path, capsys):
@@ -31,3 +40,21 @@ def test_main_writes_a_clean_manifest_per_run(tmp_path, capsys):
         assert "wall_time_s" not in manifest
         for artifact in manifest["artifacts"]:
             assert (tmp_path / name / artifact).is_file()
+    # training curves keep their errors and lose the wall-clock column
+    for curves in tmp_path.glob("*/train_epochs.csv"):
+        header, *rows = curves.read_text().splitlines()
+        assert header == "epoch,train_error,test_error"
+        assert [row.split(",")[0] for row in rows] == \
+            [str(e + 1) for e in range(snapshot_artifacts.TRAIN_EPOCHS)]
+
+
+def test_synthetic_set_is_seeded_and_loads(tmp_path):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        snapshot_artifacts.write_synthetic_mnist(tmp_path / sub)
+    a, b = (sorted(p.read_bytes() for p in (tmp_path / sub).iterdir())
+            for sub in ("a", "b"))
+    assert a == b
+    train = cli.mnist.load_mnist(tmp_path / "a", "train")
+    assert train.images.shape == (snapshot_artifacts.SYNTHETIC_SIZES["train"], 784)
+    assert set(train.labels.tolist()) == set(range(10))
