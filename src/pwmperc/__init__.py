@@ -27,6 +27,6 @@ from .signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
                       SinusoidSupply, SupplyProfile)
 from .transient import (FloatingNodeError, TraceMetrics, TransientTrace,
                         VacConfig, VacStimulus, simulate_vac, steady_state,
-                        sweep, trace_metrics)
+                        steady_states, sweep, trace_metrics)
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .analytic import WeightVector, vac_equilibrium
 from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
 from .signals import PwmSignal, SinusoidSupply
-from .transient import (VacConfig, VacStimulus, simulate_vac, steady_state,
+from .transient import (VacConfig, VacStimulus, simulate_vac, steady_states,
                         sweep)
 
 __all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
@@ -242,12 +242,15 @@ def _run_vac_table(spec: ExperimentSpec):
     vdd, freq = p["vdd"], p["frequency"]
     cfg = _vac_config(p)
 
+    ws = [WeightVector(tuple(row["weights"]), cfg.k) for row in p["rows"]]
+    solved = steady_states(cfg, [VacStimulus(tuple(row["duties"]), freq, w, vdd=vdd)
+                                 for row, w in zip(p["rows"], ws)])
     out_rows = []
-    for row in p["rows"]:
+    for row, w, metrics in zip(p["rows"], ws, solved):
         duties = row["duties"]
-        w = WeightVector(tuple(row["weights"]), cfg.k)
         v_theory = vac_equilibrium(duties, w, vdd)
-        metrics = steady_state(cfg, VacStimulus(tuple(duties), freq, w, vdd=vdd))
+        if isinstance(metrics, Exception):
+            raise metrics
         if v_theory:
             rel = abs(metrics.average_v - v_theory) / v_theory * 100.0
         else:            # 0 V in theory: an empty cell, unless sim is 0 V too

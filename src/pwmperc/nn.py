@@ -156,9 +156,10 @@ class NetworkConfig:
         if self.mode == "integer":
             if self.max_weight is None or self.max_weight < 1:
                 raise ValueError("integer mode needs max_weight >= 1")
-            if self.initial_weight is not None and self.initial_weight < 0:
-                raise ValueError("integer mode needs initial_weight >= 0, "
-                                 f"got {self.initial_weight}")
+            init = self.initial_weight
+            if init is not None and not (0 <= init <= self.max_weight and init == int(init)):
+                raise ValueError("integer mode needs a whole initial_weight in "
+                                 f"[0, max_weight={self.max_weight}], got {init}")
 
     def topology(self) -> str:
         return "/".join(str(s) for s in self.layer_sizes)

@@ -19,8 +19,7 @@ import numpy as np
 from .analytic import WeightVector, vac_equilibrium
 from .converter import ConverterModel, _like, v_to_dc
 from .signals import PwmSignal, SupplyProfile
-from .transient import (TransientTrace, VacConfig, VacStimulus, simulate_vac,
-                        steady_state)
+from .transient import TransientTrace, VacConfig, _average_v, simulate_vac
 
 __all__ = [
     "PerceptronConfig",
@@ -61,18 +60,14 @@ def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
     ``duties`` holds one entry per input, each a float or an array (one form
     for all); the result takes that form. behavioral:
     v_to_dc(vac_equilibrium(duties, w, vdd)). transient: the average capacitor
-    voltage of each point's periodic steady state replaces the analytic
-    equilibrium.
+    voltage of each point's periodic steady state, all points solved as one
+    batch, replaces the analytic equilibrium.
     """
     if cfg.path == "behavioral":
         v = vac_equilibrium(duties, w, vdd)
     else:
-        per_input = np.broadcast_arrays(*duties)
-        v = np.empty(per_input[0].shape)
-        for i in np.ndindex(v.shape):
-            stim = VacStimulus(tuple(float(d[i]) for d in per_input), cfg.frequency,
-                               w, vdd=vdd)
-            v[i] = steady_state(cfg.vac, stim).average_v
+        v = _average_v(cfg.vac, np.stack(np.broadcast_arrays(*duties), axis=-1),
+                       cfg.frequency, w, vdd)
     return _like(duties[0], v_to_dc(v, vdd, cfg.converter))
 
 

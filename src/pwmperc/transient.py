@@ -22,10 +22,12 @@ fixed point and iterates.
 
 Two entry points share the timeline and that scan:
 
-* steady_state - a constant supply and inputs of one common frequency. The
+* steady_states - a constant supply and inputs of one common frequency. The
   periodic steady state is solved exactly over one input period (the period
-  map's fixed point), with no long run and no drift check. The sweeps, the
-  vac-table and the perceptron transient path use it.
+  map's fixed point), with no long run and no drift check, for a batch of
+  stimuli at once: their periods, padded to one segment count, are the rows
+  of one scan. steady_state is a batch of one. The sweeps, the vac-table and
+  the perceptron transient path each solve one batch.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
   the trace over a given horizon, and closed-form integrals over the pieces
   of its last quarter.
@@ -60,6 +62,7 @@ __all__ = [
     "simulate_vac",
     "trace_metrics",
     "steady_state",
+    "steady_states",
     "sweep",
 ]
 
@@ -223,9 +226,10 @@ def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
 
 def _prefix(cfg: VacConfig, segments):
     """Prefix compositions (A, B, C) of the segment maps v -> max(a*v + b, c),
-    by a Hillis-Steele scan: segments 0..k take a start voltage v >= 0 to
-    max(A[k]*v + B[k], C[k]). C is None when no segment pulls below the
-    threshold.
+    by a Hillis-Steele scan along the last axis: segments 0..k of a row take a
+    start voltage v >= 0 to max(A[k]*v + B[k], C[k]). The rows, if there are
+    several, are independent timelines scanned together. C is None when no
+    segment pulls below the threshold.
 
     A segment has a = e^(-dt/tau) and b = veq*(1 - a); c is the threshold
     where veq lies below it and b elsewhere. For v >= 0 the map
@@ -246,25 +250,27 @@ def _prefix(cfg: VacConfig, segments):
         if clampable.any():
             c = np.where(clampable, v_th, b)
     shift = 1
-    while shift < len(a):
-        # element k composes with element k - shift; the right-hand sides
-        # read the old values, as numpy copies overlapping operands
+    while shift < a.shape[-1]:
+        # element k composes with element k - shift, in every row; the
+        # right-hand sides read the old values, as numpy copies overlapping
+        # operands
         if c is not None:
-            t = a[shift:] * c[:-shift]
-            t += b[shift:]
-            np.maximum(c[shift:], t, out=c[shift:])
-        b[shift:] += a[shift:] * b[:-shift]
-        a[shift:] *= a[:-shift]
+            t = a[..., shift:] * c[..., :-shift]
+            t += b[..., shift:]
+            np.maximum(c[..., shift:], t, out=c[..., shift:])
+        b[..., shift:] += a[..., shift:] * b[..., :-shift]
+        a[..., shift:] *= a[..., :-shift]
         shift *= 2
     return a, b, c
 
 
 def _boundaries(prefix, v):
-    """Voltage at every segment boundary, the start first, from the start
-    voltage v >= 0; from an array of starts, one row per start."""
+    """Voltage at every segment boundary, the start first, from start
+    voltages v >= 0: one start per row of the prefix arrays, or, for one
+    timeline, an array of starts, one row per start."""
     a, b, c = prefix
     v = np.asarray(v, dtype=np.float64)
-    ends = np.multiply.outer(v, a)
+    ends = v[..., None] * a
     ends += b
     if c is not None:
         np.maximum(ends, c, out=ends)
@@ -282,19 +288,19 @@ def _clamp(cfg: VacConfig, segments, p: np.ndarray):
     """
     t0s, t1s, veq = segments[:3]
     dt = t1s - t0s
-    clamped = np.zeros(len(dt), dtype=bool)
     v_th = cfg.compensation_threshold
     if v_th == 0.0:
-        return dt, clamped
-    clampable = np.flatnonzero(veq < v_th)
+        return dt, np.zeros(dt.shape, dtype=bool)
+    clampable = np.nonzero(veq < v_th)
     q = veq[clampable]
-    ratio = np.maximum((p[clampable] - q) / (v_th - q), 1.0)
+    ratio = np.maximum((p[..., :-1][clampable] - q) / (v_th - q), 1.0)
     t_free = cfg.tau * np.log(ratio)
     hit = t_free < dt[clampable]
-    stopped = clampable[hit]
+    stopped = tuple(index[hit] for index in clampable)
+    clamped = np.zeros(dt.shape, dtype=bool)
     clamped[stopped] = True
     dt[stopped] = t_free[hit]
-    p[stopped + 1] = v_th
+    p[..., 1:][stopped] = v_th
     return dt, clamped
 
 
@@ -417,38 +423,50 @@ def trace_metrics(trace: TransientTrace, cfg: VacConfig,
     v_int, p_int, vmin, vmax = _window_integrals(trace, cfg, w_lo, horizon)
     average_v = v_int / window
     drift = supply.max_value() * math.exp(-w_lo / cfg.tau) / max(abs(average_v), 1e-30)
-    charge_time = _first_crossing(trace.tau, trace.seg_t0, trace.seg_t1,
-                                  np.append(trace.seg_v0, trace.seg_v1[-1]),
-                                  trace.seg_veq, average_v)
+    charge_time = float(_first_crossing(
+        trace.tau, trace.seg_t0[None], trace.seg_t1[None],
+        np.append(trace.seg_v0, trace.seg_v1[-1])[None], trace.seg_veq[None],
+        np.array([average_v]))[0])
     return TraceMetrics(average_v=average_v, swing=max(vmax - vmin, 0.0),
-                        charge_time=charge_time, avg_power=p_int / window,
+                        charge_time=None if math.isnan(charge_time) else charge_time,
+                        avg_power=p_int / window,
                         drift=drift)
 
 
-def _first_crossing(tau: float, t0, t1, b, veq, level: float) -> float | None:
-    """First time the voltage reaches `level` from b[0], over segments
-    [t0[i], t1[i]) on which it goes from b[i] to b[i+1] along the
-    exponential toward veq[i], or sits on the threshold; None if it never
-    does."""
-    reached = (b <= level) if b[0] > level else (b >= level)
-    j = int(np.argmax(reached))
-    if not reached[j]:
-        return None
-    if j == 0:
-        return float(t0[0])
-    i = j - 1
-    gap = level - veq[i]
-    ratio = (b[i] - veq[i]) / gap if gap else 0.0
-    if ratio < 1.0:
-        # the level is veq itself, or past it by rounding: the exponential
-        # only gets there where its rounded end does
-        return float(t1[i])
-    return float(t0[i] + tau * math.log(ratio))
+def _first_crossing(tau: float, t0, t1, b, veq, level) -> np.ndarray:
+    """First time the voltage reaches `level` from b[:, 0], in each row of
+    segments [t0[i], t1[i]) on which it goes from b[i] to b[i+1] along the
+    exponential toward veq[i], or sits on the threshold; NaN where it never
+    does. `level` holds one level per row."""
+    lev = level[:, None]
+    reached = np.where(b[:, :1] > lev, b <= lev, b >= lev)
+    rows = np.arange(len(b))
+    j = reached.argmax(axis=1)
+    i = np.maximum(j - 1, 0)
+    veq_i = veq[rows, i]
+    gap = level - veq_i
+    ratio = (b[rows, i] - veq_i) / np.where(gap == 0.0, np.inf, gap)
+    # ratio < 1: the level is veq itself, or past it by rounding, and the
+    # exponential only gets there where its rounded end does
+    t = np.where(ratio < 1.0, t1[rows, i],
+                 t0[rows, i] + tau * np.log(np.maximum(ratio, 1.0)))
+    t = np.where(j == 0, t0[:, 0], t)
+    return np.where(reached[rows, j], t, np.nan)
 
 
-def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
-    """Exact periodic steady state of a constant supply and inputs of one
-    common frequency.
+def _check_stimulus(cfg: VacConfig, stimulus: VacStimulus) -> list[PwmSignal]:
+    """The stimulus' inputs, once it has passed the checks of a run."""
+    supply = ConstantSupply(stimulus.vdd)
+    inputs = stimulus.signals()
+    _check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
+    return inputs
+
+
+def steady_states(cfg: VacConfig,
+                  stimuli: list[VacStimulus]) -> list[TraceMetrics | Exception]:
+    """Exact periodic steady state of each stimulus (a constant supply and
+    inputs of one common frequency), solved as one batch; a stimulus that
+    fails its checks gets its error in its place and stays out of the batch.
 
     One input period is cut into the segments simulate_vac would use. On
     v >= threshold its period map is F(v) = max(A*v + B, C), the composition
@@ -456,52 +474,153 @@ def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
     v* = max(B/(1-A), C) (no C without the clamp). Average, swing and power
     are the closed-form integrals over that one period; the charge time is
     the first crossing of the average from v0. `drift` is the relative
-    fixed-point residual |F(v*) - v*| / average.
+    fixed-point residual |F(v*) - v*| / average. The batch pads each
+    stimulus' period to the longest one's segment count and runs every step
+    on (stimuli x segments) arrays: rows share no value, so a stimulus gets
+    the same result in any batch.
     """
-    supply = ConstantSupply(stimulus.vdd)
-    inputs = stimulus.signals()
-    _check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
-    period = 1.0 / stimulus.frequency
-    segments = _segments(cfg, inputs, stimulus.w, supply, period)
-    prefix = _prefix(cfg, segments)
-    v_aff, c = _period_map(cfg, prefix, period)
-    pss = _boundaries(prefix, v_aff if c is None else max(v_aff, c))
+    results: list = []
+    batch = []
+    for stimulus in stimuli:
+        try:
+            inputs = _check_stimulus(cfg, stimulus)
+        except Exception as exc:  # recorded, not fatal
+            results.append(exc)
+            continue
+        results.append(None)
+        batch.append((stimulus, inputs))
+    if not batch:
+        return results
+    columns = zip(*((stim.frequency, [sig.duty for sig in inputs],
+                     [sig.phase for sig in inputs], stim.w.weights, stim.vdd, stim.v0)
+                    for stim, inputs in batch))
+    solved = _solve(cfg, *(np.array(column, dtype=np.float64) for column in columns))
+    rows = zip(*(column.tolist() for column in solved))
+    for k, result in enumerate(results):
+        if result is None:
+            average_v, swing, charge_time, avg_power, drift = next(rows)
+            results[k] = TraceMetrics(
+                average_v=average_v, swing=swing,
+                charge_time=None if math.isnan(charge_time) else charge_time,
+                avg_power=avg_power, drift=drift)
+    return results
+
+
+def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
+    """steady_states of one stimulus; raises its error if it fails."""
+    (result,) = steady_states(cfg, [stimulus])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _average_v(cfg: VacConfig, duties, frequency: float, w: WeightVector,
+               vdd: float) -> np.ndarray:
+    """steady_state's average_v for each row of `duties` (inputs on the last
+    axis), with the frequency, weights and supply shared.
+    Raises what steady_state raises for the first row that fails."""
+    duties = np.asarray(duties, dtype=np.float64)
+    flat = duties.reshape(-1, duties.shape[-1])
+    rows = len(flat)
+    if not rows:
+        return np.empty(duties.shape[:-1])
+    # the rows differ only in their duties, so the checks of the first row
+    # with a duty out of [0, 1], or else of row 0, cover them all
+    bad = ~((flat >= 0.0) & (flat <= 1.0))
+    first = flat[int(bad.any(axis=1).argmax())]
+    _check_stimulus(cfg, VacStimulus(tuple(first.tolist()), frequency, w, vdd=vdd))
+    average_v = _solve(cfg, np.full(rows, float(frequency)), flat, np.zeros_like(flat),
+                       np.broadcast_to(np.array(w.weights), flat.shape),
+                       np.full(rows, float(vdd)))[0]
+    return average_v.reshape(duties.shape[:-1])
+
+
+def _period_segments(cfg: VacConfig, frequency, duties, phases, weights, vdd):
+    """One input period of every row, for rows of inputs with one frequency,
+    duty, phase and weight each under a constant supply: the arrays of
+    _segments with one row per stimulus (the supply's as a column), and each
+    row's segment count.
+
+    A period is cut where _segments cuts it: at 0, at the period and at every
+    input edge between them, so at most 2n + 1 segments (n + 1 with all
+    phases 0). A row with fewer ends in zero-length segments at the period.
+    """
+    ends = (1.0 / frequency)[:, None]
+    # PwmSignal.edges_in over [0, period): rises at phase + m*period, each
+    # falling duty*period later. Inside lie the rise at m = 0 and the falls
+    # at m = -1 and 0 (the fall at m = -2 lands on 0 at most)
+    t_fall = duties * ends
+    edges = np.stack((phases, (phases - ends) + t_fall, phases + t_fall), axis=-1)
+    constant = (duties == 0.0) | (duties == 1.0)
+    inside = (edges >= 0.0) & (edges < ends[..., None]) & ~constant[..., None]
+    cuts = np.concatenate((np.zeros_like(ends),
+                           np.where(inside, edges, ends[..., None]).reshape(len(ends), -1),
+                           ends), axis=1)
+    cuts.sort(axis=1)
+    repeat = cuts[:, 1:] == cuts[:, :-1]
+    n_seg = repeat.shape[1] - repeat.sum(axis=1)
+    cuts[:, 1:][repeat] = np.inf
+    cuts.sort(axis=1)
+    cuts = np.minimum(cuts[:, :n_seg.max() + 1], ends)
+    t0s, t1s = cuts[:, :-1], cuts[:, 1:]
+    # PwmSignal.high at segment midpoints: a high input pulls its cells down
+    mids = 0.5 * (t0s + t1s)
+    high = np.mod(mids[:, None, :] - phases[..., None], ends[..., None]) < t_fall[..., None]
+    high |= (duties == 1.0)[..., None]
+    up = cfg.total_units - (weights[..., None] * high).sum(axis=1)
+    vdd = vdd[:, None]
+    return (t0s, t1s, vdd * (up / cfg.total_units), vdd, up), n_seg
+
+
+def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
+    """The periodic steady state of each row, a stimulus that has passed
+    _check_stimulus given as arrays: average_v, swing, charge time (NaN for
+    none; None for all without v0), avg_power and drift, each an array over
+    the rows."""
+    segments, n_seg = _period_segments(cfg, frequency, duties, phases, weights, vdd)
+    t0s, t1s, veq, vdd_seg, up = segments
+    period = t1s[:, -1]
+    v_th = cfg.compensation_threshold
+    rows = np.arange(len(period))
+    real = np.arange(t0s.shape[1]) < n_seg[:, None]
+    # a row's padding composes its segments in another order than its last
+    # segment does: the columns after the last segment take its composition
+    prefix = tuple(None if x is None else np.where(real, x, x[rows, n_seg - 1, None])
+                   for x in _prefix(cfg, segments))
+    # the one-period map F(v) = max(A*v + B, C) as v_aff = B/(1-A) and its
+    # floor C (-inf where no segment pulls below the threshold). 1 - A is
+    # taken as -expm1(-period/tau): with A near 1 (inputs much faster than
+    # tau), 1 minus the rounded product would lose digits. math.expm1, as in
+    # the segment-by-segment solve: numpy's rounds differently in the last
+    # bit for about one argument in 20
+    one_minus_a = -np.fromiter(map(math.expm1, (-period / cfg.tau).tolist()),
+                               np.float64, len(period))
+    v_aff = prefix[1][:, -1] / one_minus_a
+    floor = None
+    if prefix[2] is not None:
+        floor = np.where((real & (veq < v_th)).any(axis=1), prefix[2][:, -1], -np.inf)
+    pss = _boundaries(prefix, v_aff if floor is None else np.maximum(v_aff, floor))
     t_free, _ = _clamp(cfg, segments, pss)
-    t0s, t1s, veq, vdd, up = segments
-    v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:-1], veq, vdd, up)
-    average_v = float(v_int.sum()) / period
-    drift = abs(float(pss[-1] - pss[0])) / max(abs(average_v), 1e-30)
-    return TraceMetrics(
-        average_v=average_v, swing=max(float(pss.max() - pss.min()), 0.0),
-        charge_time=_charge_time(cfg, segments, prefix, pss, v_aff, c, average_v,
-                                 stimulus.v0),
-        avg_power=float(p_int.sum()) / period, drift=drift)
-
-
-def _period_map(cfg: VacConfig, prefix, period: float):
-    """The one-period map F(v) = max(A*v + B, C) of a constant supply, the
-    composition of all its segments, as (B/(1-A), C); C None when no segment
-    pulls below the threshold.
-
-    1 - A is taken as -expm1(-period/tau): with A near 1 (inputs much faster
-    than tau), 1 minus the rounded product would lose digits.
-    """
-    _, b, c = prefix
-    v_aff = float(b[-1]) / -math.expm1(-period / cfg.tau)
-    return v_aff, None if c is None else float(c[-1])
+    v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up)
+    average_v = v_int.sum(axis=1) / period
+    drift = np.abs(pss[:, -1] - pss[:, 0]) / np.maximum(np.abs(average_v), 1e-30)
+    swing = np.maximum(pss.max(axis=1) - pss.min(axis=1), 0.0)
+    charge_time = None if v0 is None else _charge_times(
+        cfg, segments, prefix, pss, v_aff, floor, average_v, np.maximum(v0, v_th))
+    return average_v, swing, charge_time, p_int.sum(axis=1) / period, drift
 
 
 # periods whose crossing is tested in one array evaluation, per search round
 _CROSSING_BATCH = 64
 
 
-def _charge_time(cfg: VacConfig, segments, prefix, pss: np.ndarray,
-                 v_aff: float, c: float | None, level: float,
-                 v0: float) -> float | None:
-    """First time the voltage reaches `level` from v0 (raised to the clamp
-    threshold, as _walk does), given the boundary voltages `pss` of the
-    steady-state period and the period map F(v) = max(G(v), c),
-    G(v) = v_aff + (v - v_aff)*A.
+def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
+                  floor, level, v) -> np.ndarray:
+    """First time the voltage of each row reaches `level` from v (v0 raised
+    to the clamp threshold, as _walk does), given the boundary voltages
+    `pss` of the steady-state period and the period map F(v) = max(G(v), c),
+    G(v) = v_aff + (v - v_aff)*A, with c the row's floor; NaN where the
+    level lies out of reach.
 
     Period m >= 1 starts at F^m(v) = max(G^m(v), c, G^(m-1)(c)), as the
     iterates of c under G move monotonically toward v_aff. Every deviation
@@ -510,49 +629,83 @@ def _charge_time(cfg: VacConfig, segments, prefix, pss: np.ndarray,
     the level by more than the remaining deviation. Boundary voltages rise
     with the start voltage, and the starts move monotonically, so "period m
     reaches the level" turns true once and stays true: the first such period
-    is found among [0, m_hi] by testing batches of evenly spaced periods.
+    is found among [0, m_hi] by testing batches of evenly spaced periods,
+    every row still searching in the same round, and a row leaves once its
+    spacing is one period.
     """
-    v = max(float(v0), cfg.compensation_threshold)   # v0 >= 0
-    if v == level:
-        return 0.0
     tau = cfg.tau
     t0s, t1s, veq = segments[:3]
-    period = float(t1s[-1])
+    period = t1s[:, -1]
     falling = v > level
-    delta = v - float(pss[0])
+    delta = v - pss[:, 0]
     # how far the steady state goes past the level, on the far side from v
-    gap = float(np.max((level - pss) if falling else (pss - level)))
-    gap = max(gap, 4.0 * math.ulp(max(abs(level), abs(delta))))
-    m_hi = max(0, math.ceil(math.log(abs(delta) / gap) * tau / period)) if delta else 0
-
+    past = np.where(falling[:, None], level[:, None] - pss, pss - level[:, None])
+    gap = np.maximum(past.max(axis=1),
+                     4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
+    moved = delta != 0.0
+    m_hi = np.zeros(len(v), dtype=np.int64)
+    m_hi[moved] = np.maximum(0.0, np.ceil(
+        np.log(np.abs(delta[moved]) / gap[moved]) * tau / period[moved]))
     rate = -period / tau
 
-    def starts(ms):
-        s = v_aff + (v - v_aff) * np.exp(ms * rate)
-        if c is not None:
-            prev = v_aff + (c - v_aff) * np.exp(np.maximum(ms - 1, 0) * rate)
-            np.maximum(s, np.maximum(prev, c), out=s)
-        if ms[0] == 0:
-            s[0] = v
-        return s
+    out = np.where(v == level, 0.0, np.nan)
+    lo, hi = np.full(len(v), -1), m_hi     # period lo does not reach the level
+    found = np.zeros(len(v), dtype=bool)
+    start_v = np.empty(len(v))             # the voltage period hi starts at
+    live = np.flatnonzero(v != level)
+    batch = np.arange(_CROSSING_BATCH)
+    while live.size:
+        lo_l, hi_l = lo[live], hi[live]
+        step = -(-(hi_l - lo_l) // _CROSSING_BATCH)
+        first = hi_l - (hi_l - lo_l - 1) // step * step
+        # fewer than a batch of periods left: the last one repeats
+        ms = np.minimum(first[:, None] + batch * step[:, None], hi_l[:, None])
+        va, vl, rl = v_aff[live, None], v[live, None], rate[live, None]
+        s = va + (vl - va) * np.exp(ms * rl)
+        if floor is not None:
+            c = floor[live, None]
+            capped = np.isfinite(c)
+            prev = va + (np.where(capped, c, va) - va) * np.exp(np.maximum(ms - 1, 0) * rl)
+            s = np.where(capped, np.maximum(s, np.maximum(prev, c)), s)
+        s = np.where(ms == 0, vl, s)
+        reached = _reaches(tuple(None if x is None else x[live] for x in prefix), s,
+                           level[live], falling[live])
+        i = reached.argmax(axis=1)
+        k = np.arange(len(live))
+        hi[live] = ms[k, i]
+        lo[live] = np.where(i > 0, ms[k, np.maximum(i - 1, 0)], lo_l)
+        # not even by period m_hi: the level lies out of reach
+        done = (step == 1) & reached[:, -1]
+        found[live[done]] = True
+        start_v[live[done]] = s[k[done], i[done]]
+        live = live[~done & reached[:, -1]]
 
-    lo, hi = -1, m_hi            # period lo does not reach the level
-    while True:
-        step = -(-(hi - lo) // _CROSSING_BATCH)
-        ms = np.arange(hi - (hi - lo - 1) // step * step, hi + 1, step)
-        rows = _boundaries(prefix, starts(ms))
-        reached = (rows.min(axis=1) <= level) if falling else (rows.max(axis=1) >= level)
-        if not reached[-1]:
-            return None          # not even by period m_hi: the level lies out of reach
-        i = int(np.argmax(reached))
-        hi, row = int(ms[i]), rows[i]
-        if i:
-            lo = int(ms[i - 1])
-        if step == 1:
-            break
-    if (row[0] <= level) if falling else (row[0] >= level):
-        return hi * period       # the period starts on the level, or past it by rounding
-    return hi * period + _first_crossing(tau, t0s, t1s, row, veq, level)
+    f = np.flatnonzero(found)
+    row = _boundaries(tuple(None if x is None else x[f] for x in prefix), start_v[f])
+    start = hi[f] * period[f]
+    # the period starts on the level, or past it by rounding
+    on = np.where(falling[f], row[:, 0] <= level[f], row[:, 0] >= level[f])
+    out[f] = np.where(on, start, start + _first_crossing(
+        tau, t0s[f], t1s[f], row, veq[f], level[f]))
+    return out
+
+
+def _reaches(prefix, starts, level, falling) -> np.ndarray:
+    """Whether the period from each of a row's starts (last axis) reaches
+    the row's level at one of its boundaries: falls to it, or rises to it.
+
+    The boundaries are built segments first, so that their extremes are
+    elementwise passes over whole (rows x starts) slabs.
+    """
+    a, b, c = (None if x is None else x.T[:, :, None] for x in prefix)
+    ends = starts * a
+    ends += b
+    if c is not None:
+        np.maximum(ends, c, out=ends)
+    level = level[:, None]
+    return np.where(falling[:, None],
+                    np.minimum(ends.min(axis=0), starts) <= level,
+                    np.maximum(ends.max(axis=0), starts) >= level)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +725,10 @@ class VacStimulus:
     phases: tuple[float, ...] | None = None
 
     def signals(self) -> list[PwmSignal]:
-        phases = self.phases or (0.0,) * len(self.duties)
+        phases = (0.0,) * len(self.duties) if self.phases is None else self.phases
+        if len(phases) != len(self.duties):
+            raise ValueError(f"phases has {len(phases)} entries for "
+                             f"{len(self.duties)} duties")
         return [PwmSignal(self.frequency, d, p) for d, p in zip(self.duties, phases)]
 
 
@@ -586,22 +742,17 @@ class SweepPoint:
 
 def sweep(cfg: VacConfig, stimulus: VacStimulus, axis: str,
           grid: list[float]) -> list[SweepPoint]:
-    """One steady_state per grid point, in grid order, with ``axis`` ("vdd"
-    or "frequency") set to the point's value; failures are recorded per
-    point."""
+    """The steady state of each grid point, in grid order, with ``axis``
+    ("vdd" or "frequency") set to the point's value, solved as one batch;
+    failures are recorded per point."""
     if axis not in ("vdd", "frequency"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be ascending")
-    points = []
-    for value in map(float, grid):
-        try:
-            stim = dataclasses.replace(stimulus, **{axis: value})
-            metrics = steady_state(cfg, stim)
-            points.append(SweepPoint(value, metrics, metrics.average_v / stim.vdd))
-        except Exception as exc:  # recorded, not fatal
-            points.append(SweepPoint(value, None, None,
-                                     error=f"{type(exc).__name__}: {exc}"))
-    return points
+    values = [float(v) for v in grid]
+    stimuli = [dataclasses.replace(stimulus, **{axis: v}) for v in values]
+    return [SweepPoint(v, m, m.average_v / stim.vdd) if isinstance(m, TraceMetrics)
+            else SweepPoint(v, None, None, error=f"{type(m).__name__}: {m}")
+            for v, stim, m in zip(values, stimuli, steady_states(cfg, stimuli))]

@@ -280,6 +280,18 @@ class TestTrainKind:
         assert row["topology"] == "784/10"
         assert 0.0 <= float(row["test_error"]) <= 100.0
 
+    def test_untrained_run_evaluates_no_weight_above_the_bound(self, tmp_path,
+                                                               small_mnist):
+        # with no epoch, nothing would catch initial weights above max_weight
+        spec = make_spec("train", {"topology": "784/10", "activation": "cap_relu",
+                                   "epochs": 0, "mode": "integer", "max_weight": 7,
+                                   "initial_weight": 50}, tmp_path,
+                         data_dir=str(small_mnist))
+        manifest = run(spec)
+        assert manifest["status"] == "error"
+        assert "initial_weight" in manifest["error"]["message"]
+        assert manifest["artifacts"] == []
+
     @pytest.mark.parametrize("flag", [False, True])
     def test_zero_subsample_rejected(self, flag, tmp_path, small_mnist):
         cfg = tmp_path / "train.yaml"

@@ -117,9 +117,25 @@ class TestConfig:
             NetworkConfig(**self.BASE, mode="integer", max_weight=7,
                           initial_weight=-1)
 
+    def test_integer_initial_weight_above_max_weight_names_its_field(self):
+        with pytest.raises(ValueError, match="initial_weight"):
+            NetworkConfig(**self.BASE, mode="integer", max_weight=7,
+                          initial_weight=50)
+
+    def test_fractional_integer_initial_weight_names_its_field(self):
+        with pytest.raises(ValueError, match="initial_weight"):
+            NetworkConfig(**self.BASE, mode="integer", max_weight=7,
+                          initial_weight=2.9)
+
+    def test_fp_initial_weight_is_a_scale(self):
+        # FP mode reads initial_weight as the uniform init scale: no bound
+        net = Network.from_config(NetworkConfig(**self.BASE, initial_weight=2.9))
+        assert 1.0 < np.abs(net.layers[0].weights).max() <= 2.9
+
     def test_edge_values_accepted(self):
         NetworkConfig(**self.BASE, epochs=0, batch=1)
         NetworkConfig(**self.BASE, mode="integer", max_weight=7, initial_weight=0)
+        NetworkConfig(**self.BASE, mode="integer", max_weight=7, initial_weight=7.0)
 
 
 class TestForward:

@@ -58,3 +58,34 @@ def test_synthetic_set_is_seeded_and_loads(tmp_path):
     train = cli.mnist.load_mnist(tmp_path / "a", "train")
     assert train.images.shape == (snapshot_artifacts.SYNTHETIC_SIZES["train"], 784)
     assert set(train.labels.tolist()) == set(range(10))
+
+
+def test_compare_reports_each_differing_column(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for root in (base, head):
+        (root / "run").mkdir(parents=True)
+        (root / "same.csv").write_text("x,y\n1.0,2.0\n")
+    (base / "run" / "sweep.csv").write_text(
+        "vdd,average_v_V,error\n1.0,0.5,\n2.0,1.0000000000000002,\n3.0,1.5,\n")
+    (head / "run" / "sweep.csv").write_text(
+        "vdd,average_v_V,error\n1.0,0.5000000000000001,\n2.0,1.0,\n3.0,1.5,boom\n")
+    (base / "run" / "shape.csv").write_text("a\n1\n")
+    (head / "run" / "shape.csv").write_text("a\n1\n2\n")
+    (head / "new.csv").write_text("a\n1\n")
+    assert snapshot_artifacts.main(["--compare", str(base), str(head)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "new.csv: only in head",
+        "run/shape.csv: header or shape differs",
+        "run/sweep.csv average_v_V: 2 cells, max abs 2.22e-16, max rel 2.22e-16",
+        "run/sweep.csv error: 1 cells, not numeric",
+    ]
+
+
+def test_compare_of_equal_trees(tmp_path, capsys):
+    for root in ("base", "head"):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "a.csv").write_text("x\n-0.0\n")
+    assert snapshot_artifacts.main(["--compare", str(tmp_path / "base"),
+                                    str(tmp_path / "head")]) == 0
+    assert capsys.readouterr().out == "No CSV differs.\n"

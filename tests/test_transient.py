@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from pwmperc.analytic import WeightVector, vac_equilibrium
 from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
                              SinusoidSupply)
 from pwmperc.transient import (FloatingNodeError, VacConfig, VacStimulus,
-                               simulate_vac, steady_state, sweep,
+                               simulate_vac, steady_state, steady_states, sweep,
                                trace_metrics)
 
 W777 = WeightVector((7, 7, 7), 3)
@@ -265,6 +267,30 @@ class TestDynamicSupply:
         np.testing.assert_allclose(trace.sample(ts), dense.sample(ts), rtol=0, atol=1e-12)
 
 
+class TestStimulus:
+    @pytest.mark.parametrize("phases", [(0.0,) * 4, (0.0,) * 2, ()])
+    def test_phases_must_match_duties(self, phases):
+        stim = VacStimulus((0.5,) * 3, 1e8, W777, phases=phases)
+        with pytest.raises(ValueError, match=f"phases has {len(phases)} entries for 3"):
+            stim.signals()
+        (result,) = steady_states(VacConfig.small(), [stim])
+        assert isinstance(result, ValueError) and "phases" in str(result)
+
+    def test_failed_stimulus_keeps_its_error_and_leaves_the_batch(self):
+        cfg = VacConfig.small()
+        good = VacStimulus((0.5,) * 3, 1e8, W777)
+        bad = [dataclasses.replace(good, vdd=0.0),
+               dataclasses.replace(good, duties=(0.5, 1.5, 0.5)),
+               dataclasses.replace(good, w=WeightVector((0, 0, 0), 3))]
+        results = steady_states(cfg, [good, *bad, good])
+        assert results[0] == results[-1] == steady_state(cfg, good)
+        for stim, result in zip(bad, results[1:-1]):
+            with pytest.raises(type(result), match=re.escape(str(result))):
+                steady_state(cfg, stim)
+        assert isinstance(results[3], FloatingNodeError)
+        assert steady_states(cfg, []) == []
+
+
 class TestSweep:
     def test_vdd_ratio_constant(self):
         cfg = VacConfig.small()
@@ -366,7 +392,7 @@ class TestPeriodicSteadyState:
         period = 1.0 / stim.frequency
         supply = ConstantSupply(stim.vdd)
         segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
-        v_aff, c = transient._period_map(cfg, transient._prefix(cfg, segments), period)
+        v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period)
         v_star = max(v_aff, c)
         # F(v*), one period from v*, by the transient solver
         one = simulate_vac(cfg, stim.signals(), stim.w, supply, period, v0=v_star)
@@ -384,15 +410,60 @@ class TestPeriodicSteadyState:
     def test_clamped_charge_time_skips_affine_periods(self, monkeypatch):
         # about 14,000 periods from v0 to the crossing: the period index is
         # searched in batches, not walked period by period (which gives
-        # 1.4354688127e-5 s)
-        boundaries = transient._boundaries
-        calls = []
-        monkeypatch.setattr(transient, "_boundaries",
-                            lambda *args: calls.append(1) or boundaries(*args))
+        # 1.4354688127e-5 s); one _reaches call is one search round, for
+        # every stimulus of the batch at once
+        reaches = transient._reaches
+        rounds = []
+        monkeypatch.setattr(transient, "_reaches",
+                            lambda *args: rounds.append(len(args[1])) or reaches(*args))
         cfg = VacConfig.large(compensation_threshold=0.4)
-        m = steady_state(cfg, VacStimulus((0.9, 0.8, 0.95), 1e9, W777, v0=2.5))
-        assert len(calls) <= 8
+        stim = VacStimulus((0.9, 0.8, 0.95), 1e9, W777, v0=2.5)
+        m = steady_state(cfg, stim)
+        assert len(rounds) <= 8
         assert m.charge_time == pytest.approx(1.4354688127e-5, rel=1e-10)
+        rounds.clear()
+        batch = steady_states(cfg, [stim, dataclasses.replace(stim, v0=2.0), stim])
+        assert len(rounds) <= 8 and rounds[0] == 3
+        assert batch[0] == batch[2] == m
+
+
+class TestEnergyBalance:
+    @PRESETS
+    @pytest.mark.parametrize("v_th", [0.0, 0.4])
+    def test_supply_power_equals_dissipation(self, cfg, v_th):
+        # over one period from v*, the capacitor ends where it started, so the
+        # supply delivers exactly what the resistors and the clamp dissipate:
+        # g*[up*(vdd - v)^2 + (N - up)*v^2], plus I_clamp*(vdd - v_th) on
+        # clamped pieces. Dense quadrature of simulate_vac's samples against
+        # the batch's closed-form power
+        cfg = dataclasses.replace(cfg, compensation_threshold=v_th)
+        freq = 0.2 / cfg.tau                     # a period of 5 tau
+        stims = [VacStimulus((0.9, 0.8, 0.95), freq, W777,
+                             phases=(0.0, 0.3 / freq, 0.7 / freq)),
+                 VacStimulus((0.5,) * 3, freq, W777, vdd=1.8, v0=1.0),
+                 VacStimulus((0.2, 0.6, 0.8), freq, W567, vdd=3.3)]
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        g, n_units = 1.0 / cfg.r_unit, cfg.total_units
+        clamped = []
+        for stim, m in zip(stims, steady_states(cfg, stims)):
+            period = 1.0 / stim.frequency
+            supply = ConstantSupply(stim.vdd)
+            segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
+            v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period)
+            trace = simulate_vac(cfg, stim.signals(), stim.w, supply, period,
+                                 v0=v_aff if c is None else max(v_aff, c))
+            t0, t1 = trace.seg_t0[:, None], trace.seg_t1[:, None]
+            ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes
+            v = trace.sample(ts.ravel()).reshape(ts.shape)
+            up, vdd = trace.seg_up[:, None], stim.vdd
+            i_clamp = np.where(trace.seg_clamped[:, None],
+                               g * ((n_units - up) * v - up * (vdd - v)), 0.0)
+            power = g * (up * (vdd - v) ** 2 + (n_units - up) * v ** 2) + i_clamp * (vdd - v)
+            energy = float(np.sum(0.5 * (t1 - t0)[:, 0] * (power @ weights)))
+            assert m.avg_power == pytest.approx(energy / period, rel=1e-12)
+            clamped.append(bool(trace.seg_clamped.any()))
+        # the first stimulus pulls every input low at once: the clamp engages
+        assert clamped[0] == (v_th > 0.0)
 
 
 def test_large_preset_vac_table_is_exact(tmp_path):
@@ -542,3 +613,100 @@ def test_charge_time_when_the_average_is_an_equilibrium():
         m = trace_metrics(trace, cfg, SUP25)
         assert m.average_v == 2.5
         assert m.charge_time == pytest.approx(20e-6, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The batched steady state against the one-stimulus solve it replaced
+# ---------------------------------------------------------------------------
+
+def reference_steady_state(cfg, stimulus):
+    """Reference: the periodic steady state of one stimulus, on the 1-D
+    timeline of _segments, with the scalar period map and charge-time
+    search."""
+    supply = ConstantSupply(stimulus.vdd)
+    inputs = stimulus.signals()
+    transient._check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
+    period = 1.0 / stimulus.frequency
+    segments = transient._segments(cfg, inputs, stimulus.w, supply, period)
+    prefix = transient._prefix(cfg, segments)
+    v_aff, c = period_map(cfg, prefix, period)
+    pss = transient._boundaries(prefix, v_aff if c is None else max(v_aff, c))
+    t_free, _ = transient._clamp(cfg, segments, pss)
+    t0s, t1s, veq, vdd, up = segments
+    v_int, p_int = transient._integrals(cfg, t_free, t1s - t0s, pss[:-1], veq, vdd, up)
+    average_v = float(v_int.sum()) / period
+    drift = abs(float(pss[-1] - pss[0])) / max(abs(average_v), 1e-30)
+    return transient.TraceMetrics(
+        average_v=average_v, swing=max(float(pss.max() - pss.min()), 0.0),
+        charge_time=reference_charge_time(cfg, segments, prefix, pss, v_aff, c,
+                                          average_v, stimulus.v0),
+        avg_power=float(p_int.sum()) / period, drift=drift)
+
+
+def period_map(cfg, prefix, period):
+    """The one-period map F(v) = max(A*v + B, C) of a constant supply, as
+    (B/(1-A), C); C None when no segment pulls below the threshold."""
+    _, b, c = prefix
+    v_aff = float(b[-1]) / -math.expm1(-period / cfg.tau)
+    return v_aff, None if c is None else float(c[-1])
+
+
+def reference_first_crossing(tau, t0, t1, b, veq, level):
+    """First time the voltage reaches `level` from b[0] over one timeline;
+    None if it never does."""
+    reached = (b <= level) if b[0] > level else (b >= level)
+    j = int(np.argmax(reached))
+    if not reached[j]:
+        return None
+    if j == 0:
+        return float(t0[0])
+    i = j - 1
+    gap = level - veq[i]
+    ratio = (b[i] - veq[i]) / gap if gap else 0.0
+    if ratio < 1.0:
+        return float(t1[i])
+    return float(t0[i] + tau * math.log(ratio))
+
+
+def reference_charge_time(cfg, segments, prefix, pss, v_aff, c, level, v0):
+    """First crossing of `level` from v0, the first period that reaches it
+    searched in batches of 64 evenly spaced periods."""
+    v = max(float(v0), cfg.compensation_threshold)
+    if v == level:
+        return 0.0
+    tau = cfg.tau
+    t0s, t1s, veq = segments[:3]
+    period = float(t1s[-1])
+    falling = v > level
+    delta = v - float(pss[0])
+    gap = float(np.max((level - pss) if falling else (pss - level)))
+    gap = max(gap, 4.0 * math.ulp(max(abs(level), abs(delta))))
+    m_hi = max(0, math.ceil(math.log(abs(delta) / gap) * tau / period)) if delta else 0
+    rate = -period / tau
+
+    def starts(ms):
+        s = v_aff + (v - v_aff) * np.exp(ms * rate)
+        if c is not None:
+            prev = v_aff + (c - v_aff) * np.exp(np.maximum(ms - 1, 0) * rate)
+            np.maximum(s, np.maximum(prev, c), out=s)
+        if ms[0] == 0:
+            s[0] = v
+        return s
+
+    lo, hi = -1, m_hi
+    while True:
+        step = -(-(hi - lo) // 64)
+        ms = np.arange(hi - (hi - lo - 1) // step * step, hi + 1, step)
+        rows = transient._boundaries(prefix, starts(ms))
+        reached = (rows.min(axis=1) <= level) if falling else (rows.max(axis=1) >= level)
+        if not reached[-1]:
+            return None
+        i = int(np.argmax(reached))
+        hi, row = int(ms[i]), rows[i]
+        if i:
+            lo = int(ms[i - 1])
+        if step == 1:
+            break
+    if (row[0] <= level) if falling else (row[0] >= level):
+        return hi * period
+    return hi * period + reference_first_crossing(tau, t0s, t1s, row, veq, level)

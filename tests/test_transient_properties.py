@@ -1,6 +1,10 @@
 """Property tests of the transient prefix scan against the sequential walk
-and window loop it replaced (references in test_transient.py), and of
+and window loop it replaced, of the batched steady state against the
+one-stimulus solve it replaced (references in test_transient.py), and of
 trace_metrics' settle bound against runs from both ends of the start range."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +16,11 @@ from hypothesis import strategies as st  # noqa: E402
 from pwmperc import transient  # noqa: E402
 from pwmperc.analytic import WeightVector  # noqa: E402
 from pwmperc.signals import PwmSignal  # noqa: E402
-from pwmperc.transient import VacConfig, simulate_vac  # noqa: E402
+from pwmperc.transient import (VacConfig, VacStimulus, simulate_vac,  # noqa: E402
+                               steady_states)
 from test_transient import (SCAN_SUPPLIES, W777,  # noqa: E402
-                            assert_matches_sequential, loop_window_integrals)
+                            assert_matches_sequential, loop_window_integrals,
+                            reference_steady_state)
 
 
 @st.composite
@@ -113,3 +119,51 @@ def test_settle_bound_covers_the_start_voltage(case):
     assert abs(m_top.average_v - m.average_v) <= bound
     assert abs(lo_top - lo) <= bound
     assert abs(hi_top - hi) <= bound
+
+
+@st.composite
+def stimulus_batches(draw):
+    """A VAC (preset, clamp off or at 0.4 V) and a batch of stimuli for it:
+    random frequencies and phases, duties of 0 and 1 among them, zero
+    weights, and one stimulus that fails its checks at a drawn place."""
+    base = draw(st.sampled_from([VacConfig.small(), VacConfig.large()]))
+    v_th = draw(st.sampled_from([0.0, 0.4]))
+    cfg = VacConfig(3, 3, base.r_unit, base.c_out, compensation_threshold=v_th)
+
+    def stimulus():
+        freq = draw(st.sampled_from([1e3, 1e6, 1e8, 1e9]) | st.floats(1e3, 1e9))
+        duties = tuple(draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+                       for _ in range(3))
+        phases = draw(st.none() | st.tuples(*[st.floats(0.0, 0.999)] * 3))
+        w = WeightVector(tuple(draw(st.integers(0, 7)) for _ in range(3)), 3)
+        vdd = draw(st.floats(0.5, 3.5))
+        return VacStimulus(duties, freq, w, vdd=vdd, v0=draw(st.floats(0.0, 1.0)) * vdd,
+                           phases=phases and tuple(p / freq for p in phases))
+
+    stimuli = [stimulus() for _ in range(draw(st.integers(1, 6)))]
+    bad = draw(st.sampled_from([
+        dict(vdd=0.0), dict(duties=(0.5, 1.5, 0.5)), dict(phases=(0.0,) * 4),
+        dict(v0=9.0), dict(vdd=0.3), dict(w=WeightVector((0, 0, 0), 3))]))
+    stimuli.insert(draw(st.integers(0, len(stimuli))),
+                   dataclasses.replace(stimuli[0], **bad))
+    return cfg, stimuli
+
+
+def within_ulps(a, b, n=4):
+    if a is None or b is None:
+        return a is b
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stimulus_batches())
+def test_batch_matches_the_one_stimulus_solve(case):
+    cfg, stimuli = case
+    for stim, got in zip(stimuli, steady_states(cfg, stimuli)):
+        try:
+            want = reference_steady_state(cfg, stim)
+        except Exception as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        for field in ("average_v", "swing", "charge_time", "avg_power", "drift"):
+            assert within_ulps(getattr(got, field), getattr(want, field)), field

@@ -1,6 +1,7 @@
 """Snapshot the artifacts of every reference run into one tree.
 
     PYTHONPATH=src python tools/snapshot_artifacts.py OUT
+    PYTHONPATH=src python tools/snapshot_artifacts.py --compare BASE HEAD
 
 Runs, through ``cli.run`` with seed 0, every config in the ``configs/``
 directory of the checkout that holds the imported package, the vac-table at
@@ -12,10 +13,18 @@ from every manifest and the ``seconds`` column from ``train_epochs.csv``, so
 two snapshots of code that behaves alike are byte-identical trees
 (``diff -rq``). A failed run is snapshotted too: its manifest holds the
 error. To snapshot another checkout, put its ``src`` on PYTHONPATH instead.
+
+``--compare BASE HEAD`` reads two snapshot trees and prints, for each CSV
+that differs, one line per column with differing cells: their count and,
+where every differing cell holds a number in both trees, the largest
+absolute and relative difference; a column whose differing cells are not
+all numbers reads "not numeric". CSVs found in one tree only, or of
+different shapes, are listed as such. It exits 0 either way: it reports.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 import sys
@@ -84,8 +93,60 @@ def drop_column(path: Path, column: str) -> None:
     path.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def column_diffs(base: list[list[str]], head: list[list[str]]):
+    """(column, differing cells, max absolute and max relative difference)
+    of each column with differing cells, between two CSVs of one shape; the
+    differences are None where a differing cell is not a number in both."""
+    out = []
+    for j, name in enumerate(head[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(base[1:], head[1:]) if a[j] != b[j]]
+        if not pairs:
+            continue
+        nums = [(_number(a), _number(b)) for a, b in pairs]
+        if any(a is None or b is None for a, b in nums):
+            out.append((name, len(pairs), None, None))
+            continue
+        # 0.0 against -0.0 differs by 0
+        gaps = [(abs(a - b), abs(a - b) / (max(abs(a), abs(b)) or 1.0)) for a, b in nums]
+        out.append((name, len(pairs), max(g for g, _ in gaps), max(r for _, r in gaps)))
+    return out
+
+
+def compare(base: Path, head: Path) -> list[str]:
+    """The report lines of --compare."""
+    lines = []
+    names = sorted({p.relative_to(root) for root in (base, head)
+                    for p in root.rglob("*.csv")})
+    for name in names:
+        a, b = base / name, head / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}: only in {'head' if b.is_file() else 'base'}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+        if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[0] != rows_b[0]:
+            lines.append(f"{name}: header or shape differs")
+            continue
+        for column, cells, gap, rel in column_diffs(rows_a, rows_b):
+            detail = ("not numeric" if gap is None
+                      else f"max abs {gap:.3g}, max rel {rel:.3g}")
+            lines.append(f"{name} {column}: {cells} cells, {detail}")
+    return lines or ["No CSV differs."]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        print("\n".join(compare(Path(args[1]), Path(args[2]))))
+        return 0
     if len(args) != 1:
         print(__doc__, file=sys.stderr)
         return 2
