@@ -67,11 +67,17 @@ def weighted_dc_sum(duties, w: WeightVector):
     """
     if len(duties) != w.n:
         raise ValueError(f"{len(duties)} duties vs {w.n} weights")
-    acc = 0
-    for i, (d, wi) in enumerate(zip(duties, w.weights)):
+    for i, d in enumerate(duties):
         _check_duty(d, i)
-        acc += d * wi
-    return acc / w.total_units
+    return _weighted_sum((d * wi for d, wi in zip(duties, w.weights)), w.total_units)
+
+
+def _weighted_sum(terms, total_units: int):
+    """weighted_dc_sum's arithmetic, unchecked: terms added in order from 0."""
+    acc = 0
+    for t in terms:
+        acc += t
+    return acc / total_units
 
 
 def vac_equilibrium(duties, w: WeightVector, vdd: float):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import converter as conv
 from . import mnist, nn
@@ -37,7 +36,7 @@ from .analytic import WeightVector, vac_equilibrium
 from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
 from .signals import PwmSignal, SinusoidSupply
-from .transient import (VacConfig, VacStimulus, simulate_vac, steady_states,
+from .transient import (VacConfig, VacStimulus, _check_stimuli, _solve, simulate_vac,
                         sweep)
 
 __all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
@@ -243,22 +242,25 @@ def _run_vac_table(spec: ExperimentSpec):
     cfg = _vac_config(p)
 
     ws = [WeightVector(tuple(row["weights"]), cfg.k) for row in p["rows"]]
-    solved = steady_states(cfg, [VacStimulus(tuple(row["duties"]), freq, w, vdd=vdd)
-                                 for row, w in zip(p["rows"], ws)])
+    errors, columns = _check_stimuli(cfg, [VacStimulus(tuple(row["duties"]), freq, w, vdd=vdd)
+                                           for row, w in zip(p["rows"], ws)])
+    # average_v alone: _solve without v0 skips the charge-time search
+    v_sims = iter(_solve(cfg, *columns[:-1])[0].tolist() if columns else [])
     out_rows = []
-    for row, w, metrics in zip(p["rows"], ws, solved):
+    for row, w, error in zip(p["rows"], ws, errors):
         duties = row["duties"]
         v_theory = vac_equilibrium(duties, w, vdd)
-        if isinstance(metrics, Exception):
-            raise metrics
+        if error is not None:
+            raise error
+        v_sim = next(v_sims)
         if v_theory:
-            rel = abs(metrics.average_v - v_theory) / v_theory * 100.0
+            rel = abs(v_sim - v_theory) / v_theory * 100.0
         else:            # 0 V in theory: an empty cell, unless sim is 0 V too
-            rel = None if metrics.average_v else 0.0
+            rel = None if v_sim else 0.0
         flat = []
         for d, wi in zip(duties, w.weights):
             flat.extend([d, wi])
-        out_rows.append(flat + [v_theory, metrics.average_v, rel])
+        out_rows.append(flat + [v_theory, v_sim, rel])
 
     header = []
     for i in range(1, cfg.n + 1):
@@ -340,8 +342,8 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,
                    ["time_s", "duty_out", "v_over_vdd"],
-                   [[t, ("" if np.isnan(d) else d), r]
-                    for t, d, r in zip(ts, out, ratio)])
+                   [[t, ("" if math.isnan(d) else d), r]
+                    for t, d, r in zip(ts.tolist(), out.tolist(), ratio.tolist())])
         yield name
 
 
@@ -571,6 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import yaml  # main alone reads YAML, so importing cli does not load it
     args = _build_parser().parse_args(argv)
     params = None
     if args.config is not None:

@@ -61,15 +61,15 @@ class ConverterModel:
 
     mode: str = "compensated"                       # "raw" | "compensated"
     coefficients: tuple[float, float, float, float] = DEFAULT_COEFFS  # percent
-    output_cap: float = DEFAULT_OUTPUT_CAP          # percent
+    output_cap: float = DEFAULT_OUTPUT_CAP          # percent, in [0, 100]
 
     def __post_init__(self):
         if self.mode not in ("raw", "compensated"):
             raise ValueError(f"unknown converter mode {self.mode!r}")
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError(f"coefficients must be finite, got {self.coefficients}")
-        if not math.isfinite(self.output_cap):
-            raise ValueError(f"output_cap must be finite, got {self.output_cap}")
+        if not 0.0 <= self.output_cap <= 100.0:     # NaN fails too
+            raise ValueError(f"output_cap must be in [0, 100], got {self.output_cap}")
 
     @classmethod
     def compensated(cls) -> "ConverterModel":
@@ -171,8 +171,14 @@ def v_to_dc(v, vdd, model: ConverterModel):
     """
     if np.any(vdd <= 0):
         raise ValueError(f"vdd must be > 0, got {vdd}")
+    return _like(v, _v_to_dc(v, vdd, model))
+
+
+def _v_to_dc(v, vdd, model: ConverterModel):
+    """v_to_dc without its vdd check, as an array (0-d for a scalar v)."""
     if model.mode == "compensated":
-        return _like(v, stage_map(np.clip(1.0 - v / vdd, 0.0, 1.0), model))
+        x = _floats(np.clip(1.0 - v / vdd, 0.0, 1.0))
+        return _cap_percent(model.cubic_percent(x), model)  # stage_map, unchecked
     lo, hi = LINEAR_REGION
     frac = v / vdd
     stalled = (frac < lo - 1e-12) | (frac > hi + 1e-12)
@@ -181,8 +187,7 @@ def v_to_dc(v, vdd, model: ConverterModel):
     # two-segment monotone map hitting the midpoint calibration exactly
     duty = np.where(frac <= 0.5, d_lo + (0.5 - d_lo) * (frac - lo) / (0.5 - lo),
                     0.5 + (d_hi - 0.5) * (frac - 0.5) / (hi - 0.5))
-    duty = np.where(stalled, np.nan, duty)
-    return _like(v, duty)
+    return np.where(stalled, np.nan, duty)
 
 
 @dataclass(frozen=True)
@@ -238,11 +243,11 @@ def find_fixed_points(model: ConverterModel | None = None) -> FixedPointScan:
     * floor: x = 0, when cubic(0) <= 0;
     * interior: the real roots of cubic(x) - 100 x in [0, 1] (eigenvalues of
       its companion matrix, np.roots) where 0 < cubic < cap;
-    * cap: x = cap/100, when cap/100 <= 1 and cubic(cap/100) >= cap.
+    * cap: x = cap/100, when cubic(cap/100) >= cap.
 
     Stability from |stage_map'| at the point (< 1 means iterates converge
     locally). When cubic(x) - 100 x vanishes identically (the identity model)
-    no point is isolated; the interval (0, min(1, cap/100)) is reported as
+    no point is isolated; the interval (0, cap/100) is reported as
     degenerate instead.
     """
     model = model or ConverterModel.compensated()
@@ -251,7 +256,7 @@ def find_fixed_points(model: ConverterModel | None = None) -> FixedPointScan:
     resid = np.subtract(model.coefficients, (0.0, 0.0, 100.0, 0.0))
     cap = model.output_cap / 100.0
     if not resid.any():
-        return FixedPointScan(points=(), degenerate_interval=(0.0, min(1.0, cap)))
+        return FixedPointScan(points=(), degenerate_interval=(0.0, cap))
     # a set: np.roots returns a tangent (double) root twice
     xs = {0.0} if model.cubic_percent(0.0) <= 0.0 else set()
     for root in np.roots(resid):
@@ -259,7 +264,7 @@ def find_fixed_points(model: ConverterModel | None = None) -> FixedPointScan:
         if root.imag == 0.0 and 0.0 <= x <= 1.0 \
                 and 0.0 < model.cubic_percent(x) < model.output_cap:
             xs.add(x)
-    if cap <= 1.0 and model.cubic_percent(cap) >= model.output_cap:
+    if model.cubic_percent(cap) >= model.output_cap:
         xs.add(cap)
     return FixedPointScan(points=tuple(
         FixedPoint(x, "stable" if abs(stage_map_deriv(x, model)) < 1.0 else "unstable")

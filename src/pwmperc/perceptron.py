@@ -7,7 +7,9 @@ reproduce the series-connected depth experiments (one output feeding all
 inputs of the next stage at maximum weights).
 
 The stage functions take floats or arrays of duties and evaluate a whole grid
-in one call; a stalled raw oscillator reads NaN at its point.
+in one call; a stalled raw oscillator reads NaN at its point. A chain checks
+its inputs once, where it is entered: a stage's output is a duty (a cap is a
+percent in [0, 100]) or NaN, so each behavioral stage is one unchecked pass.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import WeightVector, vac_equilibrium
-from .converter import ConverterModel, _like, v_to_dc
+from .analytic import WeightVector, _check_duty, _weighted_sum, vac_equilibrium
+from .converter import ConverterModel, _like, _v_to_dc, v_to_dc
 from .signals import PwmSignal, SupplyProfile
 from .transient import TransientTrace, VacConfig, _average_v, simulate_vac
 
@@ -83,11 +85,21 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
     w = cfg.max_weights()
     dc = np.array(dc_in, dtype=np.float64)
     flat = dc.reshape(-1)
-    live = np.arange(flat.size)
+    if cfg.path == "behavioral":
+        if vdd <= 0:
+            raise ValueError(f"vdd must be > 0, got {vdd}")
+        _check_duty(flat, 0)
+    live = slice(None)          # every point, until one stalls
     for _ in range(depth):
-        out = perceptron_eval(cfg, [flat[live]] * cfg.vac.n, w, vdd)
+        if cfg.path == "behavioral":
+            # perceptron_eval's arithmetic, less its checks, on n equal inputs
+            s = _weighted_sum([flat[live] * w.max_weight] * w.n, w.total_units)
+            out = _v_to_dc(vdd * (1.0 - s), vdd, cfg.converter)
+        else:
+            out = perceptron_eval(cfg, [flat[live]] * w.n, w, vdd)
         flat[live] = out
-        live = live[~np.isnan(out)]
+        if np.isnan(out).any():
+            live = np.arange(flat.size)[live][~np.isnan(out)]
     return _like(dc_in, dc)
 
 

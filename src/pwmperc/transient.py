@@ -479,23 +479,10 @@ def steady_states(cfg: VacConfig,
     on (stimuli x segments) arrays: rows share no value, so a stimulus gets
     the same result in any batch.
     """
-    results: list = []
-    batch = []
-    for stimulus in stimuli:
-        try:
-            inputs = _check_stimulus(cfg, stimulus)
-        except Exception as exc:  # recorded, not fatal
-            results.append(exc)
-            continue
-        results.append(None)
-        batch.append((stimulus, inputs))
-    if not batch:
+    results, columns = _check_stimuli(cfg, stimuli)
+    if not columns:
         return results
-    columns = zip(*((stim.frequency, [sig.duty for sig in inputs],
-                     [sig.phase for sig in inputs], stim.w.weights, stim.vdd, stim.v0)
-                    for stim, inputs in batch))
-    solved = _solve(cfg, *(np.array(column, dtype=np.float64) for column in columns))
-    rows = zip(*(column.tolist() for column in solved))
+    rows = zip(*(column.tolist() for column in _solve(cfg, *columns)))
     for k, result in enumerate(results):
         if result is None:
             average_v, swing, charge_time, avg_power, drift = next(rows)
@@ -504,6 +491,22 @@ def steady_states(cfg: VacConfig,
                 charge_time=None if math.isnan(charge_time) else charge_time,
                 avg_power=avg_power, drift=drift)
     return results
+
+
+def _check_stimuli(cfg: VacConfig, stimuli: list[VacStimulus]):
+    """Each stimulus' error (None if it passes its checks), and _solve's
+    columns, v0 last, over the stimuli that pass (no column if none does)."""
+    results, batch = [], []
+    for stimulus in stimuli:
+        try:
+            batch.append((stimulus, _check_stimulus(cfg, stimulus)))
+            results.append(None)
+        except Exception as exc:  # recorded, not fatal
+            results.append(exc)
+    columns = zip(*((stim.frequency, [sig.duty for sig in inputs],
+                     [sig.phase for sig in inputs], stim.w.weights, stim.vdd, stim.v0)
+                    for stim, inputs in batch))
+    return results, [np.array(column, dtype=np.float64) for column in columns]
 
 
 def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:

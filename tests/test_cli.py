@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +78,30 @@ class TestVacTable:
         assert run(spec)["status"] == "ok"
         _, (row,) = read_rows(spec.output_dir / "vac_table.csv")
         assert row[-3:] == want
+
+    def test_rows_skip_the_charge_time_search(self, tmp_path, monkeypatch):
+        # the table writes average_v alone, so no row needs a charge time
+        def no_search(*args, **kwargs):
+            raise AssertionError("charge-time search run")
+        monkeypatch.setattr(transient, "_charge_times", no_search)
+        assert run(make_spec("vac-table", {}, tmp_path))["status"] == "ok"
+
+    @pytest.mark.parametrize("bad, error", [
+        # row 1 floats (all weights 0, clamp off); row 2's duty is out of range
+        ([[0.5, 0.5, 0.5], [0, 0, 0]], ("FloatingNodeError", "the capacitor node floats")),
+        # the other way round: row 1's duty fails vac_equilibrium's check
+        ([[0.5, 1.5, 0.5], [7, 7, 7]], ("ValueError",
+                                        "duty of input 1 must be in [0, 1], got 1.5")),
+    ], ids=["floating-row-first", "bad-duty-row-first"])
+    def test_first_failing_row_raises_its_own_error(self, tmp_path, bad, error):
+        rows = [{"duties": [0.2, 0.6, 0.8], "weights": [5, 6, 7]},
+                {"duties": bad[0], "weights": bad[1]},
+                {"duties": [0.5, 0.5, -0.5], "weights": [1, 2, 4]},
+                {"duties": [0.5, 0.5, 0.5], "weights": [0, 0, 0]}]
+        manifest = run(make_spec("vac-table", {"rows": rows}, tmp_path))
+        assert manifest["status"] == "error"
+        assert manifest["error"]["class"] == error[0]
+        assert error[1] in manifest["error"]["message"]
 
     def test_unknown_key_rejected(self, tmp_path):
         spec = make_spec("vac-table", {"bogus": 1}, tmp_path)
@@ -352,6 +379,13 @@ class TestTrainKind:
 
 
 class TestMainEntry:
+    def test_importing_cli_loads_no_yaml(self):
+        # only main reads YAML, so an import of the module does without it
+        code = "import sys, pwmperc.cli; sys.exit('yaml' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+
     def test_main_ok_and_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "fp.yaml"
         cfg.write_text("converter: compensated\n")

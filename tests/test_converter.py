@@ -70,6 +70,19 @@ def test_model_rejects_non_finite(field, kwargs):
         ConverterModel(**kwargs)
 
 
+@pytest.mark.parametrize("cap", [100.5, -1.0, 120.0])
+def test_model_rejects_a_cap_outside_the_percent_range(cap):
+    # a cap above 100 % would let a stage put out a duty above 1
+    with pytest.raises(ValueError, match="output_cap"):
+        ConverterModel(output_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [0.0, 100.0])
+def test_model_takes_the_ends_of_the_percent_range(cap):
+    ys = stage_map(np.linspace(0.0, 1.0, 101), ConverterModel(output_cap=cap))
+    assert ys.min() >= 0.0 and ys.max() == cap / 100.0
+
+
 class TestVToDc:
     def test_compensated_recovers_dc_sum(self):
         assert v_to_dc(1.25, 2.5, MODEL) == pytest.approx(STAGE_AT_HALF, abs=1e-12)
