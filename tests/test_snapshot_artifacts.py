@@ -1,10 +1,12 @@
 """tools/snapshot_artifacts.py: the reference runs it covers and the tree it
 writes."""
 
+import csv
 import json
 from pathlib import Path
 
 from pwmperc import cli
+from pwmperc.analytic import WeightVector, vac_equilibrium
 
 import snapshot_artifacts
 
@@ -46,6 +48,39 @@ def test_main_writes_a_clean_manifest_per_run(tmp_path, capsys):
         assert header == "epoch,train_error,test_error"
         assert [row.split(",")[0] for row in rows] == \
             [str(e + 1) for e in range(snapshot_artifacts.TRAIN_EPOCHS)]
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_clamped_runs_engage_the_clamp(tmp_path):
+    # no config sets compensation_threshold: these two runs are what puts
+    # the clamp paths of the trace and of the batch into the snapshot
+    runs = {name: (kind, params) for name, kind, params
+            in snapshot_artifacts.reference_runs()}
+    v_th = snapshot_artifacts.CLAMP_V
+    outputs = {}
+    for name in ("dynamic_vdd_clamped", "sweep_vdd_clamped"):
+        kind, params = runs[name]
+        assert params["compensation_threshold"] == v_th
+        spec = cli.ExperimentSpec(kind=kind, parameters=params,
+                                  output_dir=tmp_path / name, seed=0)
+        assert cli.run(spec)["status"] == "ok"
+        outputs[name] = spec.parameters
+    # the trace sits on the threshold for a share of its samples, and never
+    # below it
+    v = [float(r["v_cap_V"]) for r in read_rows(
+        tmp_path / "dynamic_vdd_clamped" / "dynamic_trace_region_a.csv")]
+    assert min(v) == v_th and sum(x == v_th for x in v) > len(v) // 10
+    # the clamp lifts a steady-state average that would lie below it
+    params = outputs["sweep_vdd_clamped"]
+    w = WeightVector(tuple(params["weights"]), 3)
+    lifted = [row for row in read_rows(tmp_path / "sweep_vdd_clamped" / "sweep_vdd.csv")
+              if vac_equilibrium(params["duties"], w, float(row["vdd"])) < v_th
+              <= float(row["average_v_V"])]
+    assert lifted
 
 
 def test_synthetic_set_is_seeded_and_loads(tmp_path):

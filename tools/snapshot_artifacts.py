@@ -5,7 +5,10 @@
 
 Runs, through ``cli.run`` with seed 0, every config in the ``configs/``
 directory of the checkout that holds the imported package, the vac-table at
-the small and large presets, and fixed-points. Each run writes into
+the small and large presets, fixed-points, and two runs with the 0.4 V
+compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: a
+dynamic-vdd run with the supply-clamp benchmark's circuit over 20 us, and
+``sweep_vdd.yaml`` at that threshold. Each run writes into
 ``OUT/<name>/``. The training configs run for ``TRAIN_EPOCHS`` epochs on a
 small seeded synthetic MNIST-shaped set written to a temporary directory, and
 a training sweep on a subsample of it. Wall times are dropped: ``wall_time_s``
@@ -41,6 +44,16 @@ ROOT = Path(cli.__file__).resolve().parents[2]
 TRAIN_EPOCHS = 2
 SYNTHETIC_SIZES = {"train": 1500, "test": 300}
 SWEEP_SUBSAMPLE = 500
+CLAMP_V = 0.4
+# the clamped runs: (name, kind, the config they start from or None, overrides)
+CLAMPED_RUNS = (
+    ("dynamic_vdd_clamped", "dynamic-vdd", None, {
+        "preset": "custom", "r_unit": 1e5, "c_out": 1e-10,
+        "compensation_threshold": CLAMP_V, "duties": [0.9, 0.8, 0.95],
+        "weights_a": [7, 7, 7], "horizon": 20e-6}),
+    ("sweep_vdd_clamped", "sweep-vdd", "sweep_vdd",
+     {"compensation_threshold": CLAMP_V}),
+)
 
 
 def config_kind(stem: str) -> str:
@@ -67,6 +80,10 @@ def reference_runs():
     for preset in ("small", "large"):
         yield f"vac_table_{preset}", "vac-table", {"preset": preset}
     yield "fixed_points", "fixed-points", {}
+    for name, kind, base, overrides in CLAMPED_RUNS:
+        params = {} if base is None else yaml.safe_load(
+            (ROOT / "configs" / f"{base}.yaml").read_text())
+        yield name, kind, {**params, **overrides}
 
 
 def write_synthetic_mnist(directory: Path, seed: int = 0) -> None:
