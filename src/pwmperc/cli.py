@@ -62,8 +62,8 @@ class ExperimentSpec:
     parameters: dict
     output_dir: Path
     seed: int
-    jobs: int = 1                 # read by train-sweep only
-    data_dir: str | None = None   # read by train and train-sweep only
+    jobs: int = 1                 # train-sweep only; other kinds reject jobs != 1
+    data_dir: str | None = None   # train and train-sweep only; others reject one
 
     def spec_hash(self) -> str:
         canon = json.dumps(
@@ -505,9 +505,16 @@ def _run_report(spec: ExperimentSpec):
 
 def resolve(spec: ExperimentSpec) -> dict:
     """The parameters of `spec` checked, coerced and completed with defaults;
-    a ConfigError names the offending key."""
+    a ConfigError names the offending key, or the spec field (jobs,
+    data_dir) that its kind does not read."""
     if spec.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {spec.kind!r}")
+    if spec.jobs != 1 and spec.kind != "train-sweep":
+        raise ConfigError(f"jobs is read by train-sweep only, got {spec.jobs} "
+                          f"for {spec.kind}")
+    if spec.data_dir is not None and spec.kind not in ("train", "train-sweep"):
+        raise ConfigError(f"data_dir is read by train and train-sweep only, "
+                          f"got {spec.data_dir!r} for {spec.kind}")
     ctx = {"seed": spec.seed, "index": 0, "output_dir": spec.output_dir}
     return _resolve(KINDS[spec.kind][0], spec.parameters, spec.kind, ctx)
 

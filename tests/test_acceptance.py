@@ -485,25 +485,34 @@ def test_criterion_10_update_starvation():
 # 11. Determinism
 # --------------------------------------------------------------------------
 
-def test_criterion_11_determinism(tmp_path):
-    params = {"grid": [1.0, 2.0, 3.0]}
+def test_criterion_11_determinism(tmp_path, synthetic_mnist_dir):
+    # --jobs is read by train-sweep alone (other kinds reject it), so the
+    # parallel clause runs there: three configs over one and three workers
+    params = {"subsample": 300, "configs": [
+        {"topology": "784/10", "activation": a, "epochs": 1}
+        for a in ("relu", "cap_relu", "oft_relu")]}
     outs = []
     for jobs, sub in ((1, "a"), (3, "b")):
-        spec = cli.ExperimentSpec(kind="sweep-vdd", parameters=dict(params),
-                                  output_dir=tmp_path / sub, seed=7, jobs=jobs)
+        spec = cli.ExperimentSpec(kind="train-sweep", parameters=dict(params),
+                                  output_dir=tmp_path / sub, seed=7, jobs=jobs,
+                                  data_dir=str(synthetic_mnist_dir))
         manifest = cli.run(spec)
         assert manifest["status"] == "ok"
-        outs.append((spec.output_dir / "sweep_vdd.csv").read_bytes())
+        outs.append((spec.output_dir / "train_sweep.csv").read_bytes())
     sweep_ok = outs[0] == outs[1]
 
-    curves = []
-    for sub in ("c", "d"):
-        spec = cli.ExperimentSpec(kind="response-curve",
-                                  parameters={"grid_points": 11},
-                                  output_dir=tmp_path / sub, seed=7)
-        cli.run(spec)
-        curves.append((spec.output_dir / "response_curve.csv").read_bytes())
-    rerun_ok = curves[0] == curves[1]
+    reruns = []
+    for kind, params, name in (("sweep-vdd", {"grid": [1.0, 2.0, 3.0]}, "sweep_vdd.csv"),
+                               ("response-curve", {"grid_points": 11},
+                                "response_curve.csv")):
+        runs = []
+        for sub in ("c", "d"):
+            spec = cli.ExperimentSpec(kind=kind, parameters=dict(params),
+                                      output_dir=tmp_path / kind / sub, seed=7)
+            assert cli.run(spec)["status"] == "ok"
+            runs.append((spec.output_dir / name).read_bytes())
+        reruns.append(runs[0] == runs[1])
+    rerun_ok = all(reruns)
 
     ok = sweep_ok and rerun_ok
     assert _line("criterion 11", ok,

@@ -343,6 +343,27 @@ class TestTrainKind:
         assert manifest["error"] == {"class": "ConfigError",
                                      "message": f"jobs must be >= 1, got {jobs}"}
 
+    # jobs and data_dir are spec fields, not keys: a kind that does not read
+    # one rejects it by name rather than ignoring it
+    @pytest.mark.parametrize("kind, field, value", [
+        ("sweep-vdd", "jobs", 3), ("vac-table", "jobs", 0), ("train", "jobs", 2),
+        ("fixed-points", "data_dir", "x"), ("dynamic-vdd", "data_dir", "x")])
+    def test_unread_spec_field_rejected_by_name(self, kind, field, value, tmp_path):
+        spec = make_spec(kind, {}, tmp_path, **{field: value})
+        manifest = cli.run(spec)
+        assert manifest["error"]["class"] == "ConfigError"
+        assert manifest["error"]["message"].startswith(f"{field} is read by")
+        assert manifest["artifacts"] == []
+        with pytest.raises(cli.ConfigError, match=f"^{field} is read by"):
+            cli.resolve(spec)
+
+    @pytest.mark.parametrize("kind, params, field, value", [
+        ("train", {"topology": "784/10", "activation": "relu"}, "data_dir", "x"),
+        ("train-sweep", {"configs": []}, "data_dir", "x"),
+        ("train-sweep", {"configs": []}, "jobs", 2)])
+    def test_read_spec_field_accepted(self, kind, params, field, value, tmp_path):
+        cli.resolve(make_spec(kind, params, tmp_path, **{field: value}))
+
     def test_train_sweep_starts_a_worker_per_config_at_most(
             self, tmp_path, small_mnist, monkeypatch):
         # a forking pool starts all its workers at once, used or not

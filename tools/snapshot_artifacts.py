@@ -171,9 +171,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as data_dir:
         write_synthetic_mnist(Path(data_dir))
         for name, kind, params in reference_runs():
-            spec = cli.ExperimentSpec(kind=kind, parameters=params,
-                                      output_dir=out / name, seed=0,
-                                      data_dir=data_dir)
+            spec = cli.ExperimentSpec(
+                kind=kind, parameters=params, output_dir=out / name, seed=0,
+                data_dir=data_dir if kind.startswith("train") else None)
             manifest = cli.run(spec)
             del manifest["wall_time_s"]
             (spec.output_dir / cli.MANIFEST_NAME).write_text(
