@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "PwmSignal",
+    "pwm_high", "pwm_edges",
     "SupplyProfile",
     "ConstantSupply",
     "SinusoidSupply",
@@ -50,39 +51,49 @@ class PwmSignal:
 
     def high(self, ts) -> np.ndarray:
         """True where the signal is high at the times ts (all >= 0), as a
-        bool array of ts's shape.
-
-        np.mod is IEEE fmod, which introduces no rounding error, shifted into
-        [0, period): the state stays exact for arbitrarily large t, with no
-        drift even after 1e6+ periods.
-        """
+        bool array of ts's shape; see pwm_high."""
         ts = np.asarray(ts, dtype=np.float64)
         if ts.size and ts.min() < 0:
             raise ValueError(f"t must be >= 0, got {ts.min()}")
-        if self.duty == 0.0 or self.duty == 1.0:
-            return np.full(ts.shape, self.duty == 1.0)
-        period = self.period
-        return np.mod(ts - self.phase, period) < self.duty * period
+        return pwm_high(ts, self.period, self.duty, self.phase)
 
     def edges_in(self, t0: float, t1: float) -> np.ndarray:
-        """All state-change times in [t0, t1), sorted ascending.
-
-        Edge times are computed as phase + m*period (never by accumulation),
-        so they stay exact over long horizons. Constant signals have none.
-        """
-        if self.duty == 0.0 or self.duty == 1.0:
-            return np.empty(0)
-        period = self.period
-        t_fall = self.duty * period
-        # rising edges at phase + m*period, falling at phase + t_fall + m*period
-        m_lo = math.floor((t0 - self.phase) / period) - 1
-        m_hi = math.ceil((t1 - self.phase) / period) + 1
-        m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-        rises = self.phase + m * period
-        edges = np.concatenate([rises, rises + t_fall])
+        """All state-change times in [t0, t1), sorted ascending; see
+        pwm_edges."""
+        edges = pwm_edges(self.period, self.duty, self.phase, t0, t1)
+        edges = edges[edges < t1]
         edges.sort()
-        lo, hi = edges.searchsorted((t0, t1))
-        return edges[lo:hi]
+        return edges
+
+
+def pwm_high(ts, period, duty, phase) -> np.ndarray:
+    """The pulse rule: whether PWM inputs, arrays broadcasting with the
+    times ts >= 0, are high at ts: for duty*period from each rise at
+    phase + m*period. np.mod is IEEE fmod, which introduces no rounding
+    error, shifted into [0, period): the state stays exact for arbitrarily
+    large t. duty 1 is always high, duty 0 never."""
+    return (np.mod(ts - phase, period) < duty * period) | (duty == 1.0)
+
+
+def pwm_edges(period, duty, phase, t0, t1) -> np.ndarray:
+    """The edge rule: the state changes in [t0, t1) of PWM inputs, given by
+    duty and phase arrays of one shape S, with periods and window ends that
+    broadcast to it. Rises lie at phase + m*period, computed (never
+    accumulated) so that they stay exact over long horizons, and falls
+    duty*period after each; duty 0 and 1 have none. Returns shape S + (2*M,):
+    rise and fall of each of M periods from one before the window, t1 in
+    place of each edge outside it."""
+    period, duty, phase, t0, t1 = (np.asarray(x, dtype=np.float64)
+                                   for x in (period, duty, phase, t0, t1))
+    pulsing = (duty != 0.0) & (duty != 1.0)
+    m_lo = np.floor((t0 - phase) / period) - 1
+    m_hi = np.ceil((t1 - phase) / period) + 1
+    m = m_lo[..., None] + np.arange(int(np.max(m_hi - m_lo, where=pulsing, initial=-1)) + 1)
+    rises = phase[..., None] + m * period[..., None]
+    edges = np.stack((rises, rises + (duty * period)[..., None]), axis=-1)
+    edges = edges.reshape(*edges.shape[:-2], -1)
+    inside = (edges >= t0[..., None]) & (edges < t1[..., None]) & pulsing[..., None]
+    return np.where(inside, edges, t1[..., None])
 
 
 class SupplyProfile:

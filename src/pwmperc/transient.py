@@ -20,17 +20,19 @@ at each boundary is max(A*v0 + B, C). The composition over one period of a
 constant supply is its period map F(v) = max(A*v + B, C), closed-form in
 fixed point and iterates.
 
-Two entry points share the timeline and that scan:
+Two entry points share that scan and one timeline builder, which cuts rows
+of windows [0, w] at their input edges and counts each segment's pull-down
+cells by the one edge rule and the one pulse rule of signals.py:
 
 * steady_states - a constant supply and inputs of one common frequency. The
   periodic steady state is solved exactly over one input period (the period
   map's fixed point), with no long run and no drift check, for a batch of
-  stimuli at once: their periods, padded to one segment count, are the rows
-  of one scan. steady_state is a batch of one. The sweeps, the vac-table and
-  the perceptron transient path each solve one batch.
+  stimuli at once: a row per stimulus, its window the period, padded to one
+  segment count. steady_state is a batch of one. The sweeps, the vac-table
+  and the perceptron transient path each solve one batch.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
-  the trace over a given horizon, and closed-form integrals over the pieces
-  of its last quarter.
+  one row over the horizon, cut at the supply's cuts too, and closed-form
+  integrals over the pieces of its last quarter.
 
 Every unit cell conducts to one rail or the other, so the total conductance,
 and with it tau, is constant whatever the inputs and the supply do. Each
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import WeightVector
-from .signals import ConstantSupply, PwmSignal, SupplyProfile
+from .signals import ConstantSupply, PwmSignal, SupplyProfile, pwm_edges, pwm_high
 
 __all__ = [
     "VacConfig",
@@ -198,30 +200,40 @@ def _check_run(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
             "the capacitor node floats")
 
 
-def _segments(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
-              supply: SupplyProfile, horizon: float):
-    """Timeline of [0, horizon]: input edges plus the supply's cuts. Returns
-    per-segment start, end, divider equilibrium, supply and pull-up unit
-    count."""
-    n_units = cfg.total_units
-    # equal inputs have equal edges and states: cut and count each one once
-    weights: dict[PwmSignal, int] = {}
-    for sig, wi in zip(inputs, w.weights):
-        weights[sig] = weights.get(sig, 0) + wi
-    parts = [np.array([0.0, horizon])]
-    parts += [sig.edges_in(0.0, horizon) for sig in weights]
-    parts.append(supply.cuts(horizon))
-    boundaries = np.concatenate(parts)
-    boundaries.sort()
-    boundaries = boundaries[np.concatenate(([True], boundaries[1:] != boundaries[:-1]))]
+def _timeline(cfg: VacConfig, window, period, duty, phase, weight, supply):
+    """The timeline builder: the segments of rows of inputs, row i over
+    [0, window[i]], with each input's period, duty, phase and weight in
+    arrays of rows (inputs on the last axis). `supply` is a SupplyProfile
+    for one row, or an array of one constant supply per row.
 
-    # input states at segment midpoints: a high input pulls its cells down
-    t0s = boundaries[:-1]
-    t1s = boundaries[1:]
-    mids = 0.5 * (t0s + t1s)
-    up_units = n_units - sum(wi * sig.high(mids) for sig, wi in weights.items())
-    vdd_seg = supply.values(t0s)
-    return t0s, t1s, vdd_seg * (up_units / n_units), vdd_seg, up_units
+    A row is cut at 0, at its end, at its input edges (pwm_edges) and at the
+    supply's cuts, repeats dropped by exact equality; a row with fewer
+    segments than the longest ends in zero-length ones at its end. A
+    segment's high inputs (pwm_high at its midpoint) pull their cells down,
+    the rest pull up: an integer count, exact in any order. Returns the
+    per-segment start, end, divider equilibrium, supply (held from the
+    start) and pull-up count, (rows x segments) each, and the row's segment
+    counts.
+    """
+    end = np.asarray(window, dtype=np.float64)[:, None]
+    cuts = [np.zeros_like(end), end,
+            pwm_edges(period, duty, phase, 0.0, end).reshape(len(end), -1)]
+    timed = isinstance(supply, SupplyProfile)
+    if timed:
+        cuts.append(supply.cuts(float(end[0, 0]))[None])
+    cuts = np.concatenate(cuts, axis=1)
+    cuts.sort(axis=1)
+    new = np.ones(cuts.shape, dtype=bool)
+    new[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
+    n_seg = new.sum(axis=1) - 1
+    bounds = np.repeat(end, n_seg.max() + 1, axis=1)
+    bounds[np.arange(bounds.shape[1]) <= n_seg[:, None]] = cuts[new]
+    t0s, t1s = bounds[:, :-1], bounds[:, 1:]
+    high = pwm_high(0.5 * (t0s + t1s)[:, None], period[..., None], duty[..., None],
+                    phase[..., None])
+    up = cfg.total_units - (weight[..., None] * high).sum(axis=1)
+    vdd = supply.values(t0s[0])[None] if timed else supply[:, None]
+    return (t0s, t1s, vdd * (up / cfg.total_units), vdd, up), n_seg
 
 
 def _prefix(cfg: VacConfig, segments):
@@ -347,7 +359,10 @@ def simulate_vac(cfg: VacConfig,
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     _check_run(cfg, inputs, w, supply, v0)
-    trace = _walk(cfg, _segments(cfg, inputs, w, supply, horizon), v0)
+    period, duty, phase = np.array([(s.period, s.duty, s.phase) for s in inputs]).T[:, None]
+    segments, _ = _timeline(cfg, [horizon], period, duty, phase, np.array([w.weights]),
+                            supply)
+    trace = _walk(cfg, tuple(x[0] for x in segments), v0)
     seg_t0, seg_v0, seg_v1 = trace.seg_t0, trace.seg_v0, trace.seg_v1
 
     # sampled waveform: all segment boundaries, densified with uniform samples
@@ -538,51 +553,17 @@ def _average_v(cfg: VacConfig, duties, frequency: float, w: WeightVector,
     return average_v.reshape(duties.shape[:-1])
 
 
-def _period_segments(cfg: VacConfig, frequency, duties, phases, weights, vdd):
-    """One input period of every row, for rows of inputs with one frequency,
-    duty, phase and weight each under a constant supply: the arrays of
-    _segments with one row per stimulus (the supply's as a column), and each
-    row's segment count.
-
-    A period is cut where _segments cuts it: at 0, at the period and at every
-    input edge between them, so at most 2n + 1 segments (n + 1 with all
-    phases 0). A row with fewer ends in zero-length segments at the period.
-    """
-    ends = (1.0 / frequency)[:, None]
-    # PwmSignal.edges_in over [0, period): rises at phase + m*period, each
-    # falling duty*period later. Inside lie the rise at m = 0 and the falls
-    # at m = -1 and 0 (the fall at m = -2 lands on 0 at most)
-    t_fall = duties * ends
-    edges = np.stack((phases, (phases - ends) + t_fall, phases + t_fall), axis=-1)
-    constant = (duties == 0.0) | (duties == 1.0)
-    inside = (edges >= 0.0) & (edges < ends[..., None]) & ~constant[..., None]
-    cuts = np.concatenate((np.zeros_like(ends),
-                           np.where(inside, edges, ends[..., None]).reshape(len(ends), -1),
-                           ends), axis=1)
-    cuts.sort(axis=1)
-    repeat = cuts[:, 1:] == cuts[:, :-1]
-    n_seg = repeat.shape[1] - repeat.sum(axis=1)
-    cuts[:, 1:][repeat] = np.inf
-    cuts.sort(axis=1)
-    cuts = np.minimum(cuts[:, :n_seg.max() + 1], ends)
-    t0s, t1s = cuts[:, :-1], cuts[:, 1:]
-    # PwmSignal.high at segment midpoints: a high input pulls its cells down
-    mids = 0.5 * (t0s + t1s)
-    high = np.mod(mids[:, None, :] - phases[..., None], ends[..., None]) < t_fall[..., None]
-    high |= (duties == 1.0)[..., None]
-    up = cfg.total_units - (weights[..., None] * high).sum(axis=1)
-    vdd = vdd[:, None]
-    return (t0s, t1s, vdd * (up / cfg.total_units), vdd, up), n_seg
-
-
 def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
     """The periodic steady state of each row, a stimulus that has passed
     _check_stimulus given as arrays: average_v, swing, charge time (NaN for
     none; None for all without v0), avg_power and drift, each an array over
     the rows."""
-    segments, n_seg = _period_segments(cfg, frequency, duties, phases, weights, vdd)
+    # one input period per row: at most 2n + 1 segments (n + 1 with all
+    # phases 0)
+    period = 1.0 / frequency
+    segments, n_seg = _timeline(cfg, period, period[:, None], duties, phases, weights,
+                                vdd)
     t0s, t1s, veq, vdd_seg, up = segments
-    period = t1s[:, -1]
     v_th = cfg.compensation_threshold
     rows = np.arange(len(period))
     real = np.arange(t0s.shape[1]) < n_seg[:, None]

@@ -391,7 +391,7 @@ class TestPeriodicSteadyState:
     def test_clamped_fixed_point(self, cfg, stim):
         period = 1.0 / stim.frequency
         supply = ConstantSupply(stim.vdd)
-        segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
+        segments = trace_segments(cfg, stim.signals(), stim.w, supply, period)
         v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period)
         v_star = max(v_aff, c)
         # F(v*), one period from v*, by the transient solver
@@ -448,7 +448,7 @@ class TestEnergyBalance:
         for stim, m in zip(stims, steady_states(cfg, stims)):
             period = 1.0 / stim.frequency
             supply = ConstantSupply(stim.vdd)
-            segments = transient._segments(cfg, stim.signals(), stim.w, supply, period)
+            segments = trace_segments(cfg, stim.signals(), stim.w, supply, period)
             v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period)
             trace = simulate_vac(cfg, stim.signals(), stim.w, supply, period,
                                  v0=v_aff if c is None else max(v_aff, c))
@@ -493,6 +493,15 @@ def test_trace_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 # The prefix scan against the sequential walk it replaced
 # ---------------------------------------------------------------------------
+
+def trace_segments(cfg, inputs, w, supply, horizon):
+    """The timeline simulate_vac solves: the builder's one row over
+    [0, horizon], with the supply's cuts."""
+    period, duty, phase = np.array([(s.period, s.duty, s.phase) for s in inputs]).T[:, None]
+    rows, _ = transient._timeline(cfg, [horizon], period, duty, phase,
+                                  np.array([w.weights]), supply)
+    return tuple(x[0] for x in rows)
+
 
 def sequential_walk(cfg, segments, v0):
     """Reference: the segment rule v -> max(veq + (v - veq)*e^(-dt/tau),
@@ -564,7 +573,7 @@ SCAN_SUPPLIES = {
 
 
 def assert_matches_sequential(cfg, sigs, w, supply, horizon, v0):
-    segments = transient._segments(cfg, sigs, w, supply, horizon)
+    segments = trace_segments(cfg, sigs, w, supply, horizon)
     trace = transient._walk(cfg, segments, v0)
     ref = sequential_walk(cfg, segments, v0)
     np.testing.assert_array_equal(trace.seg_clamped, ref["seg_clamped"])
@@ -598,7 +607,7 @@ class TestPrefixScan:
         horizon = 150_000 * cfg.tau
         trace = assert_matches_sequential(cfg, sigs, W777, SUP25, horizon, 2.5)
         assert np.max(trace.seg_t1 - trace.seg_t0) > 800 * cfg.tau
-        assert transient._prefix(cfg, transient._segments(
+        assert transient._prefix(cfg, trace_segments(
             cfg, sigs, W777, SUP25, horizon))[0][0] == 0.0
         m = trace_metrics(simulate_vac(cfg, sigs, W777, SUP25, horizon, v0=2.5),
                           cfg, SUP25)
@@ -621,13 +630,13 @@ def test_charge_time_when_the_average_is_an_equilibrium():
 
 def reference_steady_state(cfg, stimulus):
     """Reference: the periodic steady state of one stimulus, on the 1-D
-    timeline of _segments, with the scalar period map and charge-time
+    timeline of simulate_vac, with the scalar period map and charge-time
     search."""
     supply = ConstantSupply(stimulus.vdd)
     inputs = stimulus.signals()
     transient._check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
     period = 1.0 / stimulus.frequency
-    segments = transient._segments(cfg, inputs, stimulus.w, supply, period)
+    segments = trace_segments(cfg, inputs, stimulus.w, supply, period)
     prefix = transient._prefix(cfg, segments)
     v_aff, c = period_map(cfg, prefix, period)
     pss = transient._boundaries(prefix, v_aff if c is None else max(v_aff, c))
