@@ -625,6 +625,120 @@ def test_charge_time_when_the_average_is_an_equilibrium():
 
 
 # ---------------------------------------------------------------------------
+# The timeline builder against a timeline built by hand
+# ---------------------------------------------------------------------------
+
+def reference_timeline(cfg, inputs, w, supply, window):
+    """Reference: one row of [0, window], cut at every edge of each input,
+    found by a loop over its periods, and at the supply's cuts; each
+    segment's pull-up count read from PwmSignal.high at its midpoint, its
+    supply from value_at at its start."""
+    times = {0.0, window, *supply.cuts(window).tolist()}
+    for sig in inputs:
+        if sig.duty in (0.0, 1.0):
+            continue
+        # the phase lies in [0, period): no earlier period reaches 0
+        m = -2
+        while sig.phase + m * sig.period < window:
+            rise = sig.phase + m * sig.period
+            times.update(t for t in (rise, rise + sig.duty * sig.period)
+                         if 0.0 <= t < window)
+            m += 1
+    bounds = np.array(sorted(times))
+    t0, t1 = bounds[:-1], bounds[1:]
+    mids = 0.5 * (t0 + t1)
+    up = cfg.total_units - sum(wi * sig.high(mids) for sig, wi in zip(inputs, w.weights))
+    vdd = np.array([supply.value_at(t) for t in t0.tolist()])
+    return t0, t1, vdd * (up / cfg.total_units), up
+
+
+def assert_rows_match_reference(cfg, rows, window, got, n_seg):
+    """Each row of the builder's `got` is its reference timeline bit for
+    bit, then zero-length segments at its window's end."""
+    for i, (inputs, w, supply) in enumerate(rows):
+        want = reference_timeline(cfg, inputs, w, supply, window[i])
+        k = len(want[0])
+        assert n_seg[i] == k
+        for name, g, r in zip(("t0", "t1", "veq", "up"), (got[0], got[1], got[2], got[4]),
+                              want):
+            np.testing.assert_array_equal(g[i, :k], r, err_msg=name)
+            assert g[i, :k].tobytes() == r.astype(g.dtype).tobytes(), name
+        assert np.all(got[0][i, k:] == window[i]) and np.all(got[1][i, k:] == window[i])
+
+
+class TestTimeline:
+    def batch(self, cfg, stimuli):
+        """The builder's rows for stimuli of one input period each, as
+        _solve builds them."""
+        _, columns = transient._check_stimuli(cfg, stimuli)
+        frequency, duties, phases, weights, vdd, _ = columns
+        period = 1.0 / frequency
+        got, n_seg = transient._timeline(cfg, period, period[:, None], duties, phases,
+                                         weights, vdd)
+        rows = [(stim.signals(), stim.w, ConstantSupply(stim.vdd)) for stim in stimuli]
+        assert_rows_match_reference(cfg, rows, period, got, n_seg)
+        return n_seg
+
+    def test_random_phases(self):
+        rng = np.random.default_rng(11)
+        cfg = VacConfig.small()
+        stimuli = []
+        for f in 10 ** rng.uniform(3, 9, 40):
+            stimuli.append(VacStimulus(tuple(rng.uniform(0, 1, 3)), f, W567,
+                                       vdd=float(rng.uniform(1, 3.5)),
+                                       phases=tuple(rng.uniform(0, 1, 3) / f)))
+        assert set(self.batch(cfg, stimuli)) == {7}
+
+    def test_constant_and_equal_inputs(self):
+        cfg = VacConfig.large(compensation_threshold=0.4)
+        f = 3e7
+        stimuli = [VacStimulus((0.0, 1.0, 0.5), f, W777, phases=(0.0, 1e-8, 2e-8)),
+                   VacStimulus((1.0, 1.0, 0.0), f, W567),
+                   VacStimulus((0.3,) * 3, f, W777, phases=(5e-9,) * 3),
+                   VacStimulus((0.3, 0.3, 0.6), f, W777, phases=(5e-9, 5e-9, 0.0))]
+        assert list(self.batch(cfg, stimuli)) == [3, 1, 3, 4]
+
+    def test_rows_of_different_segment_counts(self):
+        # n + 1 segments with all phases 0, 2n + 1 with distinct phases, one
+        # for constant inputs, fewer where edges coincide, and rows of
+        # different periods, in one batch
+        cfg = VacConfig.small()
+        stimuli = [VacStimulus((0.2, 0.5, 0.7), 1e8, W777),
+                   VacStimulus((0.2, 0.5, 0.7), 1e6, W567, phases=(1e-7, 3.5e-7, 9e-7)),
+                   VacStimulus((0.0, 1.0, 1.0), 1e9, W777, vdd=1.2),
+                   VacStimulus((0.9, 0.1, 0.5), 5e4, W567, phases=(0.0, 1e-5, 1.9e-5))]
+        assert list(self.batch(cfg, stimuli)) == [4, 7, 1, 6]
+
+    @pytest.mark.parametrize("supply", ["sinusoid", "pwl"])
+    def test_one_row_over_many_periods(self, supply):
+        # inputs of three frequencies, one constant, over thousands of their
+        # periods, under a supply that adds its own cuts; the sinusoid's cuts
+        # land an ulp beside input edges, and both stay
+        cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+        inputs = [PwmSignal(1e8, 0.9), PwmSignal(7e7, 0.35, 3e-9), PwmSignal(1e8, 1.0)]
+        sup, horizon = SCAN_SUPPLIES[supply], 6e-6
+        row = trace_segments(cfg, inputs, W567, sup, horizon)
+        got = tuple(x[None] for x in row)
+        assert_rows_match_reference(cfg, [(inputs, W567, sup)], [horizon], got,
+                                    [len(row[0])])
+        np.testing.assert_array_equal(row[3], sup.values(row[0]))
+        assert len(row[0]) > 1_000
+
+    def test_sub_ulp_segments_stay(self):
+        # the supply-clamp trace: SinusoidSupply.cuts steps by period/200,
+        # which rounds up, so cuts land just above input edges. No merge
+        # tolerance: those segments, some shorter than 1e-18 s, are kept
+        cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+        inputs = [PwmSignal(1e8, d) for d in (0.9, 0.8, 0.95)]
+        sup = SinusoidSupply(2.5, 0.7, 1e-5)
+        row = trace_segments(cfg, inputs, W777, sup, 20e-6)
+        got = tuple(x[None] for x in row)
+        assert_rows_match_reference(cfg, [(inputs, W777, sup)], [20e-6], got,
+                                    [len(row[0])])
+        assert np.min(row[1] - row[0]) < 1e-18
+
+
+# ---------------------------------------------------------------------------
 # The batched steady state against the one-stimulus solve it replaced
 # ---------------------------------------------------------------------------
 

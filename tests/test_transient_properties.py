@@ -14,7 +14,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pwmperc import transient  # noqa: E402
-from pwmperc.analytic import WeightVector  # noqa: E402
+from pwmperc.analytic import WeightVector, vac_equilibrium  # noqa: E402
 from pwmperc.signals import PwmSignal  # noqa: E402
 from pwmperc.transient import (VacConfig, VacStimulus, simulate_vac,  # noqa: E402
                                steady_states)
@@ -167,3 +167,67 @@ def test_batch_matches_the_one_stimulus_solve(case):
             continue
         for field in ("average_v", "swing", "charge_time", "avg_power", "drift"):
             assert within_ulps(getattr(got, field), getattr(want, field)), field
+
+
+@st.composite
+def unclamped_stimuli(draw):
+    """A VAC of either preset with the clamp off and a stimulus for it: a
+    period of 0.03 to 30 tau, random duties, phases and weights (not all
+    zero, or the node floats), and vdd from 1 to 3.5 V."""
+    cfg = draw(st.sampled_from([VacConfig.small(), VacConfig.large()]))
+    freq = 1.0 / (draw(st.floats(0.03, 30.0)) * cfg.tau)
+    duties = tuple(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+                   for _ in range(3))
+    phases = tuple(draw(st.floats(0.0, 0.999)) / freq for _ in range(3))
+    weights = draw(st.tuples(*[st.integers(0, 7)] * 3).filter(any))
+    return cfg, VacStimulus(duties, freq, WeightVector(weights, 3),
+                            vdd=draw(st.floats(1.0, 3.5)), phases=phases)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unclamped_stimuli())
+def test_unclamped_average_is_the_closed_form(case):
+    # over one period of the steady state the capacitor ends where it
+    # started, so the integral of (veq - v)/tau vanishes and the average
+    # voltage is the average divider equilibrium, vac_equilibrium. Both
+    # sides sum terms of the order of vdd, so they round on that scale: with
+    # every input near duty 1 the average is far smaller than vdd
+    cfg, stim = case
+    (m,) = steady_states(cfg, [stim])
+    want = vac_equilibrium(list(stim.duties), stim.w, stim.vdd)
+    assert abs(m.average_v - want) <= 1e-14 * stim.vdd
+
+
+@st.composite
+def raised_pairs(draw):
+    """A VAC with the clamp off or at 0.4 V, a stimulus for it, and the same
+    stimulus with one input's duty or weight raised."""
+    base = draw(st.sampled_from([VacConfig.small(), VacConfig.large()]))
+    v_th = draw(st.sampled_from([0.0, 0.4]))
+    cfg = VacConfig(3, 3, base.r_unit, base.c_out, compensation_threshold=v_th)
+    freq = 1.0 / (draw(st.floats(0.03, 30.0)) * cfg.tau)
+    duties = [draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(3)]
+    phases = tuple(draw(st.floats(0.0, 0.999)) / freq for _ in range(3))
+    weights = list(draw(st.tuples(*[st.integers(0, 7)] * 3).filter(
+        lambda w: v_th > 0.0 or any(w))))
+    stim = VacStimulus(tuple(duties), freq, WeightVector(tuple(weights), 3),
+                       vdd=draw(st.floats(1.0, 3.5)), phases=phases)
+    i = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        duties[i] = draw(st.floats(duties[i], 1.0))
+    else:
+        weights[i] = draw(st.integers(weights[i], 7))
+    return cfg, stim, dataclasses.replace(stim, duties=tuple(duties),
+                                          w=WeightVector(tuple(weights), 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raised_pairs())
+def test_average_falls_as_a_duty_or_weight_rises(case):
+    # a longer pulse or one more enabled cell lowers the divider equilibrium
+    # at every instant or leaves it, and the RC node, clamped or not, keeps
+    # the order of its drives, so the average falls or stays; rounding may
+    # lift it by a few ulps of vdd
+    cfg, stim, raised = case
+    low, high = steady_states(cfg, [stim, raised])
+    assert high.average_v <= low.average_v + 1e-14 * stim.vdd
