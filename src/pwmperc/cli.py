@@ -505,8 +505,7 @@ def _run_report(spec: ExperimentSpec):
 
 def resolve(spec: ExperimentSpec) -> dict:
     """The parameters of `spec` checked, coerced and completed with defaults;
-    a ConfigError names the offending key, or the spec field (jobs,
-    data_dir) that its kind does not read."""
+    a ConfigError names the offending key, or a spec field its kind ignores."""
     if spec.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {spec.kind!r}")
     if spec.jobs != 1 and spec.kind != "train-sweep":

@@ -67,11 +67,11 @@ class PwmSignal:
 
 
 def pwm_high(ts, period, duty, phase) -> np.ndarray:
-    """The pulse rule: whether PWM inputs, arrays broadcasting with the
-    times ts >= 0, are high at ts: for duty*period from each rise at
-    phase + m*period. np.mod is IEEE fmod, which introduces no rounding
-    error, shifted into [0, period): the state stays exact for arbitrarily
-    large t. duty 1 is always high, duty 0 never."""
+    """The pulse rule: whether PWM inputs, given by arrays that broadcast
+    with the times ts >= 0, are high at ts. An input is high for duty*period
+    from each rise at phase + m*period; duty 1 is always high, duty 0 never.
+    np.mod is IEEE fmod, which introduces no rounding error, shifted into
+    [0, period): the state stays exact for arbitrarily large t."""
     return (np.mod(ts - phase, period) < duty * period) | (duty == 1.0)
 
 

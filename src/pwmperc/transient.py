@@ -201,19 +201,18 @@ def _check_run(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
 
 
 def _timeline(cfg: VacConfig, window, period, duty, phase, weight, supply):
-    """The timeline builder: the segments of rows of inputs, row i over
-    [0, window[i]], with each input's period, duty, phase and weight in
-    arrays of rows (inputs on the last axis). `supply` is a SupplyProfile
-    for one row, or an array of one constant supply per row.
+    """The timeline builder: rows of segments, row i over [0, window[i]],
+    with each input's period, duty, phase and weight in arrays of rows
+    (inputs on the last axis). `supply` is a SupplyProfile for one row, or
+    an array of one constant supply per row.
 
     A row is cut at 0, at its end, at its input edges (pwm_edges) and at the
-    supply's cuts, repeats dropped by exact equality; a row with fewer
-    segments than the longest ends in zero-length ones at its end. A
-    segment's high inputs (pwm_high at its midpoint) pull their cells down,
-    the rest pull up: an integer count, exact in any order. Returns the
-    per-segment start, end, divider equilibrium, supply (held from the
-    start) and pull-up count, (rows x segments) each, and the row's segment
-    counts.
+    supply's cuts, repeats dropped by exact equality; shorter rows end in
+    zero-length segments at their end. A segment's high inputs (pwm_high at
+    its midpoint) pull their cells down, the rest pull up: an integer count,
+    exact in any order. Returns the per-segment start, end, divider
+    equilibrium, supply (held from the start) and pull-up count, each
+    (rows x segments), and each row's segment count.
     """
     end = np.asarray(window, dtype=np.float64)[:, None]
     cuts = [np.zeros_like(end), end,
@@ -363,6 +362,7 @@ def simulate_vac(cfg: VacConfig,
     segments, _ = _timeline(cfg, [horizon], period, duty, phase, np.array([w.weights]),
                             supply)
     trace = _walk(cfg, tuple(x[0] for x in segments), v0)
+    del segments  # the trace holds what it needs: free the rest before sampling
     seg_t0, seg_v0, seg_v1 = trace.seg_t0, trace.seg_v0, trace.seg_v1
 
     # sampled waveform: all segment boundaries, densified with uniform samples
