@@ -509,11 +509,9 @@ def resolve(spec: ExperimentSpec) -> dict:
     if spec.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {spec.kind!r}")
     if spec.jobs != 1 and spec.kind != "train-sweep":
-        raise ConfigError(f"jobs is read by train-sweep only, got {spec.jobs} "
-                          f"for {spec.kind}")
+        raise ConfigError(f"jobs is read by train-sweep only, got {spec.jobs}")
     if spec.data_dir is not None and spec.kind not in ("train", "train-sweep"):
-        raise ConfigError(f"data_dir is read by train and train-sweep only, "
-                          f"got {spec.data_dir!r} for {spec.kind}")
+        raise ConfigError(f"data_dir is read by training kinds only, got {spec.data_dir!r}")
     ctx = {"seed": spec.seed, "index": 0, "output_dir": spec.output_dir}
     return _resolve(KINDS[spec.kind][0], spec.parameters, spec.kind, ctx)
 

@@ -61,9 +61,7 @@ class PwmSignal:
         """All state-change times in [t0, t1), sorted ascending; see
         pwm_edges."""
         edges = pwm_edges(self.period, self.duty, self.phase, t0, t1)
-        edges = edges[edges < t1]
-        edges.sort()
-        return edges
+        return np.sort(edges[edges < t1])
 
 
 def pwm_high(ts, period, duty, phase) -> np.ndarray:

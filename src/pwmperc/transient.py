@@ -358,9 +358,13 @@ def simulate_vac(cfg: VacConfig,
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     _check_run(cfg, inputs, w, supply, v0)
-    period, duty, phase = np.array([(s.period, s.duty, s.phase) for s in inputs]).T[:, None]
-    segments, _ = _timeline(cfg, [horizon], period, duty, phase, np.array([w.weights]),
-                            supply)
+    # equal inputs have equal edges and states: cut and count each one once
+    weights: dict[PwmSignal, int] = {}
+    for sig, wi in zip(inputs, w.weights):
+        weights[sig] = weights.get(sig, 0) + wi
+    period, duty, phase = np.array([(s.period, s.duty, s.phase) for s in weights]).T[:, None]
+    segments, _ = _timeline(cfg, [horizon], period, duty, phase,
+                            np.array([list(weights.values())]), supply)
     trace = _walk(cfg, tuple(x[0] for x in segments), v0)
     del segments  # the trace holds what it needs: free the rest before sampling
     seg_t0, seg_v0, seg_v1 = trace.seg_t0, trace.seg_v0, trace.seg_v1
