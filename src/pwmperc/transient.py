@@ -584,10 +584,9 @@ def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
     one_minus_a = -np.fromiter(map(math.expm1, (-period / cfg.tau).tolist()),
                                np.float64, len(period))
     v_aff = prefix[1][:, -1] / one_minus_a
-    floor = None
-    if prefix[2] is not None:
-        floor = np.where((real & (veq < v_th)).any(axis=1), prefix[2][:, -1], -np.inf)
-    pss = _boundaries(prefix, v_aff if floor is None else np.maximum(v_aff, floor))
+    floor = np.full(len(period), -np.inf) if prefix[2] is None else np.where(
+        (real & (veq < v_th)).any(axis=1), prefix[2][:, -1], -np.inf)
+    pss = _boundaries(prefix, np.maximum(v_aff, floor))
     t_free, _ = _clamp(cfg, segments, pss)
     v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up)
     average_v = v_int.sum(axis=1) / period
@@ -598,10 +597,6 @@ def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
     return average_v, swing, charge_time, p_int.sum(axis=1) / period, drift
 
 
-# periods whose crossing is tested in one array evaluation, per search round
-_CROSSING_BATCH = 64
-
-
 def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
                   floor, level, v) -> np.ndarray:
     """First time the voltage of each row reaches `level` from v (v0 raised
@@ -610,90 +605,80 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
     G(v) = v_aff + (v - v_aff)*A, with c the row's floor; NaN where the
     level lies out of reach.
 
-    Period m >= 1 starts at F^m(v) = max(G^m(v), c, G^(m-1)(c)), as the
-    iterates of c under G move monotonically toward v_aff. Every deviation
-    from the steady state decays at least as fast as e^(-t/tau), so by
-    period m_hi the voltage has crossed wherever the steady state goes past
-    the level by more than the remaining deviation. Boundary voltages rise
-    with the start voltage, and the starts move monotonically, so "period m
-    reaches the level" turns true once and stays true: the first such period
-    is found among [0, m_hi] by testing batches of evenly spaced periods,
-    every row still searching in the same round, and a row leaves once its
-    spacing is one period.
+    A boundary is max(a*s + b, c') of the period's start s, so the period
+    reaches the level exactly when s lies past one threshold T, the extreme
+    of (level - b)/a over the boundaries (infinite where c' or an a of 0
+    decides); moved half a float of the level, as the boundaries round, T
+    is one of the nine floats around it. Period m >= 1 starts at
+    F^m(v) = max(G^m(v), c, G^(m-1)(c)), and G^n(x) rounds past T from
+    n = ln((T' - v_aff)/(x - v_aff)) / (-period/tau) on, T' halfway to the
+    next float: a logarithm per term gives the first period m. Deviations
+    from the steady state decay at least as fast as e^(-t/tau), so by period
+    m_hi the voltage has crossed wherever the steady state goes past the
+    level by more than what is left: m is clipped to m_hi, and the first of
+    periods m - 1, m, m + 1 to reach the level is taken.
     """
     tau = cfg.tau
     t0s, t1s, veq = segments[:3]
     period = t1s[:, -1]
     falling = v > level
     delta = v - pss[:, 0]
-    # how far the steady state goes past the level, on the far side from v
-    past = np.where(falling[:, None], level[:, None] - pss, pss - level[:, None])
-    gap = np.maximum(past.max(axis=1),
-                     4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
-    moved = delta != 0.0
-    m_hi = np.zeros(len(v), dtype=np.int64)
-    m_hi[moved] = np.maximum(0.0, np.ceil(
-        np.log(np.abs(delta[moved]) / gap[moved]) * tau / period[moved]))
     rate = -period / tau
+    lev, fall = level[:, None], falling[:, None]
+    # how far the steady state goes past the level, on the far side from v
+    gap = np.maximum(np.where(fall, lev - pss, pss - lev).max(axis=1),
+                     4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
 
-    out = np.where(v == level, 0.0, np.nan)
-    lo, hi = np.full(len(v), -1), m_hi     # period lo does not reach the level
-    found = np.zeros(len(v), dtype=bool)
-    start_v = np.empty(len(v))             # the voltage period hi starts at
-    live = np.flatnonzero(v != level)
-    batch = np.arange(_CROSSING_BATCH)
-    while live.size:
-        lo_l, hi_l = lo[live], hi[live]
-        step = -(-(hi_l - lo_l) // _CROSSING_BATCH)
-        first = hi_l - (hi_l - lo_l - 1) // step * step
-        # fewer than a batch of periods left: the last one repeats
-        ms = np.minimum(first[:, None] + batch * step[:, None], hi_l[:, None])
-        va, vl, rl = v_aff[live, None], v[live, None], rate[live, None]
-        s = va + (vl - va) * np.exp(ms * rl)
-        if floor is not None:
-            c = floor[live, None]
-            capped = np.isfinite(c)
-            prev = va + (np.where(capped, c, va) - va) * np.exp(np.maximum(ms - 1, 0) * rl)
-            s = np.where(capped, np.maximum(s, np.maximum(prev, c)), s)
-        s = np.where(ms == 0, vl, s)
-        reached = _reaches(tuple(None if x is None else x[live] for x in prefix), s,
-                           level[live], falling[live])
-        i = reached.argmax(axis=1)
-        k = np.arange(len(live))
-        hi[live] = ms[k, i]
-        lo[live] = np.where(i > 0, ms[k, np.maximum(i - 1, 0)], lo_l)
-        # not even by period m_hi: the level lies out of reach
-        done = (step == 1) & reached[:, -1]
-        found[live[done]] = True
-        start_v[live[done]] = s[k[done], i[done]]
-        live = live[~done & reached[:, -1]]
-
-    f = np.flatnonzero(found)
-    row = _boundaries(tuple(None if x is None else x[f] for x in prefix), start_v[f])
-    start = hi[f] * period[f]
+    def boundaries(starts):
+        """A row's period from each of its starts, and whether it reaches."""
+        p = _boundaries(tuple(None if x is None else x[:, None] for x in prefix), starts)
+        return p, np.where(fall, p.min(axis=2) <= lev, p.max(axis=2) >= lev)
+    a, b, c = prefix
+    away = np.where(falling, np.inf, -np.inf)   # v's side, whence the starts come
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m_hi = np.maximum(0.0, np.ceil(np.log(np.abs(delta) / gap) * tau / period))
+        half = (np.nextafter(level, away) - level)[:, None] / 2
+        t = np.where(a > 0.0, (lev - b + half) / a,
+                     np.where(np.where(fall, b <= lev, b < lev), np.inf, -np.inf))
+        if c is not None:
+            # a floor above the level never falls to it; one on it or above always rises
+            t = np.where(np.where(fall, c > lev, c >= lev), -np.inf, t)
+        # the start is a boundary too
+        thr = np.where(falling, np.maximum(t.max(axis=1), level),
+                       np.minimum(t.min(axis=1), level))
+        finite = np.isfinite(thr)
+        # from the side that reaches towards v's: the ones that reach come first
+        grid = [np.where(finite, thr, 0.0)]
+        for _ in range(4):
+            grid = [np.nextafter(grid[0], -away), *grid, np.nextafter(grid[-1], away)]
+        grid = np.stack(grid, axis=1)
+        n_in = boundaries(grid)[1].sum(axis=1)
+        thr = np.where(finite, grid[np.arange(len(v)), np.maximum(n_in - 1, 0)], thr)
+        # periods until G^n(v) and G^n(c) round past T (0 from the start, inf never)
+        x = np.stack((v, floor))
+        r = ((thr - v_aff) + (np.nextafter(thr, away) - v_aff)) / 2 / (x - v_aff)
+        n = np.where((r > 0.0) & (r < 1.0), np.ceil(np.log(r) / rate), np.inf)
+        n_v, n_c = np.where(np.where(falling, x <= thr, x >= thr), 0.0, n)
+    # falling, all terms of F^m(v) must lie past T, c too; rising, any one will do
+    m = np.where(falling, np.where((n_v == 0.0) | (n_c == 0.0), n_v, np.inf),
+                 np.minimum(n_v, 1.0 + n_c))
+    ms = np.clip(np.minimum(m, m_hi)[:, None] + np.arange(-1, 2), 0, m_hi[:, None])
+    va, vl, rl = v_aff[:, None], v[:, None], rate[:, None]
+    s = va + (vl - va) * np.exp(ms * rl)
+    cf = floor[:, None]
+    capped = np.isfinite(cf)
+    prev = va + (np.where(capped, cf, va) - va) * np.exp(np.maximum(ms - 1, 0) * rl)
+    s = np.where(capped, np.maximum(s, np.maximum(prev, cf)), s)
+    p, reached = boundaries(np.where(ms == 0, vl, s))
+    i = reached.argmax(axis=1)
+    f = np.flatnonzero(reached.any(axis=1))
+    row, start = p[f, i[f]], ms[f, i[f]] * period[f]
+    out = np.full(len(v), np.nan)
     # the period starts on the level, or past it by rounding
     on = np.where(falling[f], row[:, 0] <= level[f], row[:, 0] >= level[f])
     out[f] = np.where(on, start, start + _first_crossing(
         tau, t0s[f], t1s[f], row, veq[f], level[f]))
     return out
-
-
-def _reaches(prefix, starts, level, falling) -> np.ndarray:
-    """Whether the period from each of a row's starts (last axis) reaches
-    the row's level at one of its boundaries: falls to it, or rises to it.
-
-    The boundaries are built segments first, so that their extremes are
-    elementwise passes over whole (rows x starts) slabs.
-    """
-    a, b, c = (None if x is None else x.T[:, :, None] for x in prefix)
-    ends = starts * a
-    ends += b
-    if c is not None:
-        np.maximum(ends, c, out=ends)
-    level = level[:, None]
-    return np.where(falling[:, None],
-                    np.minimum(ends.min(axis=0), starts) <= level,
-                    np.maximum(ends.max(axis=0), starts) >= level)
 
 
 # ---------------------------------------------------------------------------

@@ -409,21 +409,22 @@ class TestPeriodicSteadyState:
 
     def test_clamped_charge_time_skips_affine_periods(self, monkeypatch):
         # about 14,000 periods from v0 to the crossing: the period index is
-        # searched in batches, not walked period by period (which gives
-        # 1.4354688127e-5 s); one _reaches call is one search round, for
-        # every stimulus of the batch at once
-        reaches = transient._reaches
-        rounds = []
-        monkeypatch.setattr(transient, "_reaches",
-                            lambda *args: rounds.append(len(args[1])) or reaches(*args))
+        # taken in closed form, not walked period by period (which gives
+        # 1.4354688127e-5 s). A solve evaluates boundaries a fixed number of
+        # times, for every stimulus of the batch at once: the steady-state
+        # period, the floats around the threshold and three candidate periods
+        boundaries = transient._boundaries
+        calls = []
+        monkeypatch.setattr(transient, "_boundaries",
+                            lambda *args: calls.append(np.shape(args[1])) or boundaries(*args))
         cfg = VacConfig.large(compensation_threshold=0.4)
         stim = VacStimulus((0.9, 0.8, 0.95), 1e9, W777, v0=2.5)
         m = steady_state(cfg, stim)
-        assert len(rounds) <= 8
+        assert len(calls) == 3
         assert m.charge_time == pytest.approx(1.4354688127e-5, rel=1e-10)
-        rounds.clear()
+        calls.clear()
         batch = steady_states(cfg, [stim, dataclasses.replace(stim, v0=2.0), stim])
-        assert len(rounds) <= 8 and rounds[0] == 3
+        assert len(calls) == 3 and all(shape[0] == 3 for shape in calls)
         assert batch[0] == batch[2] == m
 
 
