@@ -1,10 +1,12 @@
 """Property tests of the transient prefix scan against the sequential walk
 and window loop it replaced, of the batched steady state against the
-one-stimulus solve it replaced (references in test_transient.py), and of
-trace_metrics' settle bound against runs from both ends of the start range."""
+one-stimulus solve it replaced and its charge time against the period search
+it replaced (references in test_transient.py), and of trace_metrics' settle
+bound against runs from both ends of the start range."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from pwmperc.transient import (VacConfig, VacStimulus, simulate_vac,  # noqa: E4
                                steady_states)
 from test_transient import (SCAN_SUPPLIES, W777,  # noqa: E402
                             assert_matches_sequential, loop_window_integrals,
-                            reference_steady_state)
+                            reference_charge_time, reference_steady_state)
 
 
 @st.composite
@@ -167,6 +169,74 @@ def test_batch_matches_the_one_stimulus_solve(case):
             continue
         for field in ("average_v", "swing", "charge_time", "avg_power", "drift"):
             assert within_ulps(getattr(got, field), getattr(want, field)), field
+
+
+@st.composite
+def charge_time_batches(draw):
+    """A VAC (either preset, clamp off, at 0.4 V or at 1.2 V) and one
+    stimulus for it from v0 = 0, from v0 = vdd, from a drawn v0 and from its
+    own average: a period of 1e-3 to 1e3 tau (prefix products underflow to
+    0 past about 745 tau), random phases and weights, and random duties,
+    flat ones (all 0 or 1: the steady state sits on its average, and
+    reaching it is a question of rounding) or ones within 1e-6 of flat,
+    whose steady state goes past its average by a few floats."""
+    base = draw(st.sampled_from([VacConfig.small(), VacConfig.large()]))
+    v_th = draw(st.sampled_from([0.0, 0.4, 1.2]))
+    cfg = VacConfig(3, 3, base.r_unit, base.c_out, compensation_threshold=v_th)
+    freq = 1.0 / (10.0 ** draw(st.floats(-3.0, 3.0)) * cfg.tau)
+    flat = st.sampled_from([0.0, 1.0])
+    near = st.builds(lambda d, e: abs(d - 10.0 ** e), flat, st.floats(-15.0, -6.0))
+    duties = tuple(draw(draw(st.sampled_from([flat, near, flat | st.floats(0.0, 1.0)])))
+                   for _ in range(3))
+    phases = draw(st.none() | st.tuples(*[st.floats(0.0, 0.999)] * 3))
+    weights = draw(st.tuples(*[st.integers(0, 7)] * 3).filter(lambda w: v_th or any(w)))
+    vdd = draw(st.floats(v_th + 0.1, 3.5))
+    stim = VacStimulus(duties, freq, WeightVector(weights, 3), vdd=vdd,
+                       phases=phases and tuple(p / freq for p in phases))
+    return from_four_starts(cfg, stim, draw(st.floats(0.0, vdd)))
+
+
+def from_four_starts(cfg, stim, v0):
+    """The VAC and the stimulus from 0, from vdd, from v0 and from its own
+    average (a flat waveform's average at vdd may round above vdd)."""
+    (m,) = steady_states(cfg, [stim])
+    return cfg, [dataclasses.replace(stim, v0=x) for x in
+                 (0.0, stim.vdd, v0, min(m.average_v, stim.vdd))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(charge_time_batches())
+# one input 1e-11 and 1e-9 from flat, at 0.01 and 0.001 tau: the steady state
+# goes past the level by a few floats, and the starts of thousands of periods
+# round to the same float
+@example(case=from_four_starts(VacConfig.small(), VacStimulus(
+    (0.0, 0.0, 10.0 ** -11.0), 2.1e9, WeightVector((0, 0, 1), 3), vdd=1.0), 0.0))
+@example(case=from_four_starts(VacConfig.small(), VacStimulus(
+    (0.0, 10.0 ** -9.0, 0.0), 2.1e10, WeightVector((0, 1, 0), 3), vdd=1.0), 0.0))
+def test_charge_time_equals_the_period_search(case):
+    # the first period that reaches the level, taken in closed form, against
+    # the search over batches of 64 periods on the same rows, bit for bit.
+    # The search takes its logarithms as numpy does, as the program does:
+    # math.log differs in the last bit for about one argument in 13,000
+    cfg, stimuli = case
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return charge_times(*args)
+
+    charge_times = transient._charge_times
+    with mock.patch.object(transient, "_charge_times", spy):
+        got = steady_states(cfg, stimuli)
+    ((_, segments, prefix, pss, v_aff, floor, level, v),) = calls
+    for k, m in enumerate(got):
+        with mock.patch("math.log", lambda x: float(np.log(x))):
+            want = reference_charge_time(
+                cfg, tuple(x[k] for x in segments),
+                tuple(None if x is None else x[k] for x in prefix), pss[k],
+                float(v_aff[k]), float(floor[k]) if np.isfinite(floor[k]) else None,
+                float(level[k]), float(v[k]))
+        assert m.charge_time == want, k
 
 
 @st.composite
