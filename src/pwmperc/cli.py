@@ -122,6 +122,16 @@ def _coerce(kind, value, name: str, ctx: dict):
     return kind(number)
 
 
+def _at_least(low: int):
+    """An int kind that rejects values below `low`."""
+    def kind(value, name):
+        number = _coerce(int, value, name, {})
+        if number < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+        return number
+    return kind
+
+
 def _resolve(table: dict, given, where: str, ctx: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"{where}: parameters must be a mapping, got {given!r}")
@@ -352,7 +362,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
     "converter": CONVERTER,
     "vdd": VDD,
     "depths": Param([int], [1, 2, 3]),
-    "grid_points": Param(int, 21),
+    "grid_points": Param(_at_least(1), 21),
 })
 def _run_response_curve(spec: ExperimentSpec):
     p = spec.parameters
@@ -376,7 +386,8 @@ def _run_response_curve(spec: ExperimentSpec):
 
 @_kind("fit", {
     "source": Param(("exact", "behavioral", "transient"), "behavioral"),
-    "points": Param(int, 20),
+    # a cubic fit needs four distinct points
+    "points": Param(_at_least(4), 20),
     "grid_hi": Param(float, 0.9),
     "vdd": Param(float, 2.5, when=("source", ("behavioral", "transient"))),
     "frequency": Param(float, 100e6, when=("source", ("transient",))),

@@ -523,6 +523,23 @@ class TestParameters:
         assert manifest["error"]["class"] == "ConfigError"
         assert key in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("response-curve", {"grid_points": -1}, "response-curve.grid_points must be >= 1"),
+        ("response-curve", {"grid_points": 0}, "response-curve.grid_points must be >= 1"),
+        ("fit", {"points": -3}, "fit.points must be >= 4"),
+        ("fit", {"points": 2}, "fit.points must be >= 4"),
+    ])
+    def test_too_few_points_rejected_by_name(self, kind, params, message, tmp_path):
+        manifest = run(make_spec(kind, params, tmp_path))
+        assert manifest["error"]["class"] == "ConfigError"
+        assert manifest["error"]["message"].startswith(message)
+        assert manifest["artifacts"] == []
+
+    @pytest.mark.parametrize("kind, params", [
+        ("response-curve", {"grid_points": 1, "depths": [1]}), ("fit", {"points": 4})])
+    def test_fewest_points_accepted(self, kind, params, tmp_path):
+        assert run(make_spec(kind, params, tmp_path))["status"] == "ok"
+
     @pytest.mark.parametrize("kind, params, key", [
         ("sweep-vdd", {"frequency": math.nan, "grid": [1.0, 2.0]}, "frequency"),
         ("sweep-vdd", {"grid": [1.0, math.inf]}, "grid"),
