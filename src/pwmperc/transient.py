@@ -630,9 +630,12 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
                      4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
 
     def boundaries(starts):
-        """A row's period from each of its starts, and whether it reaches."""
+        """A row's period from each of its starts, and whether it reaches; the
+        extremes are elementwise passes, as numpy reduces a short axis slowly."""
         p = _boundaries(tuple(None if x is None else x[:, None] for x in prefix), starts)
-        return p, np.where(fall, p.min(axis=2) <= lev, p.max(axis=2) >= lev)
+        ends = list(np.moveaxis(p, -1, 0))
+        return p, np.where(fall, np.minimum.reduce(ends) <= lev,
+                           np.maximum.reduce(ends) >= lev)
     a, b, c = prefix
     away = np.where(falling, np.inf, -np.inf)   # v's side, whence the starts come
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -647,7 +650,7 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
         thr = np.where(falling, np.maximum(t.max(axis=1), level),
                        np.minimum(t.min(axis=1), level))
         finite = np.isfinite(thr)
-        # from the side that reaches towards v's: the ones that reach come first
+        # the nine floats around it, from the reaching side to v's: those that reach lead
         grid = [np.where(finite, thr, 0.0)]
         for _ in range(4):
             grid = [np.nextafter(grid[0], -away), *grid, np.nextafter(grid[-1], away)]
@@ -671,14 +674,11 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
     s = np.where(capped, np.maximum(s, np.maximum(prev, cf)), s)
     p, reached = boundaries(np.where(ms == 0, vl, s))
     i = reached.argmax(axis=1)
-    f = np.flatnonzero(reached.any(axis=1))
-    row, start = p[f, i[f]], ms[f, i[f]] * period[f]
-    out = np.full(len(v), np.nan)
+    row, start = p[np.arange(len(v)), i], ms[np.arange(len(v)), i] * period
     # the period starts on the level, or past it by rounding
-    on = np.where(falling[f], row[:, 0] <= level[f], row[:, 0] >= level[f])
-    out[f] = np.where(on, start, start + _first_crossing(
-        tau, t0s[f], t1s[f], row, veq[f], level[f]))
-    return out
+    on = np.where(falling, row[:, 0] <= level, row[:, 0] >= level)
+    out = np.where(on, start, start + _first_crossing(tau, t0s, t1s, row, veq, level))
+    return np.where(reached.any(axis=1), out, np.nan)
 
 
 # ---------------------------------------------------------------------------
