@@ -94,13 +94,15 @@ class Param:
 
 def _coerce(kind, value, name: str, ctx: dict):
     """`value` as `kind`: float, int (both finite), str, a tuple of allowed
-    values, [kind] for a list, a table for a mapping, or a function
+    values, [kind] for a nonempty list, a table for a mapping, or a function
     (value, name) -> value."""
     if isinstance(kind, dict):
         return _resolve(kind, value, name, ctx)
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{name} must not be empty")
         return [_coerce(kind[0], v, f"{name}[{i}]", {**ctx, "index": i})
                 for i, v in enumerate(value)]
     if isinstance(kind, tuple):
@@ -130,6 +132,14 @@ def _at_least(low: int):
             raise ConfigError(f"{name} must be >= {low}, got {value!r}")
         return number
     return kind
+
+
+def _top_duty(value, name):
+    """A float kind in (0, 1]: the top of a grid of input duties."""
+    number = _coerce(float, value, name, {})
+    if not 0.0 < number <= 1.0:
+        raise ConfigError(f"{name} must be in (0, 1], got {value!r}")
+    return number
 
 
 def _resolve(table: dict, given, where: str, ctx: dict) -> dict:
@@ -361,7 +371,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
     **N_K,
     "converter": CONVERTER,
     "vdd": VDD,
-    "depths": Param([int], [1, 2, 3]),
+    "depths": Param([_at_least(1)], [1, 2, 3]),
     "grid_points": Param(_at_least(1), 21),
 })
 def _run_response_curve(spec: ExperimentSpec):
@@ -388,7 +398,7 @@ def _run_response_curve(spec: ExperimentSpec):
     "source": Param(("exact", "behavioral", "transient"), "behavioral"),
     # a cubic fit needs four distinct points
     "points": Param(_at_least(4), 20),
-    "grid_hi": Param(float, 0.9),
+    "grid_hi": Param(_top_duty, 0.9),
     "vdd": Param(float, 2.5, when=("source", ("behavioral", "transient"))),
     "frequency": Param(float, 100e6, when=("source", ("transient",))),
 })

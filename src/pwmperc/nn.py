@@ -35,8 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .converter import (ConverterModel, _like, stage_map, stage_map_and_slope,
-                        stage_map_deriv)
+from .converter import ConverterModel, _like, stage_map, stage_map_and_slope
 
 __all__ = [
     "ActivationKind",
@@ -90,18 +89,7 @@ def activation(kind: ActivationKind, x):
 
 def activation_deriv(kind: ActivationKind, x):
     """Analytic derivative; right-hand value at breakpoints, 0 in clamps."""
-    arr = np.asarray(x, dtype=np.float64)
-    if kind is ActivationKind.RELU:
-        y = (arr >= 0.0).astype(np.float64)
-    elif kind is ActivationKind.CAP_RELU:
-        y = ((arr >= 0.0) & (arr < 1.0)).astype(np.float64)
-    elif kind is ActivationKind.OFT_RELU:
-        y = ((arr >= 0.0) & (arr < OFT_CAP_X)).astype(np.float64)
-    elif kind is ActivationKind.PWM_PERCEPT:
-        y = np.where(arr < 0.0, 0.0, stage_map_deriv(arr, _STAGE))
-    else:
-        raise ValueError(f"unknown activation {kind}")
-    return _like(x, y)
+    return _like(x, activation_and_slope(kind, np.asarray(x, dtype=np.float64))[1])
 
 
 def activation_and_slope(kind: ActivationKind, x: np.ndarray):
@@ -109,11 +97,18 @@ def activation_and_slope(kind: ActivationKind, x: np.ndarray):
     for bit; the stage cubic is evaluated once, on x as it is. That needs no
     clip: the cubic rises beyond 1 from cubic(1) = 120.38 > cap 98, so there
     the map is the cap and the slope is 0 either way."""
-    if kind is not ActivationKind.PWM_PERCEPT:
-        return activation(kind, x), activation_deriv(kind, x)
-    y, slope = stage_map_and_slope(x, _STAGE)
-    below = x < 0.0
-    return np.where(below, 0.0, y), np.where(below, 0.0, slope)
+    if kind is ActivationKind.PWM_PERCEPT:
+        y, slope = stage_map_and_slope(x, _STAGE)
+        below = x < 0.0
+        return np.where(below, 0.0, y), np.where(below, 0.0, slope)
+    y = activation(kind, x)  # raises for an unknown kind
+    if kind is ActivationKind.RELU:
+        slope = x >= 0.0
+    elif kind is ActivationKind.CAP_RELU:
+        slope = (x >= 0.0) & (x < 1.0)
+    else:
+        slope = (x >= 0.0) & (x < OFT_CAP_X)
+    return y, np.asarray(slope, dtype=np.float64)
 
 
 def _duties(x, out: np.ndarray | None = None) -> np.ndarray:

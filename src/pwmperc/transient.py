@@ -239,8 +239,7 @@ def _prefix(cfg: VacConfig, segments):
     """Prefix compositions (A, B, C) of the segment maps v -> max(a*v + b, c),
     by a Hillis-Steele scan along the last axis: segments 0..k of a row take a
     start voltage v >= 0 to max(A[k]*v + B[k], C[k]). The rows, if there are
-    several, are independent timelines scanned together. C is None when no
-    segment pulls below the threshold.
+    several, are independent timelines scanned together.
 
     A segment has a = e^(-dt/tau) and b = veq*(1 - a); c is the threshold
     where veq lies below it and b elsewhere. For v >= 0 the map
@@ -255,20 +254,15 @@ def _prefix(cfg: VacConfig, segments):
     a = 1.0 - d
     b = veq * d
     v_th = cfg.compensation_threshold
-    c = None
-    if v_th > 0.0:
-        clampable = veq < v_th
-        if clampable.any():
-            c = np.where(clampable, v_th, b)
+    c = np.where(veq < v_th, v_th, b)
     shift = 1
     while shift < a.shape[-1]:
         # element k composes with element k - shift, in every row; the
         # right-hand sides read the old values, as numpy copies overlapping
         # operands
-        if c is not None:
-            t = a[..., shift:] * c[..., :-shift]
-            t += b[..., shift:]
-            np.maximum(c[..., shift:], t, out=c[..., shift:])
+        t = a[..., shift:] * c[..., :-shift]
+        t += b[..., shift:]
+        np.maximum(c[..., shift:], t, out=c[..., shift:])
         b[..., shift:] += a[..., shift:] * b[..., :-shift]
         a[..., shift:] *= a[..., :-shift]
         shift *= 2
@@ -283,8 +277,7 @@ def _boundaries(prefix, v):
     v = np.asarray(v, dtype=np.float64)
     ends = v[..., None] * a
     ends += b
-    if c is not None:
-        np.maximum(ends, c, out=ends)
+    np.maximum(ends, c, out=ends)
     return np.concatenate((v[..., None], ends), axis=-1)
 
 
@@ -300,8 +293,6 @@ def _clamp(cfg: VacConfig, segments, p: np.ndarray):
     t0s, t1s, veq = segments[:3]
     dt = t1s - t0s
     v_th = cfg.compensation_threshold
-    if v_th == 0.0:
-        return dt, np.zeros(dt.shape, dtype=bool)
     clampable = np.nonzero(veq < v_th)
     q = veq[clampable]
     ratio = np.maximum((p[..., :-1][clampable] - q) / (v_th - q), 1.0)
@@ -392,11 +383,10 @@ def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up):
     # supply current flows through the pull-up cells: up * g * (vdd - v)
     p_int = up * ((vdd - veq) * t_free - dv)
     v_th = cfg.compensation_threshold
-    if v_th > 0.0:
-        t_clamped = dt - t_free
-        v_int += v_th * t_clamped
-        # clamp + pull-up current together equal the pull-down current
-        p_int += (cfg.total_units - up) * v_th * t_clamped
+    t_clamped = dt - t_free
+    v_int += v_th * t_clamped
+    # clamp + pull-up current together equal the pull-down current
+    p_int += (cfg.total_units - up) * v_th * t_clamped
     return v_int, vdd * p_int / cfg.r_unit
 
 
@@ -490,7 +480,7 @@ def steady_states(cfg: VacConfig,
     One input period is cut into the segments simulate_vac would use. On
     v >= threshold its period map is F(v) = max(A*v + B, C), the composition
     of the segment maps, so the periodic start voltage is
-    v* = max(B/(1-A), C) (no C without the clamp). Average, swing and power
+    v* = max(B/(1-A), C) (C only where a segment clamps). Average, swing and power
     are the closed-form integrals over that one period; the charge time is
     the first crossing of the average from v0. `drift` is the relative
     fixed-point residual |F(v*) - v*| / average. The batch pads each
@@ -573,8 +563,7 @@ def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
     real = np.arange(t0s.shape[1]) < n_seg[:, None]
     # a row's padding composes its segments in another order than its last
     # segment does: the columns after the last segment take its composition
-    prefix = tuple(None if x is None else np.where(real, x, x[rows, n_seg - 1, None])
-                   for x in _prefix(cfg, segments))
+    prefix = tuple(np.where(real, x, x[rows, n_seg - 1, None]) for x in _prefix(cfg, segments))
     # the one-period map F(v) = max(A*v + B, C) as v_aff = B/(1-A) and its
     # floor C (-inf where no segment pulls below the threshold). 1 - A is
     # taken as -expm1(-period/tau): with A near 1 (inputs much faster than
@@ -584,8 +573,7 @@ def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
     one_minus_a = -np.fromiter(map(math.expm1, (-period / cfg.tau).tolist()),
                                np.float64, len(period))
     v_aff = prefix[1][:, -1] / one_minus_a
-    floor = np.full(len(period), -np.inf) if prefix[2] is None else np.where(
-        (real & (veq < v_th)).any(axis=1), prefix[2][:, -1], -np.inf)
+    floor = np.where((real & (veq < v_th)).any(axis=1), prefix[2][:, -1], -np.inf)
     pss = _boundaries(prefix, np.maximum(v_aff, floor))
     t_free, _ = _clamp(cfg, segments, pss)
     v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up)
@@ -632,7 +620,7 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
     def boundaries(starts):
         """A row's period from each of its starts, and whether it reaches; the
         extremes are elementwise passes, as numpy reduces a short axis slowly."""
-        p = _boundaries(tuple(None if x is None else x[:, None] for x in prefix), starts)
+        p = _boundaries(tuple(x[:, None] for x in prefix), starts)
         ends = list(np.moveaxis(p, -1, 0))
         return p, np.where(fall, np.minimum.reduce(ends) <= lev,
                            np.maximum.reduce(ends) >= lev)
@@ -643,9 +631,9 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
         half = (np.nextafter(level, away) - level)[:, None] / 2
         t = np.where(a > 0.0, (lev - b + half) / a,
                      np.where(np.where(fall, b <= lev, b < lev), np.inf, -np.inf))
-        if c is not None:
-            # a floor above the level never falls to it; one on it or above always rises
-            t = np.where(np.where(fall, c > lev, c >= lev), -np.inf, t)
+        # a floor above the level never falls to it, one on it or above always
+        # rises to it; c' = b where nothing clamps, so that holds for every boundary
+        t = np.where(np.where(fall, c > lev, c >= lev), -np.inf, t)
         # the start is a boundary too
         thr = np.where(falling, np.maximum(t.max(axis=1), level),
                        np.minimum(t.min(axis=1), level))

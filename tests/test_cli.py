@@ -359,8 +359,10 @@ class TestTrainKind:
 
     @pytest.mark.parametrize("kind, params, field, value", [
         ("train", {"topology": "784/10", "activation": "relu"}, "data_dir", "x"),
-        ("train-sweep", {"configs": []}, "data_dir", "x"),
-        ("train-sweep", {"configs": []}, "jobs", 2)])
+        ("train-sweep", {"configs": [{"topology": "784/10", "activation": "relu"}]},
+         "data_dir", "x"),
+        ("train-sweep", {"configs": [{"topology": "784/10", "activation": "relu"}]},
+         "jobs", 2)])
     def test_read_spec_field_accepted(self, kind, params, field, value, tmp_path):
         cli.resolve(make_spec(kind, params, tmp_path, **{field: value}))
 
@@ -528,6 +530,12 @@ class TestParameters:
         ("response-curve", {"grid_points": 0}, "response-curve.grid_points must be >= 1"),
         ("fit", {"points": -3}, "fit.points must be >= 4"),
         ("fit", {"points": 2}, "fit.points must be >= 4"),
+        # every list key needs an entry
+        ("response-curve", {"depths": []}, "response-curve.depths must not be empty"),
+        ("vac-table", {"rows": []}, "vac-table.rows must not be empty"),
+        ("train-sweep", {"configs": []}, "train-sweep.configs must not be empty"),
+        ("sweep-vdd", {"grid": []}, "sweep-vdd.grid must not be empty"),
+        ("sweep-freq", {"grid": []}, "sweep-freq.grid must not be empty"),
     ])
     def test_too_few_points_rejected_by_name(self, kind, params, message, tmp_path):
         manifest = run(make_spec(kind, params, tmp_path))
@@ -535,8 +543,22 @@ class TestParameters:
         assert manifest["error"]["message"].startswith(message)
         assert manifest["artifacts"] == []
 
+    # fit's grid holds input duties from 0 to grid_hi
+    @pytest.mark.parametrize("kind, params, message", [
+        ("fit", {"grid_hi": 0}, "fit.grid_hi must be in (0, 1]"),
+        ("fit", {"grid_hi": -0.5}, "fit.grid_hi must be in (0, 1]"),
+        ("fit", {"grid_hi": 1.5}, "fit.grid_hi must be in (0, 1]"),
+        ("response-curve", {"depths": [2, 0]}, "response-curve.depths[1] must be >= 1"),
+    ])
+    def test_out_of_range_key_rejected_by_name(self, kind, params, message, tmp_path):
+        manifest = run(make_spec(kind, params, tmp_path))
+        assert manifest["error"]["class"] == "ConfigError"
+        assert manifest["error"]["message"].startswith(message)
+        assert manifest["artifacts"] == []
+
     @pytest.mark.parametrize("kind, params", [
-        ("response-curve", {"grid_points": 1, "depths": [1]}), ("fit", {"points": 4})])
+        ("response-curve", {"grid_points": 1, "depths": [1]}), ("fit", {"points": 4}),
+        ("fit", {"grid_hi": 1.0})])
     def test_fewest_points_accepted(self, kind, params, tmp_path):
         assert run(make_spec(kind, params, tmp_path))["status"] == "ok"
 

@@ -392,7 +392,8 @@ class TestPeriodicSteadyState:
         period = 1.0 / stim.frequency
         supply = ConstantSupply(stim.vdd)
         segments = trace_segments(cfg, stim.signals(), stim.w, supply, period)
-        v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period)
+        v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period,
+                              segments[2])
         v_star = max(v_aff, c)
         # F(v*), one period from v*, by the transient solver
         one = simulate_vac(cfg, stim.signals(), stim.w, supply, period, v0=v_star)
@@ -450,7 +451,8 @@ class TestEnergyBalance:
             period = 1.0 / stim.frequency
             supply = ConstantSupply(stim.vdd)
             segments = trace_segments(cfg, stim.signals(), stim.w, supply, period)
-            v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period)
+            v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period,
+                                  segments[2])
             trace = simulate_vac(cfg, stim.signals(), stim.w, supply, period,
                                  v0=v_aff if c is None else max(v_aff, c))
             t0, t1 = trace.seg_t0[:, None], trace.seg_t1[:, None]
@@ -753,7 +755,7 @@ def reference_steady_state(cfg, stimulus):
     period = 1.0 / stimulus.frequency
     segments = trace_segments(cfg, inputs, stimulus.w, supply, period)
     prefix = transient._prefix(cfg, segments)
-    v_aff, c = period_map(cfg, prefix, period)
+    v_aff, c = period_map(cfg, prefix, period, segments[2])
     pss = transient._boundaries(prefix, v_aff if c is None else max(v_aff, c))
     t_free, _ = transient._clamp(cfg, segments, pss)
     t0s, t1s, veq, vdd, up = segments
@@ -767,12 +769,13 @@ def reference_steady_state(cfg, stimulus):
         avg_power=float(p_int.sum()) / period, drift=drift)
 
 
-def period_map(cfg, prefix, period):
+def period_map(cfg, prefix, period, veq):
     """The one-period map F(v) = max(A*v + B, C) of a constant supply, as
-    (B/(1-A), C); C None when no segment pulls below the threshold."""
+    (B/(1-A), C); C None when no segment pulls below the threshold (there
+    the scan's C is B, which _solve does not take as a floor either)."""
     _, b, c = prefix
     v_aff = float(b[-1]) / -math.expm1(-period / cfg.tau)
-    return v_aff, None if c is None else float(c[-1])
+    return v_aff, float(c[-1]) if (veq < cfg.compensation_threshold).any() else None
 
 
 def reference_first_crossing(tau, t0, t1, b, veq, level):

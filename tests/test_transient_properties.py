@@ -49,6 +49,47 @@ def test_matches_sequential_walk(case):
     assert_matches_sequential(*case)
 
 
+@st.composite
+def segment_rows(draw):
+    """A threshold and rows of segments for the prefix scan: dt/tau from 0
+    to past the underflow of e^(-dt/tau), and veq from a pull-up count and a
+    supply, so on both sides of the threshold."""
+    cfg = VacConfig.small(compensation_threshold=draw(st.sampled_from([0.0, 0.4, 1.2])))
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 24))
+    size = dict(min_size=rows * n, max_size=rows * n)
+    dt = draw(st.lists(st.sampled_from([0.0, 1e-9, 800.0]) | st.floats(1e-6, 50.0),
+                       **size))
+    bounds = np.cumsum(np.reshape([0.0] * rows + dt, (n + 1, rows)).T, axis=1) * cfg.tau
+    up = np.reshape(draw(st.lists(st.integers(0, cfg.total_units), **size)), (rows, n))
+    vdd = np.reshape(draw(st.lists(st.floats(0.5, 3.5), **size)), (rows, n))
+    starts = draw(st.lists(st.floats(0.0, 3.5), min_size=rows, max_size=rows))
+    veq = vdd * (up / cfg.total_units)
+    return cfg, (bounds[:, :-1], bounds[:, 1:], veq), np.array(starts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_rows())
+def test_prefix_floor_is_b_where_nothing_clamps(case):
+    # a segment states "no floor" as c = b, since max(a*v + b, b) = a*v + b
+    # for v >= 0: the scan's C never lies below B, equals it bit for bit as
+    # long as no segment so far pulls below the threshold, and the boundaries
+    # are the segment-by-segment walk of v -> max(a*v + b, c)
+    cfg, segments, starts = case
+    v_th = cfg.compensation_threshold
+    t0s, t1s, veq = segments
+    a, b, c = transient._prefix(cfg, segments)
+    assert (c >= b).all()
+    free = np.logical_and.accumulate(veq >= v_th, axis=1)
+    np.testing.assert_array_equal(c[free], b[free])
+    d = -np.expm1((t0s - t1s) / cfg.tau)
+    walk = [starts]
+    for k in range(veq.shape[1]):
+        step = (1.0 - d[:, k]) * walk[-1] + veq[:, k] * d[:, k]
+        walk.append(np.maximum(step, np.where(veq[:, k] < v_th, v_th, step)))
+    np.testing.assert_allclose(transient._boundaries((a, b, c), starts),
+                               np.stack(walk, axis=1), rtol=0, atol=1e-12 * 3.5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(transients(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
 def test_sample_equals_value_at(case, fractions):
@@ -233,7 +274,7 @@ def test_charge_time_equals_the_period_search(case):
         with mock.patch("math.log", lambda x: float(np.log(x))):
             want = reference_charge_time(
                 cfg, tuple(x[k] for x in segments),
-                tuple(None if x is None else x[k] for x in prefix), pss[k],
+                tuple(x[k] for x in prefix), pss[k],
                 float(v_aff[k]), float(floor[k]) if np.isfinite(floor[k]) else None,
                 float(level[k]), float(v[k]))
         assert m.charge_time == want, k
