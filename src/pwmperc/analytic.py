@@ -68,7 +68,7 @@ def weighted_dc_sum(duties, w: WeightVector):
     if len(duties) != w.n:
         raise ValueError(f"{len(duties)} duties vs {w.n} weights")
     for i, d in enumerate(duties):
-        _check_duty(d, i)
+        _check_duty(d, f"duty of input {i}")
     return _weighted_sum((d * wi for d, wi in zip(duties, w.weights)), w.total_units)
 
 
@@ -87,11 +87,12 @@ def vac_equilibrium(duties, w: WeightVector, vdd: float):
     return vdd * (1.0 - weighted_dc_sum(duties, w))
 
 
-def _check_duty(duty, i: int) -> None:
-    """Reject a duty of input ``i`` that is NaN or outside [0, 1], naming an
-    array's first bad element by its flat index."""
+def _check_duty(duty, name: str) -> None:
+    """Reject a duty that is NaN or outside [0, 1], naming it and an array's
+    first bad element by its index, a tuple for more than one axis."""
     d = np.asarray(duty)
     bad = np.flatnonzero(~((d >= 0.0) & (d <= 1.0)))
     if bad.size:
-        at = f" at index {bad[0]}" if d.ndim else ""
-        raise ValueError(f"duty of input {i} must be in [0, 1], got {d.flat[bad[0]]}{at}")
+        index = tuple(int(j) for j in np.unravel_index(bad[0], d.shape))
+        at = f" at index {index[0] if d.ndim == 1 else index}" if d.ndim else ""
+        raise ValueError(f"{name} must be in [0, 1], got {d.flat[bad[0]]}{at}")

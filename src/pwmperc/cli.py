@@ -36,8 +36,8 @@ from .analytic import WeightVector, vac_equilibrium
 from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
 from .signals import PwmSignal, SinusoidSupply
-from .transient import (VacConfig, VacStimulus, _check_stimuli, _solve, simulate_vac,
-                        sweep)
+from .transient import (TraceCells, VacConfig, VacStimulus, _check_stimuli, _solve,
+                        simulate_vac, sweep)
 
 __all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
            "SweepFailedError", "resolve", "run", "main"]
@@ -351,14 +351,18 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
                             period=p["supply_period"])
     converter = CONVERTERS[p["converter"]]()
 
+    # both regions run on one supply and one set of input edges: region B
+    # takes region A's time and supply cells wherever its rows share them
+    cells = TraceCells()
     for tag, weights in (("region_a", p["weights_a"]), ("region_b", p["weights_b"])):
         w = WeightVector(tuple(weights), cfg.k)
         sigs = [PwmSignal(freq, d) for d in duties]
         trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=0.0)
         name = f"dynamic_trace_{tag}.csv"
-        trace.write_csv(spec.output_dir / name)
+        trace.write_csv(spec.output_dir / name, cells)
         yield name
         ts, out, ratio = duty_samples(converter, trace, supply)
+        del trace  # of region A only its times, supplies and cells are kept
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,
                    ["time_s", "duty_out", "v_over_vdd"],

@@ -84,11 +84,11 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
         raise ValueError(f"depth must be >= 1, got {depth}")
     w = cfg.max_weights()
     dc = np.array(dc_in, dtype=np.float64)
+    if cfg.path == "behavioral" and vdd <= 0:
+        raise ValueError(f"vdd must be > 0, got {vdd}")
+    # named as the caller passed it: every stage input is the same array
+    _check_duty(dc, "chain input dc_in")
     flat = dc.reshape(-1)
-    if cfg.path == "behavioral":
-        if vdd <= 0:
-            raise ValueError(f"vdd must be > 0, got {vdd}")
-        _check_duty(flat, 0)
     live = slice(None)          # every point, until one stalls
     for _ in range(depth):
         if cfg.path == "behavioral":

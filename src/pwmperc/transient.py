@@ -57,6 +57,7 @@ from .signals import ConstantSupply, PwmSignal, SupplyProfile, pwm_edges, pwm_hi
 __all__ = [
     "VacConfig",
     "TransientTrace",
+    "TraceCells",
     "TraceMetrics",
     "VacStimulus",
     "SweepPoint",
@@ -71,6 +72,7 @@ __all__ = [
 
 DRIFT_LIMIT = 1e-3       # relative settle error above which metrics are unreliable
 N_UNIFORM_SAMPLES = 512  # uniform samples simulate_vac adds to the boundaries
+CSV_CHUNK = 256          # trace CSV rows formatted at a time
 
 
 class FloatingNodeError(ValueError):
@@ -155,11 +157,62 @@ class TransientTrace:
         v = veq + (v0 - veq) * np.exp(-(ts - self.seg_t0[i]) / self.tau)
         return np.where(self.seg_clamped[i], v0, v)
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, cells: TraceCells | None = None) -> None:
+        """Write a time_s, v_cap_V, vdd_V row per sample, each float as its
+        repr, CSV_CHUNK rows at a time. With `cells`, the time and supply
+        cells come from it where it holds them (see TraceCells)."""
         with open(path, "w", newline="") as fh:
             fh.write("time_s,v_cap_V,vdd_V\n")
-            fh.writelines(f"{t!r},{v!r},{s!r}\n" for t, v, s in zip(
-                self.times.tolist(), self.v_cap.tolist(), self.vdd.tolist()))
+            for lo in range(0, len(self.times), CSV_CHUNK):
+                rows = slice(lo, lo + CSV_CHUNK)
+                times, vdd = (cells.take(self.times, self.vdd, rows) if cells is not None
+                              else (_reprs(self.times[rows]), _reprs(self.vdd[rows])))
+                fh.write("".join([f"{t},{v!r},{s}\n" for t, v, s
+                                  in zip(times, self.v_cap[rows].tolist(), vdd)]))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """Each float of `values` as its repr, a CSV cell."""
+    return list(map(repr, values.tolist()))
+
+
+class TraceCells:
+    """The time and supply cells of the first trace CSV written with it,
+    kept with that trace's times and supplies.
+
+    A later trace written with it takes the cells of each row whose time and
+    supply equal a row of the first bit for bit (so 0.0 and -0.0 stay apart),
+    and formats only its other rows. Traces of one supply over one horizon
+    share most of their times, and so most of these cells. The cells are
+    kept as numpy byte strings, one array per column, a third of the memory
+    of str objects: a float's repr has at most 24 characters.
+    """
+
+    def __init__(self):
+        self._times = self._vdd = None     # the first trace's
+        self._kept = None                  # its time and supply cells
+
+    def take(self, times: np.ndarray, vdd: np.ndarray, rows: slice) -> tuple[list, list]:
+        """The time and supply cells of `rows` of a trace with these times,
+        ascending, and supplies."""
+        if self._times is None:
+            self._times, self._vdd = times, vdd
+            self._kept = np.empty(len(times), "S24"), np.empty(len(times), "S24")
+        first = times is self._times and vdd is self._vdd
+        times, vdd = times[rows], vdd[rows]
+        if first:                          # format and keep
+            cells = _reprs(times), _reprs(vdd)
+            self._kept[0][rows], self._kept[1][rows] = cells
+            return cells
+        i = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
+        new = ((self._times[i].view(np.int64) != times.view(np.int64))
+               | (self._vdd[i].view(np.int64) != vdd.view(np.int64)))
+        # no cell holds a newline: join, decode and split in three C passes
+        time_cells, vdd_cells = (b"\n".join(kept[i].tolist()).decode().split("\n")
+                                 for kept in self._kept)
+        for k in np.flatnonzero(new).tolist():
+            time_cells[k], vdd_cells[k] = repr(float(times[k])), repr(float(vdd[k]))
+        return time_cells, vdd_cells
 
 
 @dataclass(frozen=True)

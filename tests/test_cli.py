@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from pwmperc import cli, perceptron, transient
+from pwmperc import (PwmSignal, SinusoidSupply, WeightVector, cli, perceptron,
+                     transient)
 from pwmperc.cli import ExperimentSpec, run
 
 from conftest import write_synthetic_mnist
@@ -227,6 +229,31 @@ class TestOtherKinds:
             _, rows = read_rows(spec.output_dir / name)
             for cell in (c for r in rows for c in r if c):
                 float(cell)  # plain numbers, no numpy reprs
+
+    @pytest.mark.parametrize("weights_a, weights_b, b_inside_a", [
+        ([7, 7, 7], [2, 2, 2], True),
+        ([2, 2, 2], [7, 7, 7], False),   # B's clamp splits are times A lacks
+    ])
+    def test_dynamic_vdd_regions_share_cells_byte_for_byte(
+            self, tmp_path, weights_a, weights_b, b_inside_a):
+        spec = make_spec("dynamic-vdd", {
+            "compensation_threshold": 0.4, "duties": [0.9, 0.8, 0.95],
+            "weights_a": weights_a, "weights_b": weights_b, "horizon": 20e-6}, tmp_path)
+        assert run(spec)["status"] == "ok"
+        p = cli.resolve(spec)
+        supply = SinusoidSupply(mean=p["supply_mean"], amplitude=p["supply_amplitude"],
+                                period=p["supply_period"])
+        sigs = [PwmSignal(p["frequency"], d) for d in p["duties"]]
+        times = {}
+        for tag in ("a", "b"):
+            trace = transient.simulate_vac(
+                cli._vac_config(p), sigs, WeightVector(tuple(p[f"weights_{tag}"]), 3),
+                supply, p["horizon"])
+            trace.write_csv(tmp_path / "alone.csv")
+            assert (spec.output_dir / f"dynamic_trace_region_{tag}.csv").read_bytes() == \
+                (tmp_path / "alone.csv").read_bytes()
+            times[tag] = trace.times
+        assert np.isin(times["b"], times["a"]).all() == b_inside_a
 
     def test_failed_run_lists_the_files_it_wrote(self, tmp_path):
         # region B floats (all weights 0, clamp off) after region A is written

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,19 @@ class TestChain:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             chain_eval(BEHAVIORAL, 0, 0.5)
+
+    @pytest.mark.parametrize("path", ["behavioral", "transient"])
+    @pytest.mark.parametrize("dc_in, where", [
+        ([[0.2, -0.1], [0.3, 0.4]], " at index (0, 1)"),
+        ([0.2, 0.3, -0.1], " at index 2"),
+        (-0.1, ""),
+    ])
+    def test_bad_input_named_at_the_callers_position(self, path, dc_in, where):
+        # the chain's input, not the first of the n stage inputs it feeds
+        cfg = dataclasses.replace(BEHAVIORAL, path=path)
+        with pytest.raises(ValueError) as err:
+            chain_eval(cfg, 1, dc_in)
+        assert str(err.value) == f"chain input dc_in must be in [0, 1], got -0.1{where}"
 
 
 class TestResponseCurve:

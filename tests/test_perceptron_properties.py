@@ -1,7 +1,7 @@
 """Property tests of the array-valued stage path: a grid evaluates exactly
 as its points do one by one, depth composes stage by stage, and a chain,
 which checks its inputs once, gives what its checked stages give, errors
-included."""
+included, a bad duty named as the chain's own input."""
 
 import numpy as np
 import pytest
@@ -81,6 +81,17 @@ def curve_by_stages(cfg, grid, depth, vdd):
     return dc_out, float(np.cumsum(steps)[-1]) if steps.size else 0.0
 
 
+def chain_error(dc_in):
+    """What a chain raises for its first bad input: the stages name their own
+    first input and a flat index, the chain names its input and the point's
+    index in the caller's array."""
+    dc = np.asarray(dc_in)
+    at = int(np.flatnonzero(~((dc >= 0.0) & (dc <= 1.0)))[0])
+    index = tuple(int(j) for j in np.unravel_index(at, dc.shape))
+    where = "" if dc.ndim == 0 else f" at index {index[0] if dc.ndim == 1 else index}"
+    return ValueError, f"chain input dc_in must be in [0, 1], got {dc.flat[at]}{where}"
+
+
 def outcome(fn, *args):
     """fn's result, or the type and message of what it raised."""
     try:
@@ -141,6 +152,8 @@ def test_chain_rejects_what_its_stages_reject(name, dc_in, bad, data, depth, vdd
         at = data.draw(st.integers(0, dc_in.size - 1))
         dc_in.reshape(-1)[at] = bad
     want = outcome(chain_by_stages, cfg, depth, dc_in, vdd)
+    if isinstance(want, tuple) and want[1].startswith("duty of input"):
+        want = chain_error(dc_in)
     assert same(outcome(chain_eval, cfg, depth, dc_in, vdd), want)
     got = outcome(response_curve, cfg, dc_in, depth, vdd)
     if isinstance(want, tuple):
@@ -151,7 +164,7 @@ def test_chain_rejects_what_its_stages_reject(name, dc_in, bad, data, depth, vdd
 
 @pytest.mark.parametrize("converter", ["compensated", "raw"])
 def test_transient_chain_is_its_stages(converter):
-    # the transient path keeps its own checks, through perceptron_eval
+    # the transient path keeps its stages' checks, through perceptron_eval
     cfg = PerceptronConfig(vac=VacConfig.small(), path="transient",
                            converter=getattr(ConverterModel, converter)())
     grid = np.array([[0.0, 0.05, 0.5], [0.75, 0.9, 1.0]])
@@ -161,4 +174,6 @@ def test_transient_chain_is_its_stages(converter):
                               (1, 0.5, 0.0), (0, 0.5, 2.5)]:
         want = outcome(chain_by_stages, cfg, depth, dc_in, vdd)
         assert isinstance(want, tuple)
+        if want[1].startswith("duty"):
+            want = chain_error(dc_in)
         assert outcome(chain_eval, cfg, depth, dc_in, vdd) == want

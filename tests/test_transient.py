@@ -493,6 +493,41 @@ def test_trace_csv_roundtrip(tmp_path):
     assert float(s) == 2.5
 
 
+def test_trace_csv_bytes_are_its_rows(tmp_path):
+    # more rows than one chunk, written chunk by chunk
+    trace = simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3, W777, SUP25, 2e-6)
+    assert len(trace.times) > transient.CSV_CHUNK
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == "time_s,v_cap_V,vdd_V\n" + "".join(
+        f"{t!r},{v!r},{s!r}\n" for t, v, s in zip(
+            trace.times.tolist(), trace.v_cap.tolist(), trace.vdd.tolist()))
+
+
+def test_shared_cells_write_each_trace_as_alone(tmp_path):
+    trace = simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3, W777, SUP25, 1e-7)
+    n = len(trace.times)
+    # the longest float reprs (24 characters) in the kept cells
+    first = dataclasses.replace(trace, vdd=np.full(n, -2.2250738585072014e-308))
+    first.vdd[1] = -1.2345678901234567e+100
+    # 0.0 against -0.0, a supply that differs at an equal time, times the
+    # first trace lacks (inside and past its end), and a shared row
+    later = dataclasses.replace(
+        trace, times=np.array([-0.0, trace.times[1], trace.times[1] * 1.5, trace.times[2],
+                               1.0]),
+        v_cap=np.linspace(0.1, 0.5, 5),
+        vdd=np.array([first.vdd[0], 2.5, 2.5, first.vdd[2], 2.5]))
+    # the first trace's times with other supplies leave the kept cells as they are
+    other_vdd = dataclasses.replace(first, vdd=np.full(n, 2.5))
+    cells = transient.TraceCells()
+    for name, tr in (("first", first), ("later", later), ("other", other_vdd),
+                     ("later", later)):
+        tr.write_csv(tmp_path / f"{name}.csv", cells)
+        tr.write_csv(tmp_path / f"{name}-alone.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}-alone.csv").read_bytes()
+    assert (tmp_path / "later.csv").read_text().splitlines()[1].startswith("-0.0,")
+
+
 # ---------------------------------------------------------------------------
 # The prefix scan against the sequential walk it replaced
 # ---------------------------------------------------------------------------

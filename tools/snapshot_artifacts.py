@@ -5,10 +5,11 @@
 
 Runs, through ``cli.run`` with seed 0, every config in the ``configs/``
 directory of the checkout that holds the imported package, the vac-table at
-the small and large presets, fixed-points, and two runs with the 0.4 V
-compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: a
-dynamic-vdd run with the supply-clamp benchmark's circuit over 20 us, and
-``sweep_vdd.yaml`` at that threshold. Each run writes into
+the small and large presets, fixed-points, and three runs with the 0.4 V
+compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: two
+dynamic-vdd runs with the supply-clamp benchmark's circuit over 20 us, the
+second with the regions' weights swapped so that region B has rows at times
+region A lacks, and ``sweep_vdd.yaml`` at that threshold. Each run writes into
 ``OUT/<name>/``. The training configs run for ``TRAIN_EPOCHS`` epochs on a
 small seeded synthetic MNIST-shaped set written to a temporary directory, and
 a training sweep on a subsample of it. Wall times are dropped: ``wall_time_s``
@@ -45,12 +46,15 @@ TRAIN_EPOCHS = 2
 SYNTHETIC_SIZES = {"train": 1500, "test": 300}
 SWEEP_SUBSAMPLE = 500
 CLAMP_V = 0.4
+DYNAMIC_CLAMPED = {"preset": "custom", "r_unit": 1e5, "c_out": 1e-10,
+                   "compensation_threshold": CLAMP_V, "duties": [0.9, 0.8, 0.95],
+                   "horizon": 20e-6}
 # the clamped runs: (name, kind, the config they start from or None, overrides)
 CLAMPED_RUNS = (
-    ("dynamic_vdd_clamped", "dynamic-vdd", None, {
-        "preset": "custom", "r_unit": 1e5, "c_out": 1e-10,
-        "compensation_threshold": CLAMP_V, "duties": [0.9, 0.8, 0.95],
-        "weights_a": [7, 7, 7], "horizon": 20e-6}),
+    ("dynamic_vdd_clamped", "dynamic-vdd", None,
+     {**DYNAMIC_CLAMPED, "weights_a": [7, 7, 7]}),
+    ("dynamic_vdd_clamped_swapped", "dynamic-vdd", None,
+     {**DYNAMIC_CLAMPED, "weights_a": [2, 2, 2], "weights_b": [7, 7, 7]}),
     ("sweep_vdd_clamped", "sweep-vdd", "sweep_vdd",
      {"compensation_threshold": CLAMP_V}),
 )
