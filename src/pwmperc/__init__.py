@@ -25,8 +25,8 @@ from .perceptron import (PerceptronConfig, chain_eval, dynamic_duty_trace,
                          perceptron_eval, response_curve)
 from .signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
                       SinusoidSupply, SupplyProfile)
-from .transient import (FloatingNodeError, TraceMetrics, TransientTrace,
-                        VacConfig, VacStimulus, simulate_vac, steady_state,
-                        steady_states, sweep, trace_metrics)
+from .transient import (FloatingNodeError, StimulusBatch, TraceMetrics,
+                        TransientTrace, VacConfig, VacStimulus, simulate_vac,
+                        steady_state, steady_states, sweep, trace_metrics)
 
 __version__ = "0.1.0"

@@ -36,8 +36,8 @@ from .analytic import WeightVector, vac_equilibrium
 from .perceptron import (PerceptronConfig, duty_samples, perceptron_eval,
                          response_curve)
 from .signals import PwmSignal, SinusoidSupply
-from .transient import (TraceCells, VacConfig, VacStimulus, _check_stimuli, _solve,
-                        simulate_vac, sweep)
+from .transient import (StimulusBatch, TraceCells, VacConfig, VacStimulus, simulate_vac,
+                        steady_states, sweep)
 
 __all__ = ["ExperimentSpec", "ConfigError", "MissingDatasetError",
            "SweepFailedError", "resolve", "run", "main"]
@@ -262,31 +262,24 @@ def _run_vac_table(spec: ExperimentSpec):
     cfg = _vac_config(p)
 
     ws = [WeightVector(tuple(row["weights"]), cfg.k) for row in p["rows"]]
-    errors, columns = _check_stimuli(cfg, [VacStimulus(tuple(row["duties"]), freq, w, vdd=vdd)
-                                           for row, w in zip(p["rows"], ws)])
-    # average_v alone: _solve without v0 skips the charge-time search
-    v_sims = iter(_solve(cfg, *columns[:-1])[0].tolist() if columns else [])
+    batch = StimulusBatch.of([VacStimulus(tuple(row["duties"]), freq, w, vdd=vdd)
+                              for row, w in zip(p["rows"], ws)])
+    # average_v alone: a batch without v0 skips the charge-time search
+    results = steady_states(cfg, dataclasses.replace(batch, v0=None))
     out_rows = []
-    for row, w, error in zip(p["rows"], ws, errors):
-        duties = row["duties"]
-        v_theory = vac_equilibrium(duties, w, vdd)
-        if error is not None:
-            raise error
-        v_sim = next(v_sims)
+    for row, w, m in zip(p["rows"], ws, results):
+        v_theory = vac_equilibrium(row["duties"], w, vdd)
+        if isinstance(m, Exception):
+            raise m
         if v_theory:
-            rel = abs(v_sim - v_theory) / v_theory * 100.0
+            rel = abs(m.average_v - v_theory) / v_theory * 100.0
         else:            # 0 V in theory: an empty cell, unless sim is 0 V too
-            rel = None if v_sim else 0.0
-        flat = []
-        for d, wi in zip(duties, w.weights):
-            flat.extend([d, wi])
-        out_rows.append(flat + [v_theory, v_sim, rel])
-
-    header = []
-    for i in range(1, cfg.n + 1):
-        header.extend([f"duty{i}", f"weight{i}"])
-    header += ["v_theory_V", "v_sim_V", "rel_diff_pct"]
-    _write_csv(spec.output_dir / "vac_table.csv", header, out_rows)
+            rel = None if m.average_v else 0.0
+        pairs = [x for pair in zip(row["duties"], w.weights) for x in pair]
+        out_rows.append([*pairs, v_theory, m.average_v, rel])
+    header = [f"{name}{i}" for i in range(1, cfg.n + 1) for name in ("duty", "weight")]
+    _write_csv(spec.output_dir / "vac_table.csv",
+               header + ["v_theory_V", "v_sim_V", "rel_diff_pct"], out_rows)
     yield "vac_table.csv"
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import WeightVector, _check_duty, _weighted_sum, vac_equilibrium
 from .converter import ConverterModel, _like, _v_to_dc, v_to_dc
 from .signals import PwmSignal, SupplyProfile
-from .transient import TransientTrace, VacConfig, _average_v, simulate_vac
+from .transient import StimulusBatch, TransientTrace, VacConfig, simulate_vac
 
 __all__ = [
     "PerceptronConfig",
@@ -68,8 +68,16 @@ def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
     if cfg.path == "behavioral":
         v = vac_equilibrium(duties, w, vdd)
     else:
-        v = _average_v(cfg.vac, np.stack(np.broadcast_arrays(*duties), axis=-1),
-                       cfg.frequency, w, vdd)
+        grid = np.stack(np.broadcast_arrays(*duties), axis=-1)
+        flat = grid.reshape(-1, grid.shape[-1])
+        rows, n = flat.shape
+        weights = np.broadcast_to(np.array(w.weights, dtype=np.float64), (rows, w.n))
+        errors, (v, *_) = StimulusBatch(np.full(rows, cfg.frequency), np.full(rows, vdd), None,
+                                        flat, np.zeros_like(flat), weights,
+                                        np.array([n, n, w.n, w.k])).solve(cfg.vac)
+        if errors:
+            raise errors[min(errors)]
+        v = v.reshape(grid.shape[:-1])
     return _like(duties[0], v_to_dc(v, vdd, cfg.converter))
 
 

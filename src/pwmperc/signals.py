@@ -36,14 +36,8 @@ class PwmSignal:
     phase: float = 0.0        # seconds, in [0, period)
 
     def __post_init__(self):
-        if not self.frequency > 0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError(f"duty must be in [0, 1], got {self.duty}")
-        if not 0.0 <= self.phase < 1.0 / self.frequency:
-            raise ValueError(
-                f"phase must be in [0, period={1.0 / self.frequency}), got {self.phase}"
-            )
+        _check_one(_pwm_checks(np.array([self.frequency]), np.array([[self.duty]]),
+                               np.array([[self.phase]]), True))
 
     @property
     def period(self) -> float:
@@ -62,6 +56,55 @@ class PwmSignal:
         pwm_edges."""
         edges = pwm_edges(self.period, self.duty, self.phase, t0, t1)
         return np.sort(edges[edges < t1])
+
+
+def _faults(checks, rows: int) -> dict[int, Exception]:
+    """Each failing row's error, by row, from the first of `checks` that it
+    fails: pairs of a mask of the rows that fail and a function giving a
+    row's error, or the message of a ValueError, called for those rows that
+    failed no earlier check."""
+    bad = np.empty((len(checks), rows), dtype=bool)
+    for k, (fails, _) in enumerate(checks):
+        bad[k] = fails
+    failing = np.flatnonzero(bad.any(axis=0))
+    out = {}
+    for i, k in zip(failing.tolist(), bad[:, failing].argmax(axis=0).tolist()):
+        e = checks[k][1](i)
+        out[i] = ValueError(e) if isinstance(e, str) else e
+    return out
+
+
+def _check_one(checks) -> None:
+    """Raise the error of the first of `checks` that one row fails."""
+    for error in _faults(checks, 1).values():
+        raise error
+
+
+def _pwm_checks(frequency, duty, phase, some) -> list:
+    """PwmSignal's checks for _faults, over rows of inputs of one frequency
+    (inputs on the last axis of duty and phase): the frequency, > 0 with a
+    period > 0 and finite, then each input's duty, in [0, 1], and phase, in
+    [0, period), input by input. A row without inputs (`some` False) has
+    none of them to check."""
+    with np.errstate(divide="ignore", over="ignore"):
+        period = 1.0 / frequency
+    bad_duty = ~((0.0 <= duty) & (duty <= 1.0))
+    bad = bad_duty | ~((0.0 <= phase) & (phase < period[:, None]))
+    first = (np.arange(len(bad)), bad.argmax(axis=-1))   # each row's first bad input
+    return [(some & ~(frequency > 0), lambda i: f"frequency must be > 0, got {frequency[i]}"),
+            (some & ~((period > 0.0) & (period < math.inf)),
+             lambda i: f"frequency must have a finite period > 0, got {frequency[i]}"),
+            (bad_duty[first], lambda i: f"duty must be in [0, 1], got {duty[i, first[1][i]]}"),
+            # a row without inputs holds zeros there, which fail the phase
+            # check where its frequency gives no period
+            (some & bad[first], lambda i: f"phase must be in [0, period={period[i]}), "
+                                          f"got {phase[i, first[1][i]]}")]
+
+
+def _supply_checks(vdd) -> list:
+    """ConstantSupply's checks for _faults, over supplies vdd."""
+    return [(~np.isfinite(vdd), lambda i: f"vdd must be finite, got {vdd[i]}"),
+            (~(vdd > 0), lambda i: f"supply must be > 0, got {vdd[i]}")]
 
 
 def pwm_high(ts, period, duty, phase) -> np.ndarray:
@@ -127,10 +170,7 @@ class ConstantSupply(SupplyProfile):
     vdd: float
 
     def __post_init__(self):
-        if not math.isfinite(self.vdd):
-            raise ValueError(f"vdd must be finite, got {self.vdd}")
-        if not self.vdd > 0:
-            raise ValueError(f"supply must be > 0, got {self.vdd}")
+        _check_one(_supply_checks(np.array([self.vdd])))
 
     def value_at(self, t: float) -> float:
         return self.vdd

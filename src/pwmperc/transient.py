@@ -24,12 +24,13 @@ Two entry points share that scan and one timeline builder, which cuts rows
 of windows [0, w] at their input edges and counts each segment's pull-down
 cells by the one edge rule and the one pulse rule of signals.py:
 
-* steady_states - a constant supply and inputs of one common frequency. The
-  periodic steady state is solved exactly over one input period (the period
-  map's fixed point), with no long run and no drift check, for a batch of
-  stimuli at once: a row per stimulus, its window the period, padded to one
-  segment count. steady_state is a batch of one. The sweeps, the vac-table
-  and the perceptron transient path each solve one batch.
+* StimulusBatch.solve - a constant supply and inputs of one common
+  frequency per row. The periodic steady state is solved exactly over one
+  input period (the period map's fixed point), with no long run and no drift
+  check, for a batch of stimuli at once: a row per stimulus, its window the
+  period, padded to one segment count. steady_states gives its rows as
+  TraceMetrics. The sweeps, the vac-table and the perceptron transient path
+  each solve one batch.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
   one row over the horizon, cut at the supply's cuts too, and closed-form
   integrals over the pieces of its last quarter.
@@ -52,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import WeightVector
-from .signals import ConstantSupply, PwmSignal, SupplyProfile, pwm_edges, pwm_high
+from .signals import (PwmSignal, SupplyProfile, _check_one, _faults, _pwm_checks,
+                      _supply_checks, pwm_edges, pwm_high)
 
 __all__ = [
     "VacConfig",
@@ -60,6 +62,7 @@ __all__ = [
     "TraceCells",
     "TraceMetrics",
     "VacStimulus",
+    "StimulusBatch",
     "SweepPoint",
     "FloatingNodeError",
     "simulate_vac",
@@ -231,26 +234,30 @@ class TraceMetrics:
         return self.drift < DRIFT_LIMIT
 
 
-def _check_run(cfg: VacConfig, inputs: list[PwmSignal], w: WeightVector,
-               supply: SupplyProfile, v0: float) -> None:
-    """The input checks shared by simulate_vac and steady_state."""
-    if len(inputs) != cfg.n:
-        raise ValueError(f"config expects {cfg.n} inputs, got {len(inputs)}")
-    if w.n != cfg.n or w.k != cfg.k:
-        raise ValueError(f"weight vector ({w.n} inputs, k={w.k}) does not match "
-                         f"config (n={cfg.n}, k={cfg.k})")
-    if not math.isfinite(v0):
-        raise ValueError(f"v0 must be finite, got {v0}")
-    if not 0.0 <= v0 <= supply.max_value():
-        raise ValueError(f"v0={v0} outside [0, {supply.max_value()}]")
-    if cfg.compensation_threshold >= supply.min_value():
-        raise ValueError(
-            f"compensation threshold {cfg.compensation_threshold} V must stay "
-            f"below the supply (min {supply.min_value()} V)")
-    if all(wi == 0 for wi in w.weights) and cfg.compensation_threshold == 0.0:
-        raise FloatingNodeError(
+def _run_checks(cfg: VacConfig, inputs, n_weights, k, idle, v0, v_max, v_min) -> list:
+    """The checks of a run for signals._faults, over rows of input and
+    weight counts, weight bits k, whether all weights are zero, start
+    voltages (None: none to check) and the supply's extremes."""
+    v_th = cfg.compensation_threshold
+    return [
+        (inputs != cfg.n, lambda i: f"config expects {cfg.n} inputs, got {inputs[i]}"),
+        ((n_weights != cfg.n) | (k != cfg.k), lambda i: f"weight vector ({n_weights[i]} "
+         f"inputs, k={k[i]}) does not match config (n={cfg.n}, k={cfg.k})"),
+        *([] if v0 is None else [
+            (~np.isfinite(v0), lambda i: f"v0 must be finite, got {v0[i]}"),
+            (~((0.0 <= v0) & (v0 <= v_max)),
+             lambda i: f"v0={v0[i]} outside [0, {v_max[i]}]")]),
+        (v_th >= v_min, lambda i: f"compensation threshold {v_th} V must stay below the "
+                                  f"supply (min {v_min[i]} V)"),
+        (idle & (v_th == 0.0), lambda i: FloatingNodeError(
             "all weights are zero and the compensation clamp is off; "
-            "the capacitor node floats")
+            "the capacitor node floats"))]
+
+
+def _across(ufunc, x):
+    """ufunc reduced over the last axis of x by elementwise passes over its
+    columns, which numpy does faster than a reduction over a short axis."""
+    return ufunc.reduce(np.ascontiguousarray(x.T)).T
 
 
 def _timeline(cfg: VacConfig, window, period, duty, phase, weight, supply):
@@ -401,7 +408,9 @@ def simulate_vac(cfg: VacConfig,
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    _check_run(cfg, inputs, w, supply, v0)
+    _check_one(_run_checks(cfg, *(np.array([x]) for x in (
+        len(inputs), w.n, w.k, not any(w.weights), v0, supply.max_value(),
+        supply.min_value()))))
     # equal inputs have equal edges and states: cut and count each one once
     weights: dict[PwmSignal, int] = {}
     for sig, wi in zip(inputs, w.weights):
@@ -516,59 +525,114 @@ def _first_crossing(tau: float, t0, t1, b, veq, level) -> np.ndarray:
     return np.where(reached[rows, j], t, np.nan)
 
 
-def _check_stimulus(cfg: VacConfig, stimulus: VacStimulus) -> list[PwmSignal]:
-    """The stimulus' inputs, once it has passed the checks of a run."""
-    supply = ConstantSupply(stimulus.vdd)
-    inputs = stimulus.signals()
-    _check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
-    return inputs
+@dataclass(frozen=True, eq=False)
+class StimulusBatch:
+    """Stimuli under constant supplies as arrays, a row each, inputs on the
+    last axis: the array form of a list of VacStimulus (see of). A row may
+    hold fewer inputs than its arrays have columns, as a list's stimuli need
+    not agree; `sizes` gives its counts of duties, phases and weights and
+    its weight bits k (one row for all), and its other columns hold zeros.
+    v0 None asks for no charge time."""
+
+    frequency: np.ndarray           # Hz, per row
+    vdd: np.ndarray                 # volts, per row
+    v0: np.ndarray | None           # volts, per row
+    duties: np.ndarray              # per row and input
+    phases: np.ndarray              # seconds, per row and input
+    weights: np.ndarray             # unit cells, per row and input
+    sizes: np.ndarray               # per row: duty, phase and weight counts, k
+
+    @classmethod
+    def of(cls, stimuli: list[VacStimulus]) -> StimulusBatch:
+        """The rows of `stimuli`, converted in one pass."""
+        rows = [(s.frequency, s.vdd, s.v0, tuple(s.duties), (0.0,) * len(s.duties)
+                 if s.phases is None else tuple(s.phases), s.w.weights, s.w.k)
+                for s in stimuli]
+        frequency, vdd, v0, *lists, k = zip(*rows) if rows else ((),) * 7
+        # one column at least: an empty batch's first bad input is column 0
+        width = max((len(x) for xs in lists for x in xs), default=1)
+        return cls(*(np.array(x, dtype=np.float64) for x in (frequency, vdd, v0)),
+                   *(np.array([x + (0,) * (width - len(x)) for x in xs], dtype=np.float64)
+                     .reshape(len(rows), width) for xs in lists),
+                   np.array([*(list(map(len, xs)) for xs in lists), k]).T)
+
+    def solve(self, cfg: VacConfig):
+        """Each failing row's error, by row, from the first check it fails
+        (its supply's, its phase count's, its inputs' as PwmSignal's, then
+        the run's), and the exact periodic steady state of the other rows, in
+        row order: average_v, swing, charge time (NaN for none, and for all
+        without v0), avg_power and drift, an array each.
+
+        A row's period map (see the module docstring) has the periodic start
+        voltage v* = max(B/(1-A), C) (C only where a segment clamps). Average,
+        swing and power are the closed-form integrals over that one period;
+        the charge time is the first crossing of the average from v0. `drift`
+        is the relative fixed-point residual |F(v*) - v*| / average. Rows
+        share no value, so a row gets the same result in any batch.
+        """
+        n_rows = len(self.frequency)
+        n_duties, n_phases, n_weights, k = np.broadcast_to(self.sizes, (n_rows, 4)).T
+        idle = ~_across(np.logical_or, self.weights != 0)
+        errors = _faults([
+            *_supply_checks(self.vdd),
+            (n_phases != n_duties,
+             lambda i: f"phases has {n_phases[i]} entries for {n_duties[i]} duties"),
+            *_pwm_checks(self.frequency, self.duties, self.phases, n_duties > 0),
+            *_run_checks(cfg, n_duties, n_weights, k, idle, self.v0, self.vdd, self.vdd)],
+            n_rows)
+        ok = np.ones(n_rows, dtype=bool)
+        ok[list(errors)] = False
+        if not ok.any():
+            return errors, (np.empty(0),) * 5
+        kept = slice(None) if ok.all() else ok      # a slice takes views, not copies
+        frequency, *columns = (x[kept] for x in (self.frequency, self.duties[:, :cfg.n],
+                                                 self.phases[:, :cfg.n],
+                                                 self.weights[:, :cfg.n], self.vdd))
+        # one input period per row: at most 2n + 1 segments (n + 1 with all
+        # phases 0)
+        period = 1.0 / frequency
+        segments, n_seg = _timeline(cfg, period, period[:, None], *columns)
+        t0s, t1s, veq, vdd_seg, up = segments
+        v_th = cfg.compensation_threshold
+        rows = np.arange(len(period))
+        real = np.arange(t0s.shape[1]) < n_seg[:, None]
+        # a row's padding composes its segments in another order than its last
+        # segment does: the columns after the last segment take its composition
+        prefix = tuple(np.where(real, x, x[rows, n_seg - 1, None])
+                       for x in _prefix(cfg, segments))
+        # the one-period map F(v) = max(A*v + B, C) as v_aff = B/(1-A) and its
+        # floor C (-inf where no segment pulls below the threshold). 1 - A is
+        # taken as -expm1(-period/tau): with A near 1 (inputs much faster than
+        # tau), 1 minus the rounded product would lose digits. math.expm1, as in
+        # the segment-by-segment solve: numpy's rounds differently in the last
+        # bit for about one argument in 20
+        one_minus_a = -np.fromiter(map(math.expm1, (-period / cfg.tau).tolist()),
+                                   np.float64, len(period))
+        v_aff = prefix[1][:, -1] / one_minus_a
+        floor = np.where(_across(np.logical_or, real & (veq < v_th)), prefix[2][:, -1],
+                         -np.inf)
+        pss = _boundaries(prefix, np.maximum(v_aff, floor))
+        t_free, _ = _clamp(cfg, segments, pss)
+        v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up)
+        average_v = v_int.sum(axis=1) / period
+        drift = np.abs(pss[:, -1] - pss[:, 0]) / np.maximum(np.abs(average_v), 1e-30)
+        swing = np.maximum(_across(np.maximum, pss) - _across(np.minimum, pss), 0.0)
+        charge_time = np.full(len(period), np.nan) if self.v0 is None else _charge_times(
+            cfg, segments, prefix, pss, v_aff, floor, average_v,
+            np.maximum(self.v0[kept], v_th))
+        return errors, (average_v, swing, charge_time, p_int.sum(axis=1) / period, drift)
 
 
-def steady_states(cfg: VacConfig,
-                  stimuli: list[VacStimulus]) -> list[TraceMetrics | Exception]:
+def steady_states(cfg: VacConfig, stimuli: list[VacStimulus] | StimulusBatch
+                  ) -> list[TraceMetrics | Exception]:
     """Exact periodic steady state of each stimulus (a constant supply and
-    inputs of one common frequency), solved as one batch; a stimulus that
-    fails its checks gets its error in its place and stays out of the batch.
-
-    One input period is cut into the segments simulate_vac would use. On
-    v >= threshold its period map is F(v) = max(A*v + B, C), the composition
-    of the segment maps, so the periodic start voltage is
-    v* = max(B/(1-A), C) (C only where a segment clamps). Average, swing and power
-    are the closed-form integrals over that one period; the charge time is
-    the first crossing of the average from v0. `drift` is the relative
-    fixed-point residual |F(v*) - v*| / average. The batch pads each
-    stimulus' period to the longest one's segment count and runs every step
-    on (stimuli x segments) arrays: rows share no value, so a stimulus gets
-    the same result in any batch.
-    """
-    results, columns = _check_stimuli(cfg, stimuli)
-    if not columns:
-        return results
-    rows = zip(*(column.tolist() for column in _solve(cfg, *columns)))
-    for k, result in enumerate(results):
-        if result is None:
-            average_v, swing, charge_time, avg_power, drift = next(rows)
-            results[k] = TraceMetrics(
-                average_v=average_v, swing=swing,
-                charge_time=None if math.isnan(charge_time) else charge_time,
-                avg_power=avg_power, drift=drift)
-    return results
-
-
-def _check_stimuli(cfg: VacConfig, stimuli: list[VacStimulus]):
-    """Each stimulus' error (None if it passes its checks), and _solve's
-    columns, v0 last, over the stimuli that pass (no column if none does)."""
-    results, batch = [], []
-    for stimulus in stimuli:
-        try:
-            batch.append((stimulus, _check_stimulus(cfg, stimulus)))
-            results.append(None)
-        except Exception as exc:  # recorded, not fatal
-            results.append(exc)
-    columns = zip(*((stim.frequency, [sig.duty for sig in inputs],
-                     [sig.phase for sig in inputs], stim.w.weights, stim.vdd, stim.v0)
-                    for stim, inputs in batch))
-    return results, [np.array(column, dtype=np.float64) for column in columns]
+    inputs of one common frequency) by StimulusBatch.solve, as one batch; a
+    stimulus that fails its checks gets its error in its place."""
+    batch = stimuli if isinstance(stimuli, StimulusBatch) else StimulusBatch.of(stimuli)
+    errors, columns = batch.solve(cfg)
+    results = iter([TraceMetrics(a, s, None if math.isnan(c) else c, p, d)
+                    for a, s, c, p, d in zip(*(column.tolist() for column in columns))])
+    return [errors.get(k) or next(results) for k in range(len(batch.frequency))]
 
 
 def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
@@ -577,65 +641,6 @@ def steady_state(cfg: VacConfig, stimulus: VacStimulus) -> TraceMetrics:
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def _average_v(cfg: VacConfig, duties, frequency: float, w: WeightVector,
-               vdd: float) -> np.ndarray:
-    """steady_state's average_v for each row of `duties` (inputs on the last
-    axis), with the frequency, weights and supply shared.
-    Raises what steady_state raises for the first row that fails."""
-    duties = np.asarray(duties, dtype=np.float64)
-    flat = duties.reshape(-1, duties.shape[-1])
-    rows = len(flat)
-    if not rows:
-        return np.empty(duties.shape[:-1])
-    # the rows differ only in their duties, so the checks of the first row
-    # with a duty out of [0, 1], or else of row 0, cover them all
-    bad = ~((flat >= 0.0) & (flat <= 1.0))
-    first = flat[int(bad.any(axis=1).argmax())]
-    _check_stimulus(cfg, VacStimulus(tuple(first.tolist()), frequency, w, vdd=vdd))
-    average_v = _solve(cfg, np.full(rows, float(frequency)), flat, np.zeros_like(flat),
-                       np.broadcast_to(np.array(w.weights), flat.shape),
-                       np.full(rows, float(vdd)))[0]
-    return average_v.reshape(duties.shape[:-1])
-
-
-def _solve(cfg: VacConfig, frequency, duties, phases, weights, vdd, v0=None):
-    """The periodic steady state of each row, a stimulus that has passed
-    _check_stimulus given as arrays: average_v, swing, charge time (NaN for
-    none; None for all without v0), avg_power and drift, each an array over
-    the rows."""
-    # one input period per row: at most 2n + 1 segments (n + 1 with all
-    # phases 0)
-    period = 1.0 / frequency
-    segments, n_seg = _timeline(cfg, period, period[:, None], duties, phases, weights,
-                                vdd)
-    t0s, t1s, veq, vdd_seg, up = segments
-    v_th = cfg.compensation_threshold
-    rows = np.arange(len(period))
-    real = np.arange(t0s.shape[1]) < n_seg[:, None]
-    # a row's padding composes its segments in another order than its last
-    # segment does: the columns after the last segment take its composition
-    prefix = tuple(np.where(real, x, x[rows, n_seg - 1, None]) for x in _prefix(cfg, segments))
-    # the one-period map F(v) = max(A*v + B, C) as v_aff = B/(1-A) and its
-    # floor C (-inf where no segment pulls below the threshold). 1 - A is
-    # taken as -expm1(-period/tau): with A near 1 (inputs much faster than
-    # tau), 1 minus the rounded product would lose digits. math.expm1, as in
-    # the segment-by-segment solve: numpy's rounds differently in the last
-    # bit for about one argument in 20
-    one_minus_a = -np.fromiter(map(math.expm1, (-period / cfg.tau).tolist()),
-                               np.float64, len(period))
-    v_aff = prefix[1][:, -1] / one_minus_a
-    floor = np.where((real & (veq < v_th)).any(axis=1), prefix[2][:, -1], -np.inf)
-    pss = _boundaries(prefix, np.maximum(v_aff, floor))
-    t_free, _ = _clamp(cfg, segments, pss)
-    v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up)
-    average_v = v_int.sum(axis=1) / period
-    drift = np.abs(pss[:, -1] - pss[:, 0]) / np.maximum(np.abs(average_v), 1e-30)
-    swing = np.maximum(pss.max(axis=1) - pss.min(axis=1), 0.0)
-    charge_time = None if v0 is None else _charge_times(
-        cfg, segments, prefix, pss, v_aff, floor, average_v, np.maximum(v0, v_th))
-    return average_v, swing, charge_time, p_int.sum(axis=1) / period, drift
 
 
 def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
@@ -667,16 +672,13 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
     rate = -period / tau
     lev, fall = level[:, None], falling[:, None]
     # how far the steady state goes past the level, on the far side from v
-    gap = np.maximum(np.where(fall, lev - pss, pss - lev).max(axis=1),
+    gap = np.maximum(_across(np.maximum, np.where(fall, lev - pss, pss - lev)),
                      4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
 
     def boundaries(starts):
-        """A row's period from each of its starts, and whether it reaches; the
-        extremes are elementwise passes, as numpy reduces a short axis slowly."""
+        """A row's period from each of its starts, and whether it reaches."""
         p = _boundaries(tuple(x[:, None] for x in prefix), starts)
-        ends = list(np.moveaxis(p, -1, 0))
-        return p, np.where(fall, np.minimum.reduce(ends) <= lev,
-                           np.maximum.reduce(ends) >= lev)
+        return p, np.where(fall, _across(np.minimum, p) <= lev, _across(np.maximum, p) >= lev)
     a, b, c = prefix
     away = np.where(falling, np.inf, -np.inf)   # v's side, whence the starts come
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -688,8 +690,8 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
         # rises to it; c' = b where nothing clamps, so that holds for every boundary
         t = np.where(np.where(fall, c > lev, c >= lev), -np.inf, t)
         # the start is a boundary too
-        thr = np.where(falling, np.maximum(t.max(axis=1), level),
-                       np.minimum(t.min(axis=1), level))
+        thr = np.where(falling, np.maximum(_across(np.maximum, t), level),
+                       np.minimum(_across(np.minimum, t), level))
         finite = np.isfinite(thr)
         # the nine floats around it, from the reaching side to v's: those that reach lead
         grid = [np.where(finite, thr, 0.0)]
@@ -719,7 +721,7 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
     # the period starts on the level, or past it by rounding
     on = np.where(falling, row[:, 0] <= level, row[:, 0] >= level)
     out = np.where(on, start, start + _first_crossing(tau, t0s, t1s, row, veq, level))
-    return np.where(reached.any(axis=1), out, np.nan)
+    return np.where(_across(np.logical_or, reached), out, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +730,9 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
 
 @dataclass(frozen=True)
 class VacStimulus:
-    """One VAC stimulus under a constant supply: duties and phases of inputs
-    sharing one frequency, weights, supply and initial voltage."""
+    """One VAC stimulus under a constant supply, a StimulusBatch row: duties
+    and phases (None: all 0) of inputs sharing one frequency, weights, supply
+    and initial voltage."""
 
     duties: tuple[float, ...]
     frequency: float
@@ -737,13 +740,6 @@ class VacStimulus:
     vdd: float = 2.5
     v0: float = 0.0
     phases: tuple[float, ...] | None = None
-
-    def signals(self) -> list[PwmSignal]:
-        phases = (0.0,) * len(self.duties) if self.phases is None else self.phases
-        if len(phases) != len(self.duties):
-            raise ValueError(f"phases has {len(phases)} entries for "
-                             f"{len(self.duties)} duties")
-        return [PwmSignal(self.frequency, d, p) for d, p in zip(self.duties, phases)]
 
 
 @dataclass(frozen=True)

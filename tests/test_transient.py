@@ -17,6 +17,12 @@ W777 = WeightVector((7, 7, 7), 3)
 SUP25 = ConstantSupply(2.5)
 
 
+def inputs_of(stimulus):
+    """A stimulus' inputs, as simulate_vac takes them."""
+    phases = stimulus.phases or (0.0,) * len(stimulus.duties)
+    return [PwmSignal(stimulus.frequency, d, p) for d, p in zip(stimulus.duties, phases)]
+
+
 def run(cfg, duties, w, freq, vdd=2.5, v0=0.0):
     return steady_state(cfg, VacStimulus(tuple(duties), freq, w, vdd=vdd, v0=v0))
 
@@ -271,10 +277,9 @@ class TestStimulus:
     @pytest.mark.parametrize("phases", [(0.0,) * 4, (0.0,) * 2, ()])
     def test_phases_must_match_duties(self, phases):
         stim = VacStimulus((0.5,) * 3, 1e8, W777, phases=phases)
-        with pytest.raises(ValueError, match=f"phases has {len(phases)} entries for 3"):
-            stim.signals()
         (result,) = steady_states(VacConfig.small(), [stim])
-        assert isinstance(result, ValueError) and "phases" in str(result)
+        assert type(result) is ValueError
+        assert str(result) == f"phases has {len(phases)} entries for 3 duties"
 
     def test_failed_stimulus_keeps_its_error_and_leaves_the_batch(self):
         cfg = VacConfig.small()
@@ -289,6 +294,22 @@ class TestStimulus:
                 steady_state(cfg, stim)
         assert isinstance(results[3], FloatingNodeError)
         assert steady_states(cfg, []) == []
+
+    @pytest.mark.parametrize("f", [math.inf, 1e-310, 5e-324])
+    def test_frequency_without_a_finite_period_is_named(self, f):
+        # 1/inf is 0, and 1/f overflows to inf below about 5.6e-309: each
+        # stimulus fails alone, and the good ones beside it keep their results
+        message = f"frequency must have a finite period > 0, got {f}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PwmSignal(f, 0.5)
+        cfg = VacConfig.small()
+        good = VacStimulus((0.5,) * 3, 1e8, W777)
+        bad = dataclasses.replace(good, frequency=f)
+        (alone,) = steady_states(cfg, [bad])
+        first, between, last = steady_states(cfg, [good, bad, good])
+        for error in (alone, between):
+            assert type(error) is ValueError and str(error) == message
+        assert first == last == steady_state(cfg, good)
 
 
 class TestSweep:
@@ -362,7 +383,7 @@ def long_run(cfg, stim, n_tau=30.0):
     period = 1.0 / stim.frequency
     n_periods = 4 * math.ceil(n_tau * cfg.tau / (4 * period))
     supply = ConstantSupply(stim.vdd)
-    trace = simulate_vac(cfg, stim.signals(), stim.w, supply, n_periods * period,
+    trace = simulate_vac(cfg, inputs_of(stim), stim.w, supply, n_periods * period,
                          v0=stim.v0)
     return trace_metrics(trace, cfg, supply)
 
@@ -391,12 +412,12 @@ class TestPeriodicSteadyState:
     def test_clamped_fixed_point(self, cfg, stim):
         period = 1.0 / stim.frequency
         supply = ConstantSupply(stim.vdd)
-        segments = trace_segments(cfg, stim.signals(), stim.w, supply, period)
+        segments = trace_segments(cfg, inputs_of(stim), stim.w, supply, period)
         v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period,
                               segments[2])
         v_star = max(v_aff, c)
         # F(v*), one period from v*, by the transient solver
-        one = simulate_vac(cfg, stim.signals(), stim.w, supply, period, v0=v_star)
+        one = simulate_vac(cfg, inputs_of(stim), stim.w, supply, period, v0=v_star)
         assert one.seg_clamped.any()
         assert abs(one.seg_v1[-1] - v_star) <= 1e-12
         v_th = cfg.compensation_threshold
@@ -450,10 +471,10 @@ class TestEnergyBalance:
         for stim, m in zip(stims, steady_states(cfg, stims)):
             period = 1.0 / stim.frequency
             supply = ConstantSupply(stim.vdd)
-            segments = trace_segments(cfg, stim.signals(), stim.w, supply, period)
+            segments = trace_segments(cfg, inputs_of(stim), stim.w, supply, period)
             v_aff, c = period_map(cfg, transient._prefix(cfg, segments), period,
                                   segments[2])
-            trace = simulate_vac(cfg, stim.signals(), stim.w, supply, period,
+            trace = simulate_vac(cfg, inputs_of(stim), stim.w, supply, period,
                                  v0=v_aff if c is None else max(v_aff, c))
             t0, t1 = trace.seg_t0[:, None], trace.seg_t1[:, None]
             ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes
@@ -707,13 +728,12 @@ def assert_rows_match_reference(cfg, rows, window, got, n_seg):
 class TestTimeline:
     def batch(self, cfg, stimuli):
         """The builder's rows for stimuli of one input period each, as
-        _solve builds them."""
-        _, columns = transient._check_stimuli(cfg, stimuli)
-        frequency, duties, phases, weights, vdd, _ = columns
-        period = 1.0 / frequency
-        got, n_seg = transient._timeline(cfg, period, period[:, None], duties, phases,
-                                         weights, vdd)
-        rows = [(stim.signals(), stim.w, ConstantSupply(stim.vdd)) for stim in stimuli]
+        StimulusBatch.solve builds them."""
+        b = transient.StimulusBatch.of(stimuli)
+        period = 1.0 / b.frequency
+        got, n_seg = transient._timeline(cfg, period, period[:, None], b.duties, b.phases,
+                                         b.weights, b.vdd)
+        rows = [(inputs_of(stim), stim.w, ConstantSupply(stim.vdd)) for stim in stimuli]
         assert_rows_match_reference(cfg, rows, period, got, n_seg)
         return n_seg
 
@@ -780,13 +800,55 @@ class TestTimeline:
 # The batched steady state against the one-stimulus solve it replaced
 # ---------------------------------------------------------------------------
 
+def reference_check(cfg, stimulus):
+    """Reference: the checks of one stimulus as scalar tests, one after
+    another: the constant supply's, the phase count, each input's (its
+    frequency, duty and phase) and the run's. Raises the first failure."""
+    vdd, f, duties, w, v0 = (stimulus.vdd, stimulus.frequency, stimulus.duties,
+                             stimulus.w, stimulus.v0)
+    if not math.isfinite(vdd):
+        raise ValueError(f"vdd must be finite, got {vdd}")
+    if not vdd > 0:
+        raise ValueError(f"supply must be > 0, got {vdd}")
+    phases = (0.0,) * len(duties) if stimulus.phases is None else stimulus.phases
+    if len(phases) != len(duties):
+        raise ValueError(f"phases has {len(phases)} entries for {len(duties)} duties")
+    for d, p in zip(duties, phases):
+        if not f > 0:
+            raise ValueError(f"frequency must be > 0, got {f}")
+        # 1/inf is 0, and 1/f overflows to inf below about 5.6e-309
+        if not 0.0 < 1.0 / f < math.inf:
+            raise ValueError(f"frequency must have a finite period > 0, got {f}")
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"duty must be in [0, 1], got {d}")
+        if not 0.0 <= p < 1.0 / f:
+            raise ValueError(f"phase must be in [0, period={1.0 / f}), got {p}")
+    if len(duties) != cfg.n:
+        raise ValueError(f"config expects {cfg.n} inputs, got {len(duties)}")
+    if w.n != cfg.n or w.k != cfg.k:
+        raise ValueError(f"weight vector ({w.n} inputs, k={w.k}) does not match "
+                         f"config (n={cfg.n}, k={cfg.k})")
+    if not math.isfinite(v0):
+        raise ValueError(f"v0 must be finite, got {v0}")
+    if not 0.0 <= v0 <= vdd:
+        raise ValueError(f"v0={v0} outside [0, {vdd}]")
+    if cfg.compensation_threshold >= vdd:
+        raise ValueError(
+            f"compensation threshold {cfg.compensation_threshold} V must stay "
+            f"below the supply (min {vdd} V)")
+    if all(wi == 0 for wi in w.weights) and cfg.compensation_threshold == 0.0:
+        raise FloatingNodeError(
+            "all weights are zero and the compensation clamp is off; "
+            "the capacitor node floats")
+
+
 def reference_steady_state(cfg, stimulus):
     """Reference: the periodic steady state of one stimulus, on the 1-D
     timeline of simulate_vac, with the scalar period map and charge-time
     search."""
+    reference_check(cfg, stimulus)
     supply = ConstantSupply(stimulus.vdd)
-    inputs = stimulus.signals()
-    transient._check_run(cfg, inputs, stimulus.w, supply, stimulus.v0)
+    inputs = inputs_of(stimulus)
     period = 1.0 / stimulus.frequency
     segments = trace_segments(cfg, inputs, stimulus.w, supply, period)
     prefix = transient._prefix(cfg, segments)
@@ -807,7 +869,8 @@ def reference_steady_state(cfg, stimulus):
 def period_map(cfg, prefix, period, veq):
     """The one-period map F(v) = max(A*v + B, C) of a constant supply, as
     (B/(1-A), C); C None when no segment pulls below the threshold (there
-    the scan's C is B, which _solve does not take as a floor either)."""
+    the scan's C is B, which StimulusBatch.solve does not take as a floor
+    either)."""
     _, b, c = prefix
     v_aff = float(b[-1]) / -math.expm1(-period / cfg.tau)
     return v_aff, float(c[-1]) if (veq < cfg.compensation_threshold).any() else None

@@ -1,8 +1,9 @@
 """Property tests of the transient prefix scan against the sequential walk
 and window loop it replaced, of the batched steady state against the
 one-stimulus solve it replaced and its charge time against the period search
-it replaced (references in test_transient.py), and of trace_metrics' settle
-bound against runs from both ends of the start range."""
+it replaced, of the batch's checks against the scalar checks of one stimulus
+at a time that they replaced (references in test_transient.py), and of
+trace_metrics' settle bound against runs from both ends of the start range."""
 
 import dataclasses
 import math
@@ -22,7 +23,8 @@ from pwmperc.transient import (VacConfig, VacStimulus, simulate_vac,  # noqa: E4
                                steady_states)
 from test_transient import (SCAN_SUPPLIES, W777,  # noqa: E402
                             assert_matches_sequential, loop_window_integrals,
-                            reference_charge_time, reference_steady_state)
+                            reference_charge_time, reference_check,
+                            reference_steady_state)
 
 
 @st.composite
@@ -342,3 +344,99 @@ def test_average_falls_as_a_duty_or_weight_rises(case):
     cfg, stim, raised = case
     low, high = steady_states(cfg, [stim, raised])
     assert high.average_v <= low.average_v + 1e-14 * stim.vdd
+
+
+def replaced(values, i, value):
+    """`values` with entry i, if it has one, replaced by `value`."""
+    return tuple(value if j == i else v for j, v in enumerate(values))
+
+
+# each way to break a stimulus: a function of a draw and the stimulus giving
+# the fields to replace; every check of a run has one or more
+BREAKS = {
+    "vdd": lambda draw, s: dict(vdd=draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))),
+    "phase count": lambda draw, s: dict(phases=(0.0,) * draw(st.sampled_from([0, 2, 4]))),
+    "frequency": lambda draw, s: dict(frequency=draw(st.sampled_from(
+        [0.0, -1.0, math.nan, -math.inf, math.inf, 1e-310, 5e-324]))),
+    "duty": lambda draw, s: dict(duties=replaced(
+        s.duties, draw(st.integers(0, 2)), draw(st.sampled_from([-0.1, 1.5, math.nan])))),
+    "phase": lambda draw, s: dict(phases=replaced(
+        s.phases or (0.0,) * len(s.duties), draw(st.integers(0, 2)),
+        draw(st.sampled_from([-1e-12, math.nan, 1e9])))),
+    "input count": lambda draw, s: dict(duties=(0.5,) * draw(st.sampled_from([0, 2, 4])),
+                                        phases=None),
+    "weight vector": lambda draw, s: dict(w=draw(st.sampled_from(
+        [WeightVector((1, 2), 3), WeightVector((1, 2, 3, 4), 3), WeightVector((9, 9, 9), 4)]))),
+    "v0": lambda draw, s: dict(v0=draw(st.sampled_from([math.nan, math.inf, -0.5, 9.0]))),
+    "threshold": lambda draw, s: dict(vdd=draw(st.sampled_from([0.3, 0.4, 1.2]))),
+    "floating": lambda draw, s: dict(w=WeightVector((0, 0, 0), 3)),
+}
+
+
+@st.composite
+def checked_batches(draw):
+    """A VAC (either preset; clamp off, at 0.4 V or at 1.2 V) and a batch of
+    1 to 8 stimuli for it, each good or broken in one to three ways of
+    BREAKS at once, in a drawn order."""
+    base = draw(st.sampled_from([VacConfig.small(), VacConfig.large()]))
+    v_th = draw(st.sampled_from([0.0, 0.4, 1.2]))
+    cfg = VacConfig(3, 3, base.r_unit, base.c_out, compensation_threshold=v_th)
+
+    def stimulus():
+        freq = draw(st.sampled_from([1e3, 1e8]) | st.floats(1e3, 1e9))
+        vdd = draw(st.floats(1.3, 3.5))
+        stim = VacStimulus(
+            tuple(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(3)),
+            freq, WeightVector(draw(st.tuples(*[st.integers(0, 7)] * 3)), 3), vdd=vdd,
+            v0=draw(st.floats(0.0, 1.0)) * vdd,
+            phases=draw(st.none() | st.tuples(*[st.floats(0.0, 0.999)] * 3).map(
+                lambda ps: tuple(p / freq for p in ps))))
+        for name in draw(st.lists(st.sampled_from(sorted(BREAKS)), max_size=3)):
+            stim = dataclasses.replace(stim, **BREAKS[name](draw, stim))
+        return stim
+
+    return cfg, [stimulus() for _ in range(draw(st.integers(1, 8)))]
+
+
+FIELDS = ("average_v", "swing", "charge_time", "avg_power", "drift")
+
+
+def oracle_error(cfg, stimulus):
+    """The error of the scalar checks of one stimulus, None if it passes."""
+    try:
+        reference_check(cfg, stimulus)
+    except Exception as exc:
+        return exc
+    return None
+
+
+def assert_errors_in_place(cfg, stimuli, got, want, fields=FIELDS):
+    """Each row of `got` holds the oracle's error, type and message, or, for
+    a row that passes, the `fields` of the result of a batch of the passing
+    rows alone, bit for bit."""
+    good = [stim for stim, error in zip(stimuli, want) if error is None]
+    alone = iter(steady_states(cfg, good))
+    for k, (result, error) in enumerate(zip(got, want)):
+        if error is not None:
+            assert type(result) is type(error) and str(result) == str(error), k
+        else:
+            m = next(alone)
+            assert [repr(getattr(result, f)) for f in fields] == \
+                [repr(getattr(m, f)) for f in fields], k
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_batches())
+def test_batch_checks_are_the_scalar_checks(case):
+    # every row of a batch that mixes good stimuli with ones broken in
+    # several ways gets the error of the first scalar check it fails, or the
+    # result it gets without the failing rows; without v0 no v0 is checked
+    # and no charge time is solved
+    cfg, stimuli = case
+    want = [oracle_error(cfg, stim) for stim in stimuli]
+    assert_errors_in_place(cfg, stimuli, steady_states(cfg, stimuli), want)
+    got = steady_states(cfg, dataclasses.replace(transient.StimulusBatch.of(stimuli), v0=None))
+    from_0 = [dataclasses.replace(stim, v0=0.0) for stim in stimuli]
+    assert_errors_in_place(cfg, from_0, got, [oracle_error(cfg, stim) for stim in from_0],
+                           [f for f in FIELDS if f != "charge_time"])
+    assert all(m.charge_time is None for m in got if isinstance(m, transient.TraceMetrics))

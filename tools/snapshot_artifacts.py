@@ -5,11 +5,13 @@
 
 Runs, through ``cli.run`` with seed 0, every config in the ``configs/``
 directory of the checkout that holds the imported package, the vac-table at
-the small and large presets, fixed-points, and three runs with the 0.4 V
-compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: two
-dynamic-vdd runs with the supply-clamp benchmark's circuit over 20 us, the
-second with the regions' weights swapped so that region B has rows at times
-region A lacks, and ``sweep_vdd.yaml`` at that threshold. Each run writes into
+the small and large presets, fixed-points, and four runs with the
+compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: at
+0.4 V, two dynamic-vdd runs with the supply-clamp benchmark's circuit over
+20 us, the second with the regions' weights swapped so that region B has rows
+at times region A lacks, and ``sweep_vdd.yaml``; and ``sweep_vdd.yaml`` at
+1.2 V (``sweep_vdd_clamp_fails``), where the grid points 0.5 V and 1.0 V fail,
+so that their per-row error text is snapshotted too. Each run writes into
 ``OUT/<name>/``. The training configs run for ``TRAIN_EPOCHS`` epochs on a
 small seeded synthetic MNIST-shaped set written to a temporary directory, and
 a training sweep on a subsample of it. Wall times are dropped: ``wall_time_s``
@@ -57,6 +59,8 @@ CLAMPED_RUNS = (
      {**DYNAMIC_CLAMPED, "weights_a": [2, 2, 2], "weights_b": [7, 7, 7]}),
     ("sweep_vdd_clamped", "sweep-vdd", "sweep_vdd",
      {"compensation_threshold": CLAMP_V}),
+    ("sweep_vdd_clamp_fails", "sweep-vdd", "sweep_vdd",
+     {"compensation_threshold": 1.2}),
 )
 
 
