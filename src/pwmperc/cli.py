@@ -345,7 +345,8 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
     converter = CONVERTERS[p["converter"]]()
 
     # both regions run on one supply and one set of input edges: region B
-    # takes region A's time and supply cells wherever its rows share them
+    # takes region A's time and supply cells wherever its rows share a time,
+    # and calls the supply only at its other rows
     cells = TraceCells()
     for tag, weights in (("region_a", p["weights_a"]), ("region_b", p["weights_b"])):
         w = WeightVector(tuple(weights), cfg.k)
@@ -355,7 +356,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
         trace.write_csv(spec.output_dir / name, cells)
         yield name
         ts, out, ratio = duty_samples(converter, trace, supply)
-        del trace  # of region A only its times, supplies and cells are kept
+        del trace  # of region A only its times, supply and cells are kept
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,
                    ["time_s", "duty_out", "v_over_vdd"],

@@ -23,6 +23,8 @@ __all__ = [
     "PiecewiseLinearSupply",
 ]
 
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class PwmSignal:
@@ -206,7 +208,7 @@ class SinusoidSupply(SupplyProfile):
             )
 
     def value_at(self, t: float) -> float:
-        return self.mean + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
+        return self.mean + self.amplitude * math.sin(TWO_PI * t / self.period)
 
     def max_value(self) -> float:
         return self.mean + abs(self.amplitude)
@@ -244,8 +246,11 @@ class PiecewiseLinearSupply(SupplyProfile):
         if any(v <= 0 for _, v in pts):
             raise ValueError("supply must be > 0 at every breakpoint")
         object.__setattr__(self, "breakpoints", pts)
-        # the knot times, for bisection; not a field, so not compared or shown
+        # not fields, so not compared or shown: the knot times, for
+        # bisection, and each interval's (t0, v0, v1 - v0, t1 - t0)
         object.__setattr__(self, "_times", tuple(times))
+        object.__setattr__(self, "_pieces", tuple(
+            (t0, v0, v1 - v0, t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])))
 
     def value_at(self, t: float) -> float:
         pts = self.breakpoints
@@ -254,9 +259,8 @@ class PiecewiseLinearSupply(SupplyProfile):
         if t >= pts[-1][0]:
             return pts[-1][1]
         # the interval (t0, t1] holding t: a t on a knot takes the one ending there
-        i = bisect.bisect_left(self._times, t)
-        (t0, v0), (t1, v1) = pts[i - 1], pts[i]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        t0, v0, dv, dt = self._pieces[bisect.bisect_left(self._times, t) - 1]
+        return v0 + dv * (t - t0) / dt
 
     def max_value(self) -> float:
         return max(v for _, v in self.breakpoints)

@@ -33,7 +33,9 @@ cells by the one edge rule and the one pulse rule of signals.py:
   each solve one batch.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
   one row over the horizon, cut at the supply's cuts too, and closed-form
-  integrals over the pieces of its last quarter.
+  integrals over the pieces of its last quarter. The trace's samples (times,
+  v_cap, vdd) are taken on first read, so a trace read only through its
+  pieces never calls the supply at a sample time.
 
 Every unit cell conducts to one rail or the other, so the total conductance,
 and with it tau, is constant whatever the inputs and the supply do. Each
@@ -74,7 +76,7 @@ __all__ = [
 
 
 DRIFT_LIMIT = 1e-3       # relative settle error above which metrics are unreliable
-N_UNIFORM_SAMPLES = 512  # uniform samples simulate_vac adds to the boundaries
+N_UNIFORM_SAMPLES = 512  # uniform samples a trace adds to its boundaries
 CSV_CHUNK = 256          # trace CSV rows formatted at a time
 
 
@@ -123,6 +125,29 @@ class VacConfig:
         return self.c_out * self.r_unit / self.total_units
 
 
+class _Sampled:
+    """A sample attribute of TransientTrace: None until first read, when the
+    trace fills every sample attribute that is None - the waveform, and the
+    supply at each of its times, one value_at call per time. A value set is
+    kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None                # the field's default: sample on first read
+        d = trace.__dict__
+        if d[self.name] is None:
+            times, _ = trace._waveform()
+            if d["vdd"] is None:
+                d["vdd"] = trace.supply.values(times)
+        return d[self.name]
+
+    def __set__(self, trace, value):
+        trace.__dict__[self.name] = value
+
+
 @dataclass
 class TransientTrace:
     """Per-segment exact solution plus sampled waveform.
@@ -130,11 +155,14 @@ class TransientTrace:
     seg_* arrays describe half-open segments [t0, t1) on which the capacitor
     voltage is either the exponential from seg_v0 toward seg_veq with the
     config's tau, or (seg_clamped) the constant threshold voltage.
+
+    The samples - times, v_cap and vdd - are derived from the segments and
+    the supply on the first read of any of them, which calls the supply at
+    every sample time. Samples may be given instead: times and v_cap
+    together, and vdd the supply's values at those times, as TraceCells
+    takes supply cells by the supply.
     """
 
-    times: np.ndarray          # event boundaries plus uniform samples
-    v_cap: np.ndarray
-    vdd: np.ndarray            # supply value at `times`
     tau: float
     seg_t0: np.ndarray
     seg_t1: np.ndarray
@@ -144,6 +172,10 @@ class TransientTrace:
     seg_vdd: np.ndarray
     seg_up: np.ndarray         # unit cells pulling up; the rest pull down
     seg_clamped: np.ndarray    # bool
+    supply: SupplyProfile
+    times: np.ndarray = _Sampled()   # event boundaries plus uniform samples
+    v_cap: np.ndarray = _Sampled()
+    vdd: np.ndarray = _Sampled()     # supply value at `times`
 
     @property
     def horizon(self) -> float:
@@ -160,18 +192,39 @@ class TransientTrace:
         v = veq + (v0 - veq) * np.exp(-(ts - self.seg_t0[i]) / self.tau)
         return np.where(self.seg_clamped[i], v0, v)
 
+    def _waveform(self) -> tuple[np.ndarray, np.ndarray]:
+        """times and v_cap, sampled if not yet: every segment boundary,
+        densified with N_UNIFORM_SAMPLES uniform times, and the capacitor
+        voltage there. The supply is not called."""
+        d = self.__dict__
+        if d["times"] is None:
+            boundary_ts = np.append(self.seg_t0, self.horizon)
+            boundary_vs = np.append(self.seg_v0, self.seg_v1[-1])
+            uniform_ts = np.linspace(0.0, self.horizon, N_UNIFORM_SAMPLES)
+            extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
+            order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
+            d["times"] = np.concatenate([boundary_ts, extra_ts])[order]
+            d["v_cap"] = np.concatenate([boundary_vs, self.sample(extra_ts)])[order]
+        return d["times"], d["v_cap"]
+
     def write_csv(self, path, cells: TraceCells | None = None) -> None:
         """Write a time_s, v_cap_V, vdd_V row per sample, each float as its
         repr, CSV_CHUNK rows at a time. With `cells`, the time and supply
-        cells come from it where it holds them (see TraceCells)."""
+        cells come from it where it holds them, and the supply is called
+        only at the other rows (see TraceCells)."""
+        times, v_cap = self._waveform()
+        rows_of = cells.rows(self) if cells is not None else self._cells
         with open(path, "w", newline="") as fh:
             fh.write("time_s,v_cap_V,vdd_V\n")
-            for lo in range(0, len(self.times), CSV_CHUNK):
+            for lo in range(0, len(times), CSV_CHUNK):
                 rows = slice(lo, lo + CSV_CHUNK)
-                times, vdd = (cells.take(self.times, self.vdd, rows) if cells is not None
-                              else (_reprs(self.times[rows]), _reprs(self.vdd[rows])))
+                time_cells, vdd_cells = rows_of(rows)
                 fh.write("".join([f"{t},{v!r},{s}\n" for t, v, s
-                                  in zip(times, self.v_cap[rows].tolist(), vdd)]))
+                                  in zip(time_cells, v_cap[rows].tolist(), vdd_cells)]))
+
+    def _cells(self, rows: slice) -> tuple[list, list]:
+        """The time and supply cells of `rows`, formatted."""
+        return _reprs(self.times[rows]), _reprs(self.vdd[rows])
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -181,41 +234,51 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 class TraceCells:
     """The time and supply cells of the first trace CSV written with it,
-    kept with that trace's times and supplies.
+    kept with that trace's times and supply.
 
-    A later trace written with it takes the cells of each row whose time and
-    supply equal a row of the first bit for bit (so 0.0 and -0.0 stay apart),
-    and formats only its other rows. Traces of one supply over one horizon
-    share most of their times, and so most of these cells. The cells are
-    kept as numpy byte strings, one array per column, a third of the memory
-    of str objects: a float's repr has at most 24 characters.
+    A later trace under an equal supply takes the cells of each row whose
+    time equals a row of the first bit for bit (so 0.0 and -0.0 stay apart):
+    a supply is a function of time, so its value there is the first's. It
+    calls its supply at its other rows only, and formats them. A trace under
+    another supply, like the first, calls it at every row. Traces of one
+    supply over one horizon share most of their times, and so most of these
+    cells. The cells are kept as numpy byte strings, one array per column, a
+    third of the memory of str objects: a float's repr has at most 24
+    characters.
     """
 
     def __init__(self):
-        self._times = self._vdd = None     # the first trace's
+        self._times = self._supply = None  # the first trace's
         self._kept = None                  # its time and supply cells
 
-    def take(self, times: np.ndarray, vdd: np.ndarray, rows: slice) -> tuple[list, list]:
-        """The time and supply cells of `rows` of a trace with these times,
-        ascending, and supplies."""
+    def rows(self, trace: TransientTrace):
+        """A function giving the time and supply cells of a slice of rows
+        of `trace`."""
+        times, _ = trace._waveform()
         if self._times is None:
-            self._times, self._vdd = times, vdd
+            self._times, self._supply = times, trace.supply
             self._kept = np.empty(len(times), "S24"), np.empty(len(times), "S24")
-        first = times is self._times and vdd is self._vdd
-        times, vdd = times[rows], vdd[rows]
-        if first:                          # format and keep
-            cells = _reprs(times), _reprs(vdd)
-            self._kept[0][rows], self._kept[1][rows] = cells
-            return cells
-        i = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
-        new = ((self._times[i].view(np.int64) != times.view(np.int64))
-               | (self._vdd[i].view(np.int64) != vdd.view(np.int64)))
-        # no cell holds a newline: join, decode and split in three C passes
-        time_cells, vdd_cells = (b"\n".join(kept[i].tolist()).decode().split("\n")
-                                 for kept in self._kept)
-        for k in np.flatnonzero(new).tolist():
-            time_cells[k], vdd_cells[k] = repr(float(times[k])), repr(float(vdd[k]))
-        return time_cells, vdd_cells
+
+            def first(rows):                   # format and keep
+                cells = trace._cells(rows)
+                self._kept[0][rows], self._kept[1][rows] = cells
+                return cells
+            return first
+        if trace.supply != self._supply:
+            return trace._cells
+
+        def later(rows):
+            ts = times[rows]
+            i = np.minimum(np.searchsorted(self._times, ts), len(self._times) - 1)
+            new = self._times[i].view(np.int64) != ts.view(np.int64)
+            # no cell holds a newline: join, decode and split in three C passes
+            time_cells, vdd_cells = (b"\n".join(kept[i].tolist()).decode().split("\n")
+                                     for kept in self._kept)
+            value_at = trace.supply.value_at
+            for k, t in zip(np.flatnonzero(new).tolist(), ts[new].tolist()):
+                time_cells[k], vdd_cells[k] = repr(t), repr(value_at(t))
+            return time_cells, vdd_cells
+        return later
 
 
 @dataclass(frozen=True)
@@ -366,12 +429,12 @@ def _clamp(cfg: VacConfig, segments, p: np.ndarray):
     return dt, clamped
 
 
-def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
+def _walk(cfg: VacConfig, segments, v0: float, supply: SupplyProfile) -> TransientTrace:
     """Solve `segments` from v0 (raised to the clamp threshold) by the
     segment rule v -> max(veq + (v - veq)*e^(-dt/tau), floor), read off the
     prefix compositions. A segment that reaches the floor is cut into a free
     part up to the crossing (none if it starts on the floor) and a clamped
-    rest. The trace holds no samples."""
+    rest. The trace samples itself under `supply` when first read."""
     t0s, t1s, veqs, vdds, ups = segments
     v_th = cfg.compensation_threshold
     p = _boundaries(_prefix(cfg, segments), max(float(v0), v_th))
@@ -388,10 +451,9 @@ def _walk(cfg: VacConfig, segments, v0: float) -> TransientTrace:
     piece_clamped[head] = False
     v0s[piece_clamped] = v_th
     return TransientTrace(
-        times=np.empty(0), v_cap=np.empty(0), vdd=np.empty(0),
         tau=cfg.tau, seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
         seg_veq=veqs.take(seg), seg_vdd=vdds.take(seg), seg_up=ups.take(seg),
-        seg_clamped=piece_clamped,
+        seg_clamped=piece_clamped, supply=supply,
     )
 
 
@@ -418,20 +480,7 @@ def simulate_vac(cfg: VacConfig,
     period, duty, phase = np.array([(s.period, s.duty, s.phase) for s in weights]).T[:, None]
     segments, _ = _timeline(cfg, [horizon], period, duty, phase,
                             np.array([list(weights.values())]), supply)
-    trace = _walk(cfg, tuple(x[0] for x in segments), v0)
-    del segments  # the trace holds what it needs: free the rest before sampling
-    seg_t0, seg_v0, seg_v1 = trace.seg_t0, trace.seg_v0, trace.seg_v1
-
-    # sampled waveform: all segment boundaries, densified with uniform samples
-    boundary_ts = np.append(seg_t0, horizon)
-    boundary_vs = np.append(seg_v0, seg_v1[-1])
-    uniform_ts = np.linspace(0.0, horizon, N_UNIFORM_SAMPLES)
-    extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
-    order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
-    trace.times = np.concatenate([boundary_ts, extra_ts])[order]
-    trace.v_cap = np.concatenate([boundary_vs, trace.sample(extra_ts)])[order]
-    trace.vdd = supply.values(trace.times)
-    return trace
+    return _walk(cfg, tuple(x[0] for x in segments), v0, supply)
 
 
 def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up):

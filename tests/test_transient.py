@@ -8,7 +8,7 @@ import pytest
 from pwmperc import cli, transient
 from pwmperc.analytic import WeightVector, vac_equilibrium
 from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
-                             SinusoidSupply)
+                             SinusoidSupply, SupplyProfile)
 from pwmperc.transient import (FloatingNodeError, VacConfig, VacStimulus,
                                simulate_vac, steady_state, steady_states, sweep,
                                trace_metrics)
@@ -426,7 +426,7 @@ class TestPeriodicSteadyState:
         a = math.exp(-period / cfg.tau)
         b = v_aff * -math.expm1(-period / cfg.tau)
         for v in np.random.default_rng(3).uniform(v_th, stim.vdd, 200):
-            end = transient._walk(cfg, segments, v).seg_v1[-1]
+            end = transient._walk(cfg, segments, v, supply).seg_v1[-1]
             assert abs(end - max(a * v + b, c)) <= 1e-12
 
     def test_clamped_charge_time_skips_affine_periods(self, monkeypatch):
@@ -524,29 +524,119 @@ def test_trace_csv_bytes_are_its_rows(tmp_path):
             trace.times.tolist(), trace.v_cap.tolist(), trace.vdd.tolist()))
 
 
+@dataclasses.dataclass(frozen=True)
+class LongReprSupply(SupplyProfile):
+    """A test supply whose values have reprs of up to 24 characters, the
+    longest a float has; `scale` makes supplies that differ at every time."""
+
+    scale: float
+
+    def value_at(self, t):
+        return -self.scale * 1.2345678901234567e-300 * (1.0 + 7e6 * t)
+
+
 def test_shared_cells_write_each_trace_as_alone(tmp_path):
     trace = simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3, W777, SUP25, 1e-7)
-    n = len(trace.times)
-    # the longest float reprs (24 characters) in the kept cells
-    first = dataclasses.replace(trace, vdd=np.full(n, -2.2250738585072014e-308))
-    first.vdd[1] = -1.2345678901234567e+100
-    # 0.0 against -0.0, a supply that differs at an equal time, times the
-    # first trace lacks (inside and past its end), and a shared row
+    first = dataclasses.replace(trace, supply=LongReprSupply(1.0), vdd=None)
+    # 0.0 against -0.0, times the first trace lacks (inside and past its
+    # end), and shared rows, under the first's supply
+    times = first.times
     later = dataclasses.replace(
-        trace, times=np.array([-0.0, trace.times[1], trace.times[1] * 1.5, trace.times[2],
-                               1.0]),
-        v_cap=np.linspace(0.1, 0.5, 5),
-        vdd=np.array([first.vdd[0], 2.5, 2.5, first.vdd[2], 2.5]))
-    # the first trace's times with other supplies leave the kept cells as they are
-    other_vdd = dataclasses.replace(first, vdd=np.full(n, 2.5))
+        first, times=np.array([-0.0, times[1], times[1] * 1.5, times[2], 1.0]),
+        v_cap=np.linspace(0.1, 0.5, 5), vdd=None)
+    # a different supply at every time of the first
+    other = dataclasses.replace(first, supply=LongReprSupply(2.0), vdd=None)
     cells = transient.TraceCells()
-    for name, tr in (("first", first), ("later", later), ("other", other_vdd),
-                     ("later", later)):
+    # the first again, last: the later traces leave the kept cells as they are
+    for name, tr in (("first", first), ("later", later), ("other", other),
+                     ("later", later), ("first", first)):
         tr.write_csv(tmp_path / f"{name}.csv", cells)
         tr.write_csv(tmp_path / f"{name}-alone.csv")
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / f"{name}-alone.csv").read_bytes()
     assert (tmp_path / "later.csv").read_text().splitlines()[1].startswith("-0.0,")
+    rows = (tmp_path / "first.csv").read_text().splitlines()[1:]
+    assert max(len(row.rsplit(",", 1)[1]) for row in rows) == 24
+
+
+# ---------------------------------------------------------------------------
+# Samples on first read: the supply is called where a sample is read
+# ---------------------------------------------------------------------------
+
+CLAMP_SIGNALS = [PwmSignal(1e8, d, p) for d, p in zip((0.9, 0.8, 0.95), (0.0, 3e-9, 7e-9))]
+SAMPLED_SUPPLIES = [SinusoidSupply(2.5, 0.7, 1e-6),
+                    PiecewiseLinearSupply(((0.0, 2.0), (1e-6, 3.0), (2e-6, 1.9)))]
+
+
+@pytest.fixture
+def supply_calls(monkeypatch):
+    """The times of every value_at call of the time-varying supplies."""
+    calls = []
+    for cls in (SinusoidSupply, PiecewiseLinearSupply):
+        def value_at(self, t, real=cls.value_at):
+            calls.append(t)
+            return real(self, t)
+        monkeypatch.setattr(cls, "value_at", value_at)
+    return calls
+
+
+def eager_samples(trace, supply, horizon):
+    """The samples as simulate_vac took them before the trace took them on
+    first read: the segment boundaries plus 512 uniform times, the capacitor
+    voltage there, and the supply at every time."""
+    boundary_ts = np.append(trace.seg_t0, horizon)
+    boundary_vs = np.append(trace.seg_v0, trace.seg_v1[-1])
+    uniform_ts = np.linspace(0.0, horizon, 512)
+    extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
+    order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
+    times = np.concatenate([boundary_ts, extra_ts])[order]
+    v_cap = np.concatenate([boundary_vs, trace.sample(extra_ts)])[order]
+    return times, v_cap, np.array([supply.value_at(t) for t in times.tolist()])
+
+
+@pytest.mark.parametrize("supply", SAMPLED_SUPPLIES, ids=["sinusoid", "pwl"])
+def test_simulate_vac_calls_the_supply_only_at_the_timeline(supply, supply_calls):
+    cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+    t0s = trace_segments(cfg, CLAMP_SIGNALS, W777, supply, 3e-6)[0]
+    del supply_calls[:]
+    trace = simulate_vac(cfg, CLAMP_SIGNALS, W777, supply, 3e-6)
+    assert trace.seg_clamped.any()
+    assert supply_calls == t0s.tolist()
+
+
+@pytest.mark.parametrize("supply", SAMPLED_SUPPLIES, ids=["sinusoid", "pwl"])
+@pytest.mark.parametrize("name", ["times", "v_cap", "vdd"])
+def test_first_read_samples_every_time(supply, name, supply_calls):
+    cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+    trace = simulate_vac(cfg, CLAMP_SIGNALS, W777, supply, 3e-6)
+    want = eager_samples(trace, supply, 3e-6)
+    del supply_calls[:]
+    getattr(trace, name)
+    assert supply_calls == trace.times.tolist()
+    for attr, values in zip(("times", "v_cap", "vdd"), want):
+        assert getattr(trace, attr).tolist() == values.tolist(), attr
+    assert len(supply_calls) == len(trace.times)      # once, on the first read
+
+
+@pytest.mark.parametrize("weights_a, weights_b", [((7, 7, 7), (2, 2, 2)),
+                                                  ((2, 2, 2), (7, 7, 7))])
+def test_shared_cells_call_the_supply_at_unshared_rows(tmp_path, supply_calls,
+                                                       weights_a, weights_b):
+    # the dynamic-vdd regions: B under A's supply calls it at its timeline
+    # and at the rows whose time A lacks, bit for bit, and no more
+    cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+    supply = SinusoidSupply(2.5, 0.7, 1e-6)
+    cells = transient.TraceCells()
+    a = simulate_vac(cfg, CLAMP_SIGNALS, WeightVector(weights_a, 3), supply, 3e-6)
+    a.write_csv(tmp_path / "a.csv", cells)
+    t0s = trace_segments(cfg, CLAMP_SIGNALS, WeightVector(weights_b, 3), supply, 3e-6)[0]
+    del supply_calls[:]
+    b = simulate_vac(cfg, CLAMP_SIGNALS, WeightVector(weights_b, 3), supply, 3e-6)
+    b.write_csv(tmp_path / "b.csv", cells)
+    unshared = b.times[~np.isin(b.times.view(np.int64), a.times.view(np.int64))]
+    assert supply_calls == t0s.tolist() + unshared.tolist()
+    b.write_csv(tmp_path / "b-alone.csv")
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "b-alone.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +723,7 @@ SCAN_SUPPLIES = {
 
 def assert_matches_sequential(cfg, sigs, w, supply, horizon, v0):
     segments = trace_segments(cfg, sigs, w, supply, horizon)
-    trace = transient._walk(cfg, segments, v0)
+    trace = transient._walk(cfg, segments, v0, supply)
     ref = sequential_walk(cfg, segments, v0)
     np.testing.assert_array_equal(trace.seg_clamped, ref["seg_clamped"])
     v_tol = 1e-12 * supply.max_value()
