@@ -93,9 +93,9 @@ class Param:
 
 
 def _coerce(kind, value, name: str, ctx: dict):
-    """`value` as `kind`: float, int (both finite), str, a tuple of allowed
-    values, [kind] for a nonempty list, a table for a mapping, or a function
-    (value, name) -> value."""
+    """`value` as `kind`: float, int (both finite, neither a bool; an int
+    kept exact), str, a tuple of allowed values, [kind] for a nonempty list,
+    a table for a mapping, or a function (value, name) -> value."""
     if isinstance(kind, dict):
         return _resolve(kind, value, name, ctx)
     if isinstance(kind, list):
@@ -113,6 +113,10 @@ def _coerce(kind, value, name: str, ctx: dict):
         return str(value)
     if kind not in (float, int):
         return kind(value, name)
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, int):
+        return value
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -355,7 +359,7 @@ def _run_dynamic_vdd(spec: ExperimentSpec):
         name = f"dynamic_trace_{tag}.csv"
         trace.write_csv(spec.output_dir / name, cells)
         yield name
-        ts, out, ratio = duty_samples(converter, trace, supply)
+        ts, out, ratio = duty_samples(converter, trace)
         del trace  # of region A only its times, supply and cells are kept
         name = f"dynamic_duty_{tag}.csv"
         _write_csv(spec.output_dir / name,

@@ -141,19 +141,18 @@ def dynamic_duty_trace(cfg: PerceptronConfig, duties: list[float],
     """
     sigs = [PwmSignal(cfg.frequency, d) for d in duties]
     trace = simulate_vac(cfg.vac, sigs, w, supply, horizon)
-    ts, out, _ = duty_samples(cfg.converter, trace, supply)
+    ts, out, _ = duty_samples(cfg.converter, trace)
     return ts, out
 
 
-def duty_samples(converter: ConverterModel, trace: TransientTrace,
-                 supply: SupplyProfile):
+def duty_samples(converter: ConverterModel, trace: TransientTrace):
     """Converter output and v_cap/vdd at 400 times evenly spread over the
-    trace's horizon.
+    trace's horizon, vdd from the trace's supply.
 
     Returns (times, duty_out, v_over_vdd), duty_out NaN where the raw
     oscillator stalls.
     """
     ts = np.linspace(0.0, trace.horizon, 400)
     v = trace.sample(ts)
-    vdd = supply.values(ts)
+    vdd = trace.supply.values(ts)
     return ts, v_to_dc(v, vdd, converter), v / vdd

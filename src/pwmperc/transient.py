@@ -700,77 +700,56 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
     G(v) = v_aff + (v - v_aff)*A, with c the row's floor; NaN where the
     level lies out of reach.
 
-    A boundary is max(a*s + b, c') of the period's start s, so the period
-    reaches the level exactly when s lies past one threshold T, the extreme
-    of (level - b)/a over the boundaries (infinite where c' or an a of 0
-    decides); moved half a float of the level, as the boundaries round, T
-    is one of the nine floats around it. Period m >= 1 starts at
-    F^m(v) = max(G^m(v), c, G^(m-1)(c)), and G^n(x) rounds past T from
-    n = ln((T' - v_aff)/(x - v_aff)) / (-period/tau) on, T' halfway to the
-    next float: a logarithm per term gives the first period m. Deviations
-    from the steady state decay at least as fast as e^(-t/tau), so by period
-    m_hi the voltage has crossed wherever the steady state goes past the
-    level by more than what is left: m is clipped to m_hi, and the first of
-    periods m - 1, m, m + 1 to reach the level is taken.
+    Period m >= 1 starts at F^m(v) = max(G^m(v), c, G^(m-1)(c)). The starts,
+    and the boundaries with them, move monotonically from v toward the
+    steady state, which reaches its own average: so once a period reaches
+    that level every later one does, and a bisection on the period index
+    finds the first. Deviations from the steady state decay
+    at least as fast as e^(-t/tau), so by period m_hi the voltage has crossed
+    wherever the steady state goes past the level by more than what is left:
+    the search runs over [0, m_hi], and where period m_hi does not reach,
+    none does. Past 2^53 periods the floats cannot split a bracket down to
+    one period, and the search stops at the bracket's end.
     """
-    tau = cfg.tau
     t0s, t1s, veq = segments[:3]
     period = t1s[:, -1]
     falling = v > level
     delta = v - pss[:, 0]
-    rate = -period / tau
-    lev, fall = level[:, None], falling[:, None]
+    rate = -period / cfg.tau
     # how far the steady state goes past the level, on the far side from v
-    gap = np.maximum(_across(np.maximum, np.where(fall, lev - pss, pss - lev)),
+    gap = np.maximum(_across(np.maximum, np.where(falling[:, None], level[:, None] - pss,
+                                                  pss - level[:, None])),
                      4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
+    with np.errstate(divide="ignore"):          # log(0) where v is the periodic start
+        m_hi = np.maximum(0.0, np.ceil(np.log(np.abs(delta) / gap) * cfg.tau / period))
+    capped = np.isfinite(floor)
+    c = np.where(capped, floor, v_aff)
 
-    def boundaries(starts):
-        """A row's period from each of its starts, and whether it reaches."""
-        p = _boundaries(tuple(x[:, None] for x in prefix), starts)
-        return p, np.where(fall, _across(np.minimum, p) <= lev, _across(np.maximum, p) >= lev)
-    a, b, c = prefix
-    away = np.where(falling, np.inf, -np.inf)   # v's side, whence the starts come
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m_hi = np.maximum(0.0, np.ceil(np.log(np.abs(delta) / gap) * tau / period))
-        half = (np.nextafter(level, away) - level)[:, None] / 2
-        t = np.where(a > 0.0, (lev - b + half) / a,
-                     np.where(np.where(fall, b <= lev, b < lev), np.inf, -np.inf))
-        # a floor above the level never falls to it, one on it or above always
-        # rises to it; c' = b where nothing clamps, so that holds for every boundary
-        t = np.where(np.where(fall, c > lev, c >= lev), -np.inf, t)
-        # the start is a boundary too
-        thr = np.where(falling, np.maximum(_across(np.maximum, t), level),
-                       np.minimum(_across(np.minimum, t), level))
-        finite = np.isfinite(thr)
-        # the nine floats around it, from the reaching side to v's: those that reach lead
-        grid = [np.where(finite, thr, 0.0)]
-        for _ in range(4):
-            grid = [np.nextafter(grid[0], -away), *grid, np.nextafter(grid[-1], away)]
-        grid = np.stack(grid, axis=1)
-        n_in = boundaries(grid)[1].sum(axis=1)
-        thr = np.where(finite, grid[np.arange(len(v)), np.maximum(n_in - 1, 0)], thr)
-        # periods until G^n(v) and G^n(c) round past T (0 from the start, inf never)
-        x = np.stack((v, floor))
-        r = ((thr - v_aff) + (np.nextafter(thr, away) - v_aff)) / 2 / (x - v_aff)
-        n = np.where((r > 0.0) & (r < 1.0), np.ceil(np.log(r) / rate), np.inf)
-        n_v, n_c = np.where(np.where(falling, x <= thr, x >= thr), 0.0, n)
-    # falling, all terms of F^m(v) must lie past T, c too; rising, any one will do
-    m = np.where(falling, np.where((n_v == 0.0) | (n_c == 0.0), n_v, np.inf),
-                 np.minimum(n_v, 1.0 + n_c))
-    ms = np.clip(np.minimum(m, m_hi)[:, None] + np.arange(-1, 2), 0, m_hi[:, None])
-    va, vl, rl = v_aff[:, None], v[:, None], rate[:, None]
-    s = va + (vl - va) * np.exp(ms * rl)
-    cf = floor[:, None]
-    capped = np.isfinite(cf)
-    prev = va + (np.where(capped, cf, va) - va) * np.exp(np.maximum(ms - 1, 0) * rl)
-    s = np.where(capped, np.maximum(s, np.maximum(prev, cf)), s)
-    p, reached = boundaries(np.where(ms == 0, vl, s))
-    i = reached.argmax(axis=1)
-    row, start = p[np.arange(len(v)), i], ms[np.arange(len(v)), i] * period
+    def boundaries(m):
+        """Each row's period m, and whether it reaches the level."""
+        s = v_aff + (v - v_aff) * np.exp(m * rate)
+        prev = v_aff + (c - v_aff) * np.exp(np.maximum(m - 1, 0) * rate)
+        s = np.where(capped, np.maximum(s, np.maximum(prev, floor)), s)
+        p = _boundaries(prefix, np.where(m == 0, v, s))
+        return p, np.where(falling, _across(np.minimum, p) <= level,
+                           _across(np.maximum, p) >= level)
+    # period hi reaches, its boundaries in p; period lo does not (-1: none)
+    p, reached = boundaries(m_hi)
+    lo, hi = np.where(reached, -1.0, m_hi), m_hi
+    while True:
+        mid = np.floor((lo + hi) / 2)
+        split = (lo < mid) & (mid < hi)
+        if not split.any():
+            break
+        # a closed row evaluates its hi again, which changes nothing
+        mid = np.where(split, mid, hi)
+        q, hit = boundaries(mid)
+        lo, hi, p = np.where(hit, lo, mid), np.where(hit, mid, hi), np.where(hit[:, None], q, p)
+    start = hi * period
     # the period starts on the level, or past it by rounding
-    on = np.where(falling, row[:, 0] <= level, row[:, 0] >= level)
-    out = np.where(on, start, start + _first_crossing(tau, t0s, t1s, row, veq, level))
-    return np.where(_across(np.logical_or, reached), out, np.nan)
+    on = np.where(falling, p[:, 0] <= level, p[:, 0] >= level)
+    out = np.where(on, start, start + _first_crossing(cfg.tau, t0s, t1s, p, veq, level))
+    return np.where(reached, out, np.nan)
 
 
 # ---------------------------------------------------------------------------

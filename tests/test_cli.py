@@ -576,6 +576,12 @@ class TestParameters:
         ("fit", {"grid_hi": -0.5}, "fit.grid_hi must be in (0, 1]"),
         ("fit", {"grid_hi": 1.5}, "fit.grid_hi must be in (0, 1]"),
         ("response-curve", {"depths": [2, 0]}, "response-curve.depths[1] must be >= 1"),
+        # a bool is no number, though Python counts it an int
+        ("vac-table", {"vdd": True}, "vac-table.vdd must be a number, got True"),
+        ("train", {"topology": "784/10", "activation": "relu", "epochs": True},
+         "train.epochs must be a number, got True"),
+        ("response-curve", {"depths": [1, False]},
+         "response-curve.depths[1] must be a number, got False"),
     ])
     def test_out_of_range_key_rejected_by_name(self, kind, params, message, tmp_path):
         manifest = run(make_spec(kind, params, tmp_path))
@@ -588,6 +594,16 @@ class TestParameters:
         ("fit", {"grid_hi": 1.0})])
     def test_fewest_points_accepted(self, kind, params, tmp_path):
         assert run(make_spec(kind, params, tmp_path))["status"] == "ok"
+
+    # an int key keeps an integer exact past 2^53, where a float rounds it
+    @pytest.mark.parametrize("kind, params, key, want", [
+        ("train", {"topology": "784/10", "activation": "relu", "seed": 2 ** 60 + 1},
+         "seed", 2 ** 60 + 1),
+        # the default weights, 2^70 - 1, are the largest that k = 70 bits hold
+        ("sweep-vdd", {"k": 70, "grid": [2.5]}, "weights", [2 ** 70 - 1] * 3),
+    ])
+    def test_integers_resolve_exactly(self, kind, params, key, want, tmp_path):
+        assert cli.resolve(make_spec(kind, params, tmp_path))[key] == want
 
     @pytest.mark.parametrize("kind, params, key", [
         ("sweep-vdd", {"frequency": math.nan, "grid": [1.0, 2.0]}, "frequency"),

@@ -5,13 +5,13 @@ import pytest
 
 from pwmperc.analytic import WeightVector
 from pwmperc.converter import (ConverterModel, is_no_oscillation,
-                               stage_map)
+                               stage_map, v_to_dc)
 from pwmperc.nn import ActivationKind, Layer, Network, NetworkConfig
 from pwmperc.perceptron import (PerceptronConfig, chain_eval,
-                                dynamic_duty_trace, perceptron_eval,
-                                response_curve)
-from pwmperc.signals import ConstantSupply, SinusoidSupply
-from pwmperc.transient import VacConfig
+                                duty_samples, dynamic_duty_trace,
+                                perceptron_eval, response_curve)
+from pwmperc.signals import ConstantSupply, PwmSignal, SinusoidSupply
+from pwmperc.transient import VacConfig, simulate_vac
 
 W777 = WeightVector((7, 7, 7), 3)
 BEHAVIORAL = PerceptronConfig.behavioral()
@@ -201,3 +201,16 @@ class TestDynamicSupply:
         settled = duty[len(duty) // 2:]
         assert not np.isnan(settled).any()
         assert np.nanmax(settled) - np.nanmin(settled) < 0.05
+
+    def test_duty_samples_divide_by_the_trace_supply(self):
+        # the trace keeps the supply it was run under, so v_cap/vdd has one
+        # source: no second argument can disagree with it
+        vac = VacConfig(n=3, k=3, r_unit=100e3, c_out=100e-12)
+        supply = SinusoidSupply(2.5, 0.7, 10e-6)
+        trace = simulate_vac(vac, [PwmSignal(100e6, 0.5)] * 3, W777, supply, 20e-6)
+        ts, out, ratio = duty_samples(ConverterModel.raw(), trace)
+        assert ts.tolist() == np.linspace(0.0, 20e-6, 400).tolist()
+        vdd = np.array([supply.value_at(t) for t in ts.tolist()])
+        np.testing.assert_array_equal(ratio, trace.sample(ts) / vdd)
+        np.testing.assert_array_equal(out, v_to_dc(trace.sample(ts), vdd,
+                                                   ConverterModel.raw()))

@@ -431,23 +431,39 @@ class TestPeriodicSteadyState:
 
     def test_clamped_charge_time_skips_affine_periods(self, monkeypatch):
         # about 14,000 periods from v0 to the crossing: the period index is
-        # taken in closed form, not walked period by period (which gives
-        # 1.4354688127e-5 s). A solve evaluates boundaries a fixed number of
-        # times, for every stimulus of the batch at once: the steady-state
-        # period, the floats around the threshold and three candidate periods
+        # found by bisection, not walked period by period (which gives
+        # 1.4354688127e-5 s). A solve evaluates boundaries for every stimulus
+        # of the batch at once: the steady-state period, period m_hi of the
+        # contraction bound, and one period per halving of the bracket
+        # (-1, m_hi], ceil(log2(m_hi + 1)) halvings for the widest row here
         boundaries = transient._boundaries
         calls = []
         monkeypatch.setattr(transient, "_boundaries",
                             lambda *args: calls.append(np.shape(args[1])) or boundaries(*args))
+        m_his = period_bounds(monkeypatch)
         cfg = VacConfig.large(compensation_threshold=0.4)
         stim = VacStimulus((0.9, 0.8, 0.95), 1e9, W777, v0=2.5)
         m = steady_state(cfg, stim)
-        assert len(calls) == 3
+        assert [m_hi for m_hi, _ in m_his] == [56_531]
+        assert len(calls) == 2 + math.ceil(math.log2(56_531 + 1)) == 18
         assert m.charge_time == pytest.approx(1.4354688127e-5, rel=1e-10)
         calls.clear()
+        m_his.clear()
         batch = steady_states(cfg, [stim, dataclasses.replace(stim, v0=2.0), stim])
-        assert len(calls) == 3 and all(shape[0] == 3 for shape in calls)
+        assert len(calls) == 2 + math.ceil(math.log2(max(m_his)[0] + 1))
+        assert all(shape[0] == 3 for shape in calls)
         assert batch[0] == batch[2] == m
+
+    def test_subnormal_period_charge_time_within_the_bound(self, monkeypatch):
+        # at 1e308 Hz the period is subnormal and the bound m_hi is about
+        # 1.7e302 periods: past 2^53 the floats cannot split the bracket down
+        # to one period, and the search ends at a period that reaches
+        m_his = period_bounds(monkeypatch)
+        stim = VacStimulus((0.9, 0.2, 0.5), 1e308, WeightVector((7, 3, 5), 3), v0=2.5)
+        m = steady_state(VacConfig.small(), stim)
+        ((m_hi, period),) = m_his
+        assert m_hi > 2 ** 53
+        assert m.charge_time is not None and 0.0 < m.charge_time <= m_hi * period
 
 
 class TestEnergyBalance:
@@ -981,6 +997,26 @@ def reference_first_crossing(tau, t0, t1, b, veq, level):
     if ratio < 1.0:
         return float(t1[i])
     return float(t0[i] + tau * math.log(ratio))
+
+
+def period_bounds(monkeypatch):
+    """A list that gains (m_hi, period) for each row of each later
+    _charge_times call: m_hi is the contraction bound, the last period the
+    search looks at, derived as reference_charge_time derives it."""
+    bounds, charge_times = [], transient._charge_times
+
+    def spy(cfg, segments, prefix, pss, v_aff, floor, level, v):
+        for k in range(len(v)):
+            falling = v[k] > level[k]
+            delta = float(v[k] - pss[k, 0])
+            gap = float(np.max(level[k] - pss[k] if falling else pss[k] - level[k]))
+            gap = max(gap, 4.0 * math.ulp(max(abs(float(level[k])), abs(delta))))
+            period = float(segments[1][k, -1])
+            bounds.append((max(0, math.ceil(math.log(abs(delta) / gap) * cfg.tau / period))
+                           if delta else 0, period))
+        return charge_times(cfg, segments, prefix, pss, v_aff, floor, level, v)
+    monkeypatch.setattr(transient, "_charge_times", spy)
+    return bounds
 
 
 def reference_charge_time(cfg, segments, prefix, pss, v_aff, c, level, v0):

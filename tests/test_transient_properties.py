@@ -257,8 +257,16 @@ def from_four_starts(cfg, stim, v0):
     (0.0, 0.0, 10.0 ** -11.0), 2.1e9, WeightVector((0, 0, 1), 3), vdd=1.0), 0.0))
 @example(case=(VacConfig.small(), VacStimulus(
     (0.0, 10.0 ** -9.0, 0.0), 2.1e10, WeightVector((0, 1, 0), 3), vdd=1.0), 0.0))
+# m_hi = 0: every input is high over the second half of the period, and the
+# clamp holds its end at 0.4 V, so from v0 = 0.4 V the start is the periodic one
+@example(case=(VacConfig.small(compensation_threshold=0.4), VacStimulus(
+    (0.5, 0.5, 0.5), 2.1e6, W777, vdd=2.5, phases=(0.5 / 2.1e6,) * 3), 0.4))
+# out of reach: flat at vdd, whose average is vdd, which the voltage from 0 V
+# rounds to only after period m_hi
+@example(case=(VacConfig.small(), VacStimulus(
+    (0.0, 0.0, 0.0), 2.1e10, WeightVector((1, 2, 3), 3), vdd=1.0), 0.0))
 def test_charge_time_equals_the_period_search(case):
-    # the first period that reaches the level, taken in closed form, against
+    # the first period that reaches the level, found by bisection, against
     # the search over batches of 64 periods on the same rows, bit for bit.
     # The search takes its logarithms as numpy does, as the program does:
     # math.log differs in the last bit for about one argument in 13,000.
