@@ -10,6 +10,7 @@ pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +83,23 @@ def _weighted_sum(terms, total_units: int):
 
 def vac_equilibrium(duties, w: WeightVector, vdd: float):
     """Average capacitor voltage of the weighted VAC: vdd * (1 - weighted sum)."""
-    if vdd <= 0:
-        raise ValueError(f"vdd must be > 0, got {vdd}")
+    _check_vdd(vdd)
     return vdd * (1.0 - weighted_dc_sum(duties, w))
+
+
+def _check_vdd(vdd) -> None:
+    """Reject a supply, a float or an array, that is not finite and > 0."""
+    if not np.all((0.0 < vdd) & (vdd < math.inf)):
+        raise ValueError(f"vdd must be finite and > 0, got {vdd}")
 
 
 def _check_duty(duty, name: str) -> None:
     """Reject a duty that is NaN or outside [0, 1], naming it and an array's
     first bad element by its index, a tuple for more than one axis."""
     d = np.asarray(duty)
+    # two reductions pass a good array; NaN fails them, as np.min keeps it
+    if d.size and 0.0 <= d.min() and d.max() <= 1.0:
+        return
     bad = np.flatnonzero(~((d >= 0.0) & (d <= 1.0)))
     if bad.size:
         index = tuple(int(j) for j in np.unravel_index(bad[0], d.shape))

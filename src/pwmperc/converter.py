@@ -10,7 +10,10 @@ Two models of the ring-oscillator output stage:
   (duty-in -> duty-out at max weights), with the output capped at 98%.
 
 The stage functions take floats or arrays: a float in gives a float out, an
-array gives an array of the same shape, NaN at every stalled point.
+array gives an array of the same shape, NaN at every stalled point. They
+never write their inputs. ``v_to_dc`` runs in place on one buffer per call,
+v/vdd, and one array more for the compensated cubic or the raw map's lower
+segment.
 
 Also the cubic least-squares fit used to recover stage models from response
 data, and the fixed points of the stage map (which explain where chained
@@ -25,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .analytic import _check_vdd
 
 __all__ = [
     "is_no_oscillation",
@@ -85,14 +90,14 @@ class ConverterModel:
         return cls(mode="compensated", coefficients=(0.0, 0.0, 100.0, 0.0),
                    output_cap=100.0)
 
-    def cubic_percent(self, x):
+    def cubic_percent(self, x, out=None):
         """Raw cubic in percent, no capping. Accepts scalars or arrays.
 
         ((c3*x + c2)*x + c1)*x + c0, each step in place on the one new value
-        that c3*x makes.
+        that c3*x makes, or on ``out``, an array of x's shape that is not x.
         """
         c3, c2, c1, c0 = self.coefficients
-        y = c3 * x
+        y = c3 * x if out is None else np.multiply(c3, x, out=out)
         y += c2
         y *= x
         y += c1
@@ -167,27 +172,51 @@ def v_to_dc(v, vdd, model: ConverterModel):
     the cubic stage map. raw: piecewise-linear decreasing map over the linear
     region, calibrated at (0.28*vdd -> 0.9), (0.5*vdd -> 0.5), (0.92*vdd ->
     0.1); outside the region the oscillator stalls and the duty is NaN. vdd is
-    a float or an array of v's shape; the result takes v's form.
+    a float or an array of v's shape, finite and > 0, and v is finite; the
+    result takes v's form.
     """
-    if np.any(vdd <= 0):
-        raise ValueError(f"vdd must be > 0, got {vdd}")
-    return _like(v, _v_to_dc(v, vdd, model))
+    _check_vdd(vdd)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"v must be finite, got {v}")
+    return _like(v, _v_to_dc(np.atleast_1d(np.divide(v, vdd)), model))
 
 
-def _v_to_dc(v, vdd, model: ConverterModel):
-    """v_to_dc without its vdd check, as an array (0-d for a scalar v)."""
+def _v_to_dc(frac: np.ndarray, model: ConverterModel, spare=None) -> np.ndarray:
+    """v_to_dc of the array frac = v/vdd, unchecked and in place: frac is
+    overwritten, and so is ``spare``, an array of frac's shape that is not
+    frac (a new one if None). Returns the one of them that holds the duties.
+
+    Each step is v_to_dc's operation on the same operands, np.clip as
+    np.maximum then np.minimum, so the duties are the same bit for bit. A
+    NaN frac is a stall.
+    """
     if model.mode == "compensated":
-        x = _floats(np.clip(1.0 - v / vdd, 0.0, 1.0))
-        return _cap_percent(model.cubic_percent(x), model)  # stage_map, unchecked
+        np.subtract(1.0, frac, out=frac)
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, 1.0, out=frac)
+        # stage_map, unchecked
+        return _cap_percent(model.cubic_percent(_floats(frac), spare), model)
     lo, hi = LINEAR_REGION
-    frac = v / vdd
-    stalled = (frac < lo - 1e-12) | (frac > hi + 1e-12)
-    frac = np.clip(frac, lo, hi)
+    oscillating = frac >= lo - 1e-12
+    oscillating &= frac <= hi + 1e-12
+    np.maximum(frac, lo, out=frac)
+    np.minimum(frac, hi, out=frac)
     d_lo, d_hi = RAW_EDGE_DUTIES
-    # two-segment monotone map hitting the midpoint calibration exactly
-    duty = np.where(frac <= 0.5, d_lo + (0.5 - d_lo) * (frac - lo) / (0.5 - lo),
-                    0.5 + (d_hi - 0.5) * (frac - 0.5) / (hi - 0.5))
-    return np.where(stalled, np.nan, duty)
+    # two-segment monotone map hitting the midpoint calibration exactly: each
+    # segment over every point, the lower one in spare, then put in at its
+    # points (a masked ufunc takes about 15 times as long)
+    lower = frac <= 0.5
+    spare = np.subtract(frac, lo, out=spare)
+    np.multiply(0.5 - d_lo, spare, out=spare)
+    spare /= 0.5 - lo
+    np.add(d_lo, spare, out=spare)
+    frac -= 0.5
+    np.multiply(d_hi - 0.5, frac, out=frac)
+    frac /= hi - 0.5
+    np.add(0.5, frac, out=frac)
+    np.putmask(frac, lower, spare)
+    np.putmask(frac, ~oscillating, np.nan)
+    return frac
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ reproduce the series-connected depth experiments (one output feeding all
 inputs of the next stage at maximum weights).
 
 The stage functions take floats or arrays of duties and evaluate a whole grid
-in one call; a stalled raw oscillator reads NaN at its point. A chain checks
-its inputs once, where it is entered: a stage's output is a duty (a cap is a
-percent in [0, 100]) or NaN, so each behavioral stage is one unchecked pass.
+in one call; a stalled raw oscillator reads NaN at its point. They never
+write their inputs. A chain checks its inputs once, where it is entered: a
+stage's output is a duty (a cap is a percent in [0, 100]) or NaN, so each
+behavioral stage is one unchecked pass, in place on the chain's one buffer
+(its copy of the input) and one working array.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import WeightVector, _check_duty, _weighted_sum, vac_equilibrium
+from .analytic import WeightVector, _check_duty, _check_vdd, vac_equilibrium
 from .converter import ConverterModel, _like, _v_to_dc, v_to_dc
 from .signals import PwmSignal, SupplyProfile
 from .transient import StimulusBatch, TransientTrace, VacConfig, simulate_vac
@@ -86,29 +88,42 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
     next stage at maximum weights (ideal chain would be the identity).
 
     dc_in is a float or an array; a point whose oscillator stalls at any stage
-    is NaN, and only the points still oscillating enter the next stage.
+    is NaN from there on.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     w = cfg.max_weights()
     dc = np.array(dc_in, dtype=np.float64)
-    if cfg.path == "behavioral" and vdd <= 0:
-        raise ValueError(f"vdd must be > 0, got {vdd}")
+    if cfg.path == "behavioral":
+        _check_vdd(vdd)
     # named as the caller passed it: every stage input is the same array
     _check_duty(dc, "chain input dc_in")
-    flat = dc.reshape(-1)
-    live = slice(None)          # every point, until one stalls
+    duty = dc.reshape(-1)
+    if cfg.path == "transient":
+        live = np.arange(duty.size)
+        for _ in range(depth):
+            out = perceptron_eval(cfg, [duty[live]] * w.n, w, vdd)
+            duty[live] = out
+            live = live[~np.isnan(out)]
+        return _like(dc_in, dc)
+    # perceptron_eval's arithmetic on n equal inputs, less its checks, each
+    # operation on the same operands in the same order, in place on duty and
+    # acc. A stalled point's NaN goes through the later stages, where the raw
+    # converter stalls it again: the output is what the oscillating points
+    # alone give, bit for bit
+    acc = np.empty_like(duty)
     for _ in range(depth):
-        if cfg.path == "behavioral":
-            # perceptron_eval's arithmetic, less its checks, on n equal inputs
-            s = _weighted_sum([flat[live] * w.max_weight] * w.n, w.total_units)
-            out = _v_to_dc(vdd * (1.0 - s), vdd, cfg.converter)
-        else:
-            out = perceptron_eval(cfg, [flat[live]] * w.n, w, vdd)
-        flat[live] = out
-        if np.isnan(out).any():
-            live = np.arange(flat.size)[live][~np.isnan(out)]
-    return _like(dc_in, dc)
+        np.multiply(duty, w.max_weight, out=duty)
+        np.add(0, duty, out=acc)            # the weighted sum, added up from 0
+        for _ in range(w.n - 1):
+            acc += duty
+        acc /= w.total_units
+        np.subtract(1.0, acc, out=acc)
+        np.multiply(vdd, acc, out=acc)
+        acc /= vdd
+        out = _v_to_dc(acc, cfg.converter, duty)
+        duty, acc = out, (acc if out is duty else duty)
+    return _like(dc_in, duty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +138,13 @@ def response_curve(cfg: PerceptronConfig, grid, depth: int,
     """chain_eval over the grid plus total absolute deviation from identity."""
     dc_in = np.array(grid, dtype=np.float64)
     dc_out = chain_eval(cfg, depth, dc_in, vdd)
-    steps = np.abs(dc_out - dc_in)[~np.isnan(dc_out)]
-    # a running sum, in grid order: np.sum's pairwise order differs in the last bit
-    deviation = float(np.cumsum(steps)[-1]) if steps.size else 0.0
+    steps = np.subtract(dc_out, dc_in).reshape(-1)
+    np.abs(steps, out=steps)
+    # a stall adds +0.0 (fmax drops NaN), which leaves a sum of magnitudes as
+    # it is. A running sum, in grid order: np.sum's pairwise order differs
+    # in the last bit
+    np.fmax(steps, 0.0, out=steps)
+    deviation = float(np.add.accumulate(steps, out=steps)[-1]) if steps.size else 0.0
     return ResponseCurve(dc_in=dc_in, dc_out=dc_out, deviation=deviation)
 
 

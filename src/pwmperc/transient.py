@@ -317,6 +317,21 @@ def _run_checks(cfg: VacConfig, inputs, n_weights, k, idle, v0, v_max, v_min) ->
             "the capacitor node floats"))]
 
 
+def _period_checks(cfg: VacConfig, frequency, vdd) -> list:
+    """The check for signals._faults of each row's period against the longest
+    whose solve stays within the floats. The input edges (within 5 periods of
+    the start), the period in units of tau and the period's integrals of v
+    and of the supply power are each at most the period times
+    max(5, 1/tau, total_units * max(vdd, 1)^2 * max(1, 1/r_unit))."""
+    with np.errstate(divide="ignore", over="ignore"):
+        period = 1.0 / frequency
+        longest = np.finfo(np.float64).max / np.maximum(
+            max(5.0, 1.0 / cfg.tau),
+            cfg.total_units * np.maximum(vdd, 1.0) ** 2 * max(1.0, 1.0 / cfg.r_unit))
+    return [(~(period <= longest), lambda i: f"frequency must have a period of at most "
+                                             f"{longest[i]:.6g} s, got {frequency[i]}")]
+
+
 def _across(ufunc, x):
     """ufunc reduced over the last axis of x by elementwise passes over its
     columns, which numpy does faster than a reduction over a short axis."""
@@ -627,7 +642,8 @@ class StimulusBatch:
             (n_phases != n_duties,
              lambda i: f"phases has {n_phases[i]} entries for {n_duties[i]} duties"),
             *_pwm_checks(self.frequency, self.duties, self.phases, n_duties > 0),
-            *_run_checks(cfg, n_duties, n_weights, k, idle, self.v0, self.vdd, self.vdd)],
+            *_run_checks(cfg, n_duties, n_weights, k, idle, self.v0, self.vdd, self.vdd),
+            *_period_checks(cfg, self.frequency, self.vdd)],
             n_rows)
         ok = np.ones(n_rows, dtype=bool)
         ok[list(errors)] = False
@@ -721,7 +737,8 @@ def _charge_times(cfg: VacConfig, segments, prefix, pss: np.ndarray, v_aff,
                                                   pss - level[:, None])),
                      4.0 * np.spacing(np.maximum(np.abs(level), np.abs(delta))))
     with np.errstate(divide="ignore"):          # log(0) where v is the periodic start
-        m_hi = np.maximum(0.0, np.ceil(np.log(np.abs(delta) / gap) * cfg.tau / period))
+        # + 0.0: ceil gives -0.0 on (-1, 0), which np.maximum keeps
+        m_hi = np.maximum(0.0, np.ceil(np.log(np.abs(delta) / gap) * cfg.tau / period)) + 0.0
     capped = np.isfinite(floor)
     c = np.where(capped, floor, v_aff)
 

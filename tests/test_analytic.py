@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,11 @@ class TestWeightedDcSum:
 
 
 class TestVacEquilibrium:
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_a_supply_not_finite_and_positive(self, vdd):
+        with pytest.raises(ValueError, match=re.escape(f"vdd must be finite and > 0, got {vdd}")):
+            vac_equilibrium([0.5, 0.5], WeightVector((7, 7), 3), vdd)
+
     # theoretical column of the 3x3 weighted-adder reference table
     @pytest.mark.parametrize("duties,weights,expect", [
         ([0.7, 0.8, 0.9], (7, 7, 7), 0.50),

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,19 @@ class TestVToDc:
         assert got[1] == pytest.approx(0.5)
         with pytest.raises(ValueError, match="vdd"):
             v_to_dc(vs, np.array([2.5, 0.0, 2.5]), MODEL)
+
+    @pytest.mark.parametrize("model", [MODEL, ConverterModel.raw()], ids=["compensated", "raw"])
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, np.array([2.5, math.nan])])
+    def test_rejects_a_supply_not_finite(self, model, vdd):
+        # a NaN duty would read as a stalled oscillator
+        with pytest.raises(ValueError, match=re.escape(f"vdd must be finite and > 0, got {vdd}")):
+            v_to_dc(np.array([1.0, 1.0]) if np.ndim(vdd) else 1.0, vdd, model)
+
+    @pytest.mark.parametrize("model", [MODEL, ConverterModel.raw()], ids=["compensated", "raw"])
+    @pytest.mark.parametrize("v", [math.nan, -math.inf, np.array([1.0, math.inf])])
+    def test_rejects_a_voltage_not_finite(self, model, v):
+        with pytest.raises(ValueError, match=re.escape(f"v must be finite, got {v}")):
+            v_to_dc(v, 2.5, model)
 
     def test_no_oscillation_is_distinguishable(self):
         out = v_to_dc(0.1, 2.5, ConverterModel.raw())

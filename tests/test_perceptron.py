@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +137,13 @@ class TestChain:
             assert chain_eval(BEHAVIORAL, 2, float(x)) == pytest.approx(
                 expect, abs=1e-12)
 
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf])
+    @pytest.mark.parametrize("converter", ["compensated", "raw"])
+    def test_rejects_a_supply_not_finite(self, converter, vdd):
+        cfg = PerceptronConfig.behavioral(converter=getattr(ConverterModel, converter)())
+        with pytest.raises(ValueError, match=re.escape(f"vdd must be finite and > 0, got {vdd}")):
+            chain_eval(cfg, 2, 0.5, vdd)
+
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             chain_eval(BEHAVIORAL, 0, 0.5)
@@ -165,6 +175,15 @@ class TestResponseCurve:
         for depth in (1, 2, 3):
             assert response_curve(cfg, grid, depth).deviation == pytest.approx(
                 0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("vdd", [math.inf, math.nan])
+    def test_rejects_a_supply_not_finite_before_any_arithmetic(self, vdd):
+        # rejected by name before the stage's arithmetic can overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"vdd must be finite and > 0, got {vdd}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                response_curve(BEHAVIORAL, [0.0, 0.5, 1.0], 3, vdd=vdd)
 
     def test_rows_align_with_grid(self):
         grid = [0.0, 0.5, 1.0]

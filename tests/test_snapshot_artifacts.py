@@ -124,3 +124,19 @@ def test_compare_of_equal_trees(tmp_path, capsys):
     assert snapshot_artifacts.main(["--compare", str(tmp_path / "base"),
                                     str(tmp_path / "head")]) == 0
     assert capsys.readouterr().out == "No CSV differs.\n"
+
+
+def test_raw_chain_run_stalls_at_every_depth(tmp_path):
+    # no config runs the raw converter's chain: this run puts it into the
+    # snapshot, with stalled and oscillating points at each of depths 1-8
+    runs = {name: (kind, params) for name, kind, params
+            in snapshot_artifacts.reference_runs()}
+    kind, params = runs["response_curve_raw"]
+    spec = cli.ExperimentSpec(kind=kind, parameters=params, output_dir=tmp_path, seed=0)
+    assert cli.run(spec)["status"] == "ok"
+    assert spec.parameters["converter"] == "raw"
+    rows = read_rows(tmp_path / "response_curve.csv")
+    for depth in range(1, 9):
+        cells = [row["dc_out"] for row in rows if row["depth"] == str(depth)]
+        assert len(cells) == 101
+        assert 0 < cells.count("no-oscillation") < len(cells)

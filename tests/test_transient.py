@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,40 @@ class TestStimulus:
             assert type(error) is ValueError and str(error) == message
         assert first == last == steady_state(cfg, good)
 
+    @pytest.mark.parametrize("cfg, f", [
+        (VacConfig.small(), 1e-302), (VacConfig.small(), 1e-308),
+        # tau = 47.6 s: the period in units of tau stays finite, a period's
+        # supply energy and the edges past it do not
+        (VacConfig(3, 3, r_unit=1e12, c_out=1e-9), 1e-307),
+        (VacConfig(3, 3, r_unit=1e12, c_out=1e-9), 1e-308)])
+    def test_period_past_the_floats_is_named(self, cfg, f):
+        # past the longest period the solve would overflow (a RuntimeWarning
+        # under -W error): such a stimulus fails alone, by its frequency
+        good = VacStimulus((0.5, 0.3, 0.9), 1e8, W777, v0=1.0)
+        bad = dataclasses.replace(good, frequency=f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, error, last = steady_states(cfg, [good, bad, good])
+        assert type(error) is ValueError
+        assert re.fullmatch(rf"frequency must have a period of at most \S+ s, got {f}", str(error))
+        assert first == last == steady_state(cfg, good)
+
+    @pytest.mark.parametrize("cfg", [VacConfig.small(), VacConfig(3, 3, r_unit=1e12, c_out=1e-9)])
+    def test_longest_period_solves(self, cfg):
+        # the longest period the check allows, with edges up to its end, and
+        # a period twice as long
+        growth = max(5.0, 1.0 / cfg.tau, cfg.total_units * 2.5 ** 2 * max(1.0, 1.0 / cfg.r_unit))
+        longest = np.finfo(np.float64).max / growth
+        stim = VacStimulus((0.5, 0.3, 0.9), 1.0 / longest, W777, v0=1.0,
+                           phases=(0.0, 0.25 * longest, 0.5 * longest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, too_long = steady_states(cfg, [stim, dataclasses.replace(
+                stim, frequency=0.5 / longest, phases=None)])
+        assert math.isfinite(m.average_v) and math.isfinite(m.avg_power)
+        assert m.average_v == pytest.approx(vac_equilibrium([0.5, 0.3, 0.9], W777, 2.5))
+        assert isinstance(too_long, ValueError)
+
 
 class TestSweep:
     def test_vdd_ratio_constant(self):
@@ -464,6 +499,16 @@ class TestPeriodicSteadyState:
         ((m_hi, period),) = m_his
         assert m_hi > 2 ** 53
         assert m.charge_time is not None and 0.0 < m.charge_time <= m_hi * period
+
+    @pytest.mark.parametrize("duties, f", [((0.2, 0.5, 0.25), 1e9), ((0.3, 0.5, 0.25), 1e6)])
+    def test_charge_time_from_the_average_is_positive_zero(self, duties, f):
+        # v0 on the steady state's average: the crossing is at the start,
+        # where the contraction bound's ceil can be -0.0; a CSV would write
+        # the time as "-0.0"
+        w = WeightVector((3, 5, 7), 3)
+        m = steady_state(VacConfig.small(), VacStimulus(duties, f, w,
+                                                        v0=vac_equilibrium(duties, w, 2.5)))
+        assert m.charge_time == 0.0 and math.copysign(1.0, m.charge_time) == 1.0
 
 
 class TestEnergyBalance:

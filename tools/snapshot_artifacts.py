@@ -11,7 +11,9 @@ compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: at
 20 us, the second with the regions' weights swapped so that region B has rows
 at times region A lacks, and ``sweep_vdd.yaml``; and ``sweep_vdd.yaml`` at
 1.2 V (``sweep_vdd_clamp_fails``), where the grid points 0.5 V and 1.0 V fail,
-so that their per-row error text is snapshotted too. Each run writes into
+so that their per-row error text is snapshotted too. ``RAW_CHAIN_RUN`` is
+``response_curve.yaml`` with the raw converter at depths 1-8 on 101 points,
+whose ends stall: no config runs the raw chain. Each run writes into
 ``OUT/<name>/``. The training configs run for ``TRAIN_EPOCHS`` epochs on a
 small seeded synthetic MNIST-shaped set written to a temporary directory, and
 a training sweep on a subsample of it. Wall times are dropped: ``wall_time_s``
@@ -63,6 +65,10 @@ CLAMPED_RUNS = (
      {"compensation_threshold": 1.2}),
 )
 
+# (name, kind, the config it starts from, overrides), like a clamped run
+RAW_CHAIN_RUN = ("response_curve_raw", "response-curve", "response_curve",
+                 {"converter": "raw", "depths": list(range(1, 9)), "grid_points": 101})
+
 
 def config_kind(stem: str) -> str:
     """The experiment kind a config file is named after: the longest kind
@@ -88,7 +94,7 @@ def reference_runs():
     for preset in ("small", "large"):
         yield f"vac_table_{preset}", "vac-table", {"preset": preset}
     yield "fixed_points", "fixed-points", {}
-    for name, kind, base, overrides in CLAMPED_RUNS:
+    for name, kind, base, overrides in (*CLAMPED_RUNS, RAW_CHAIN_RUN):
         params = {} if base is None else yaml.safe_load(
             (ROOT / "configs" / f"{base}.yaml").read_text())
         yield name, kind, {**params, **overrides}
