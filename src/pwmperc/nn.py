@@ -148,13 +148,15 @@ class NetworkConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.mode not in ("fp", "integer"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        init = self.initial_weight
         if self.mode == "integer":
             if self.max_weight is None or self.max_weight < 1:
                 raise ValueError("integer mode needs max_weight >= 1")
-            init = self.initial_weight
             if init is not None and not (0 <= init <= self.max_weight and init == int(init)):
                 raise ValueError("integer mode needs a whole initial_weight in "
                                  f"[0, max_weight={self.max_weight}], got {init}")
+        elif init is not None and not (math.isfinite(init) and init >= 0):
+            raise ValueError(f"initial_weight must be finite and >= 0, got {init}")
 
     def topology(self) -> str:
         return "/".join(str(s) for s in self.layer_sizes)
@@ -308,13 +310,16 @@ def evaluate(net: Network, dataset) -> float:
 
 def train(net: Network, train_ds, test_ds,
           cfg: NetworkConfig | None = None) -> TrainReport:
-    """Mini-batch gradient descent; deterministic given cfg.seed.
+    """Mini-batch gradient descent under the network's own config;
+    deterministic given its seed. `cfg`, where given, must equal net.cfg.
 
     FP mode applies the raw update; integer mode rounds the rescaled update
     and clamps to +-max_weight (asserted every step). Divergence (non-finite
     loss) aborts with a diagnostic.
     """
-    cfg = cfg or net.cfg
+    if cfg is not None and cfg != net.cfg:
+        raise ValueError(f"cfg {cfg} is not the network's own {net.cfg}")
+    cfg = net.cfg
     train_images = np.asarray(train_ds.images)
     train_labels = np.asarray(train_ds.labels)
     one_hot = np.eye(cfg.layer_sizes[-1])

@@ -22,8 +22,9 @@ import numpy as np
 
 from .analytic import WeightVector, _check_duty, _check_vdd, vac_equilibrium
 from .converter import ConverterModel, _like, _v_to_dc, v_to_dc
-from .signals import PwmSignal, SupplyProfile
-from .transient import StimulusBatch, TransientTrace, VacConfig, simulate_vac
+from .signals import PwmSignal, SupplyProfile, _check_one
+from .transient import (StimulusBatch, TransientTrace, VacConfig, _shape_checks,
+                        simulate_vac)
 
 __all__ = [
     "PerceptronConfig",
@@ -65,9 +66,11 @@ def perceptron_eval(cfg: PerceptronConfig, duties, w: WeightVector, vdd: float):
     for all); the result takes that form. behavioral:
     v_to_dc(vac_equilibrium(duties, w, vdd)). transient: the average capacitor
     voltage of each point's periodic steady state, all points solved as one
-    batch, replaces the analytic equilibrium.
+    batch, replaces the analytic equilibrium. Both paths hold the input count
+    and the weight vector to cfg.vac by the same rules.
     """
     if cfg.path == "behavioral":
+        _check_one(_shape_checks(cfg.vac, *(np.array([x]) for x in (len(duties), w.n, w.k))))
         v = vac_equilibrium(duties, w, vdd)
     else:
         grid = np.stack(np.broadcast_arrays(*duties), axis=-1)

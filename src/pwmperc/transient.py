@@ -33,9 +33,9 @@ cells by the one edge rule and the one pulse rule of signals.py:
   each solve one batch.
 * simulate_vac + trace_metrics - any supply, including time-varying ones:
   one row over the horizon, cut at the supply's cuts too, and closed-form
-  integrals over the pieces of its last quarter. The trace's samples (times,
-  v_cap, vdd) are taken on first read, so a trace read only through its
-  pieces never calls the supply at a sample time.
+  integrals over the pieces of its last quarter. A trace keeps its VacConfig
+  and supply, and takes its samples (times, v_cap, vdd) on first read, so a
+  trace read only through its pieces never calls the supply at a sample time.
 
 Every unit cell conducts to one rail or the other, so the total conductance,
 and with it tau, is constant whatever the inputs and the supply do. Each
@@ -49,6 +49,7 @@ settle error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,32 +126,9 @@ class VacConfig:
         return self.c_out * self.r_unit / self.total_units
 
 
-class _Sampled:
-    """A sample attribute of TransientTrace: None until first read, when the
-    trace fills every sample attribute that is None - the waveform, and the
-    supply at each of its times, one value_at call per time. A value set is
-    kept."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, trace, owner=None):
-        if trace is None:
-            return None                # the field's default: sample on first read
-        d = trace.__dict__
-        if d[self.name] is None:
-            times, _ = trace._waveform()
-            if d["vdd"] is None:
-                d["vdd"] = trace.supply.values(times)
-        return d[self.name]
-
-    def __set__(self, trace, value):
-        trace.__dict__[self.name] = value
-
-
 @dataclass
 class TransientTrace:
-    """Per-segment exact solution plus sampled waveform.
+    """A simulate_vac run's exact solution, kept with its circuit and supply.
 
     seg_* arrays describe half-open segments [t0, t1) on which the capacitor
     voltage is either the exponential from seg_v0 toward seg_veq with the
@@ -158,12 +136,10 @@ class TransientTrace:
 
     The samples - times, v_cap and vdd - are derived from the segments and
     the supply on the first read of any of them, which calls the supply at
-    every sample time. Samples may be given instead: times and v_cap
-    together, and vdd the supply's values at those times, as TraceCells
-    takes supply cells by the supply.
+    every sample time, in order.
     """
 
-    tau: float
+    cfg: VacConfig
     seg_t0: np.ndarray
     seg_t1: np.ndarray
     seg_v0: np.ndarray
@@ -173,9 +149,6 @@ class TransientTrace:
     seg_up: np.ndarray         # unit cells pulling up; the rest pull down
     seg_clamped: np.ndarray    # bool
     supply: SupplyProfile
-    times: np.ndarray = _Sampled()   # event boundaries plus uniform samples
-    v_cap: np.ndarray = _Sampled()
-    vdd: np.ndarray = _Sampled()     # supply value at `times`
 
     @property
     def horizon(self) -> float:
@@ -189,31 +162,39 @@ class TransientTrace:
             raise ValueError(f"times [{ts.min()}, {ts.max()}] outside [0, {self.horizon}]")
         i = np.searchsorted(self.seg_t0, ts, side="right") - 1     # seg_t0[0] = 0
         v0, veq = self.seg_v0[i], self.seg_veq[i]
-        v = veq + (v0 - veq) * np.exp(-(ts - self.seg_t0[i]) / self.tau)
+        v = veq + (v0 - veq) * np.exp(-(ts - self.seg_t0[i]) / self.cfg.tau)
         return np.where(self.seg_clamped[i], v0, v)
 
+    @functools.cached_property
     def _waveform(self) -> tuple[np.ndarray, np.ndarray]:
-        """times and v_cap, sampled if not yet: every segment boundary,
-        densified with N_UNIFORM_SAMPLES uniform times, and the capacitor
-        voltage there. The supply is not called."""
-        d = self.__dict__
-        if d["times"] is None:
-            boundary_ts = np.append(self.seg_t0, self.horizon)
-            boundary_vs = np.append(self.seg_v0, self.seg_v1[-1])
-            uniform_ts = np.linspace(0.0, self.horizon, N_UNIFORM_SAMPLES)
-            extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
-            order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
-            d["times"] = np.concatenate([boundary_ts, extra_ts])[order]
-            d["v_cap"] = np.concatenate([boundary_vs, self.sample(extra_ts)])[order]
-        return d["times"], d["v_cap"]
+        """The sample times - every segment boundary, densified with
+        N_UNIFORM_SAMPLES uniform times - and the capacitor voltage there.
+        The supply is not called."""
+        boundary_ts = np.append(self.seg_t0, self.horizon)
+        boundary_vs = np.append(self.seg_v0, self.seg_v1[-1])
+        uniform_ts = np.linspace(0.0, self.horizon, N_UNIFORM_SAMPLES)
+        extra_ts = uniform_ts[~np.isin(uniform_ts, boundary_ts)]
+        order = np.argsort(np.concatenate([boundary_ts, extra_ts]), kind="stable")
+        return (np.concatenate([boundary_ts, extra_ts])[order],
+                np.concatenate([boundary_vs, self.sample(extra_ts)])[order])
+
+    @functools.cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The waveform and the supply at each of its times."""
+        times, v_cap = self._waveform
+        return times, v_cap, self.supply.values(times)
+
+    times = property(lambda self: self._samples[0])  # boundaries plus uniform samples
+    v_cap = property(lambda self: self._samples[1])
+    vdd = property(lambda self: self._samples[2])    # supply value at `times`
 
     def write_csv(self, path, cells: TraceCells | None = None) -> None:
         """Write a time_s, v_cap_V, vdd_V row per sample, each float as its
-        repr, CSV_CHUNK rows at a time. With `cells`, the time and supply
-        cells come from it where it holds them, and the supply is called
-        only at the other rows (see TraceCells)."""
-        times, v_cap = self._waveform()
-        rows_of = cells.rows(self) if cells is not None else self._cells
+        repr, CSV_CHUNK rows at a time. The time and supply cells come from
+        `cells` (a fresh TraceCells if None), which calls the supply only at
+        rows whose cells it does not hold."""
+        times, v_cap = self._waveform
+        rows_of = (cells or TraceCells()).rows(self)
         with open(path, "w", newline="") as fh:
             fh.write("time_s,v_cap_V,vdd_V\n")
             for lo in range(0, len(times), CSV_CHUNK):
@@ -222,25 +203,16 @@ class TransientTrace:
                 fh.write("".join([f"{t},{v!r},{s}\n" for t, v, s
                                   in zip(time_cells, v_cap[rows].tolist(), vdd_cells)]))
 
-    def _cells(self, rows: slice) -> tuple[list, list]:
-        """The time and supply cells of `rows`, formatted."""
-        return _reprs(self.times[rows]), _reprs(self.vdd[rows])
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """Each float of `values` as its repr, a CSV cell."""
-    return list(map(repr, values.tolist()))
-
 
 class TraceCells:
-    """The time and supply cells of the first trace CSV written with it,
-    kept with that trace's times and supply.
+    """The time and supply cells of a trace CSV written with it, kept with
+    that trace's times and supply until a trace under another supply
+    replaces them.
 
-    A later trace under an equal supply takes the cells of each row whose
-    time equals a row of the first bit for bit (so 0.0 and -0.0 stay apart):
-    a supply is a function of time, so its value there is the first's. It
-    calls its supply at its other rows only, and formats them. A trace under
-    another supply, like the first, calls it at every row. Traces of one
+    A later trace under the kept supply takes the cells of each row whose
+    time equals a kept row's bit for bit (so 0.0 and -0.0 stay apart): a
+    supply is a function of time, so its value there is the kept one. It
+    calls its supply at its other rows only, and formats them. Traces of one
     supply over one horizon share most of their times, and so most of these
     cells. The cells are kept as numpy byte strings, one array per column, a
     third of the memory of str objects: a float's repr has at most 24
@@ -248,24 +220,22 @@ class TraceCells:
     """
 
     def __init__(self):
-        self._times = self._supply = None  # the first trace's
+        self._times = self._supply = None  # the kept trace's
         self._kept = None                  # its time and supply cells
 
     def rows(self, trace: TransientTrace):
         """A function giving the time and supply cells of a slice of rows
         of `trace`."""
-        times, _ = trace._waveform()
-        if self._times is None:
+        times, _ = trace._waveform
+        if self._times is None or trace.supply != self._supply:
             self._times, self._supply = times, trace.supply
             self._kept = np.empty(len(times), "S24"), np.empty(len(times), "S24")
 
             def first(rows):                   # format and keep
-                cells = trace._cells(rows)
+                cells = [list(map(repr, x[rows].tolist())) for x in (trace.times, trace.vdd)]
                 self._kept[0][rows], self._kept[1][rows] = cells
                 return cells
             return first
-        if trace.supply != self._supply:
-            return trace._cells
 
         def later(rows):
             ts = times[rows]
@@ -297,15 +267,21 @@ class TraceMetrics:
         return self.drift < DRIFT_LIMIT
 
 
-def _run_checks(cfg: VacConfig, inputs, n_weights, k, idle, v0, v_max, v_min) -> list:
-    """The checks of a run for signals._faults, over rows of input and
-    weight counts, weight bits k, whether all weights are zero, start
-    voltages (None: none to check) and the supply's extremes."""
-    v_th = cfg.compensation_threshold
+def _shape_checks(cfg: VacConfig, inputs, n_weights, k) -> list:
+    """signals._faults checks of rows of input and weight counts and bits k."""
     return [
         (inputs != cfg.n, lambda i: f"config expects {cfg.n} inputs, got {inputs[i]}"),
         ((n_weights != cfg.n) | (k != cfg.k), lambda i: f"weight vector ({n_weights[i]} "
-         f"inputs, k={k[i]}) does not match config (n={cfg.n}, k={cfg.k})"),
+         f"inputs, k={k[i]}) does not match config (n={cfg.n}, k={cfg.k})")]
+
+
+def _run_checks(cfg: VacConfig, inputs, n_weights, k, idle, v0, v_max, v_min) -> list:
+    """The checks of a run for signals._faults: _shape_checks, then over
+    rows of whether all weights are zero, start voltages (None: none to
+    check) and the supply's extremes."""
+    v_th = cfg.compensation_threshold
+    return [
+        *_shape_checks(cfg, inputs, n_weights, k),
         *([] if v0 is None else [
             (~np.isfinite(v0), lambda i: f"v0 must be finite, got {v0[i]}"),
             (~((0.0 <= v0) & (v0 <= v_max)),
@@ -466,7 +442,7 @@ def _walk(cfg: VacConfig, segments, v0: float, supply: SupplyProfile) -> Transie
     piece_clamped[head] = False
     v0s[piece_clamped] = v_th
     return TransientTrace(
-        tau=cfg.tau, seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
+        cfg=cfg, seg_t0=t0, seg_t1=t1, seg_v0=v0s, seg_v1=v1s,
         seg_veq=veqs.take(seg), seg_vdd=vdds.take(seg), seg_up=ups.take(seg),
         seg_clamped=piece_clamped, supply=supply,
     )
@@ -516,7 +492,7 @@ def _integrals(cfg: VacConfig, t_free, dt, v0, veq, vdd, up):
     return v_int, vdd * p_int / cfg.r_unit
 
 
-def _window_integrals(trace: TransientTrace, cfg: VacConfig, w_lo: float, w_hi: float):
+def _window_integrals(trace: TransientTrace, w_lo: float, w_hi: float):
     """Exact integrals of v and of supply power over the window
     [w_lo, w_hi] inside the horizon, and the extremes of v over it.
 
@@ -529,7 +505,7 @@ def _window_integrals(trace: TransientTrace, cfg: VacConfig, w_lo: float, w_hi: 
     starts, lengths = cuts[:-1], np.diff(cuts)
     va = trace.sample(starts)
     j = np.searchsorted(trace.seg_t0, starts, side="right") - 1
-    v_int, p_int = _integrals(cfg, np.where(trace.seg_clamped[j], 0.0, lengths),
+    v_int, p_int = _integrals(trace.cfg, np.where(trace.seg_clamped[j], 0.0, lengths),
                               lengths, va, trace.seg_veq[j], trace.seg_vdd[j],
                               trace.seg_up[j])
     # the exponentials are monotone: extremes lie on part or window ends
@@ -537,11 +513,11 @@ def _window_integrals(trace: TransientTrace, cfg: VacConfig, w_lo: float, w_hi: 
     return float(v_int.sum()), float(p_int.sum()), float(ends.min()), float(ends.max())
 
 
-def trace_metrics(trace: TransientTrace, cfg: VacConfig,
-                  supply: SupplyProfile,
+def trace_metrics(trace: TransientTrace, cfg: VacConfig | None = None,
+                  supply: SupplyProfile | None = None,
                   cycle_period: float | None = None) -> TraceMetrics:
     """Average, ripple swing, charge time and supply power over the last
-    quarter of the horizon.
+    quarter of the horizon, under the trace's own circuit and supply.
 
     `drift` is the exact settle error: the window starts at w_lo = 0.75 *
     horizon, where runs from any two start voltages in [0, max supply]
@@ -549,17 +525,21 @@ def trace_metrics(trace: TransientTrace, cfg: VacConfig,
     and later times differ by less. So the voltage anywhere in the window,
     and with it the average and the extremes, can still move with v0 by at
     most drift * |average|. The metrics are unreliable when drift exceeds
-    DRIFT_LIMIT. `cycle_period` is ignored; it is kept for callers that
-    still pass it.
+    DRIFT_LIMIT. `cfg` and `supply` must be the trace's own, or None;
+    `cycle_period` is ignored: all three are kept for older callers.
     """
+    for name, given, own in (("cfg", cfg, trace.cfg), ("supply", supply, trace.supply)):
+        if given is not None and given != own:
+            raise ValueError(f"{name} {given} is not the trace's own {own}")
+    cfg, supply = trace.cfg, trace.supply
     horizon = trace.horizon
     w_lo = 0.75 * horizon
     window = horizon - w_lo
-    v_int, p_int, vmin, vmax = _window_integrals(trace, cfg, w_lo, horizon)
+    v_int, p_int, vmin, vmax = _window_integrals(trace, w_lo, horizon)
     average_v = v_int / window
     drift = supply.max_value() * math.exp(-w_lo / cfg.tau) / max(abs(average_v), 1e-30)
     charge_time = float(_first_crossing(
-        trace.tau, trace.seg_t0[None], trace.seg_t1[None],
+        cfg.tau, trace.seg_t0[None], trace.seg_t1[None],
         np.append(trace.seg_v0, trace.seg_v1[-1])[None], trace.seg_veq[None],
         np.array([average_v]))[0])
     return TraceMetrics(average_v=average_v, swing=max(vmax - vmin, 0.0),

@@ -346,6 +346,16 @@ class TestTrainKind:
         assert "initial_weight" in manifest["error"]["message"]
         assert manifest["artifacts"] == []
 
+    @pytest.mark.parametrize("value", [-0.5, float("inf"), float("nan")])
+    def test_ill_posed_fp_initial_weight_named(self, tmp_path, small_mnist, value):
+        spec = make_spec("train", {"topology": "784/10", "activation": "cap_relu",
+                                   "epochs": 1, "initial_weight": value}, tmp_path,
+                         data_dir=str(small_mnist))
+        manifest = run(spec)
+        assert manifest["status"] == "error"
+        assert "initial_weight must be finite" in manifest["error"]["message"]
+        assert manifest["artifacts"] == []
+
     @pytest.mark.parametrize("flag", [False, True])
     def test_zero_subsample_rejected(self, flag, tmp_path, small_mnist):
         cfg = tmp_path / "train.yaml"

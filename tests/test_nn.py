@@ -127,6 +127,12 @@ class TestConfig:
             NetworkConfig(**self.BASE, mode="integer", max_weight=7,
                           initial_weight=2.9)
 
+    @pytest.mark.parametrize("value", [-0.5, float("inf"), float("nan")])
+    def test_ill_posed_fp_initial_weight_names_its_field(self, value):
+        # numpy would fail later, in from_config, with no field named
+        with pytest.raises(ValueError, match="initial_weight must be finite and >= 0"):
+            NetworkConfig(**self.BASE, initial_weight=value)
+
     def test_fp_initial_weight_is_a_scale(self):
         # FP mode reads initial_weight as the uniform init scale: no bound
         net = Network.from_config(NetworkConfig(**self.BASE, initial_weight=2.9))
@@ -310,6 +316,27 @@ class TestTraining:
         net = Network.from_config(cfg)
         with pytest.raises(TrainingDivergedError):
             train(net, ds, ds, cfg)
+
+    def test_train_reads_the_networks_own_config(self):
+        ds = self._toy()
+        cfg = NetworkConfig(layer_sizes=(4, 2), activation=ActivationKind.RELU,
+                            learning_rate=0.05, epochs=2, batch=8, seed=9)
+        given, alone = Network.from_config(cfg), Network.from_config(cfg)
+        assert train(given, ds, ds, cfg).per_epoch == train(alone, ds, ds).per_epoch
+        for la, lb in zip(given.layers, alone.layers):
+            assert la.weights.tobytes() == lb.weights.tobytes()
+
+    def test_train_rejects_another_config_by_name(self):
+        # the loop would run the other's epochs and rate, the bounds the net's
+        ds = self._toy()
+        cfg = NetworkConfig(layer_sizes=(4, 2), activation=ActivationKind.RELU,
+                            learning_rate=0.05, epochs=2, batch=8, seed=9)
+        net = Network.from_config(cfg)
+        before = [layer.weights.copy() for layer in net.layers]
+        with pytest.raises(ValueError, match=r"^cfg NetworkConfig\(.*is not the network's own"):
+            train(net, ds, ds, NetworkConfig(**{**cfg.__dict__, "epochs": 5}))
+        for layer, weights in zip(net.layers, before):
+            assert layer.weights.tobytes() == weights.tobytes()
 
     def test_one_loss_and_grads_call_per_step(self, monkeypatch):
         # the benchmark's tracer counts steps as loss_and_grads calls

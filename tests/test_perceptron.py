@@ -95,6 +95,18 @@ class TestPerceptronEval:
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("duties, w, message", [
+    ([0.5] * 4, WeightVector((31,) * 4, 5), "config expects 3 inputs, got 4"),
+    ([0.5] * 3, WeightVector((7, 7, 7), 4),
+     "weight vector (3 inputs, k=4) does not match config (n=3, k=3)"),
+])
+def test_both_paths_check_the_config_alike(duties, w, message):
+    # the behavioral path once evaluated 4 inputs of k=5 on an n=3, k=3 config
+    for cfg in (BEHAVIORAL, dataclasses.replace(BEHAVIORAL, path="transient")):
+        with pytest.raises(ValueError) as raised:
+            perceptron_eval(cfg, duties, w, 2.5)
+        assert str(raised.value) == message, cfg.path
+
 @pytest.mark.parametrize("k", [3, 6])
 @pytest.mark.parametrize("n", [3, 9])
 def test_network_computes_the_circuit(n, k):

@@ -167,6 +167,36 @@ class TestSettleBound:
         assert m.reliable
 
 
+class TestTraceIsItsOwnRecord:
+    """A trace keeps the circuit and the supply it was solved under: its
+    readers take nothing else, and a foreign pair fails by name."""
+
+    SUP = SinusoidSupply(mean=2.5, amplitude=0.7, period=10e-6)
+
+    def trace(self):
+        return simulate_vac(VacConfig.small(), [PwmSignal(100e6, 0.5)] * 3, W777,
+                            self.SUP, 40e-6)
+
+    def test_metrics_read_the_trace_alone(self):
+        trace = self.trace()
+        assert trace_metrics(trace) == trace_metrics(trace, VacConfig.small(), self.SUP,
+                                                     cycle_period=1e-8)
+
+    def test_another_cfg_is_rejected_by_name(self):
+        # the large preset's tau would read this trace as unsettled
+        with pytest.raises(ValueError, match=r"^cfg VacConfig\(.*r_unit=1000000\.0"):
+            trace_metrics(self.trace(), VacConfig.large(), self.SUP)
+
+    def test_another_supply_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^supply ConstantSupply\(.*is not the trace"):
+            trace_metrics(self.trace(), VacConfig.small(), SUP25)
+
+    @pytest.mark.parametrize("name", ["times", "v_cap", "vdd"])
+    def test_samples_are_read_only(self, name):
+        trace = self.trace()
+        with pytest.raises(AttributeError):
+            setattr(trace, name, np.zeros(3))
+
 def test_clamp_must_stay_below_supply():
     cfg = VacConfig.small(compensation_threshold=2.6)
     with pytest.raises(ValueError):
@@ -598,17 +628,18 @@ class LongReprSupply(SupplyProfile):
 
 def test_shared_cells_write_each_trace_as_alone(tmp_path):
     trace = simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 3, W777, SUP25, 1e-7)
-    first = dataclasses.replace(trace, supply=LongReprSupply(1.0), vdd=None)
+    first = dataclasses.replace(trace, supply=LongReprSupply(1.0))
     # 0.0 against -0.0, times the first trace lacks (inside and past its
     # end), and shared rows, under the first's supply
     times = first.times
-    later = dataclasses.replace(
-        first, times=np.array([-0.0, times[1], times[1] * 1.5, times[2], 1.0]),
-        v_cap=np.linspace(0.1, 0.5, 5), vdd=None)
+    later = dataclasses.replace(first)
+    later._waveform = (np.array([-0.0, times[1], times[1] * 1.5, times[2], 1.0]),
+                       np.linspace(0.1, 0.5, 5))
     # a different supply at every time of the first
-    other = dataclasses.replace(first, supply=LongReprSupply(2.0), vdd=None)
+    other = dataclasses.replace(first, supply=LongReprSupply(2.0))
     cells = transient.TraceCells()
-    # the first again, last: the later traces leave the kept cells as they are
+    # the first again, last: each trace under another supply than the kept
+    # cells' replaces them, and the first then takes the later trace's
     for name, tr in (("first", first), ("later", later), ("other", other),
                      ("later", later), ("first", first)):
         tr.write_csv(tmp_path / f"{name}.csv", cells)
@@ -694,7 +725,9 @@ def test_shared_cells_call_the_supply_at_unshared_rows(tmp_path, supply_calls,
     del supply_calls[:]
     b = simulate_vac(cfg, CLAMP_SIGNALS, WeightVector(weights_b, 3), supply, 3e-6)
     b.write_csv(tmp_path / "b.csv", cells)
-    unshared = b.times[~np.isin(b.times.view(np.int64), a.times.view(np.int64))]
+    # the waveforms' times: reading b.times would call the supply again
+    (a_times, _), (b_times, _) = a._waveform, b._waveform
+    unshared = b_times[~np.isin(b_times.view(np.int64), a_times.view(np.int64))]
     assert supply_calls == t0s.tolist() + unshared.tolist()
     b.write_csv(tmp_path / "b-alone.csv")
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "b-alone.csv").read_bytes()
@@ -745,7 +778,7 @@ def sequential_walk(cfg, segments, v0):
 def loop_window_integrals(trace, cfg, w_lo, w_hi):
     """Reference: integral of v, of supply power, and extremes over
     [w_lo, w_hi], one piece after another."""
-    tau, g = trace.tau, 1.0 / cfg.r_unit
+    tau, g = trace.cfg.tau, 1.0 / cfg.r_unit
     v_int = p_int = 0.0
     vmin, vmax = math.inf, -math.inf
     for i in range(len(trace.seg_t0)):

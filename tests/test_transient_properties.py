@@ -105,7 +105,7 @@ def test_sample_equals_value_at(case, fractions):
         v0, veq = float(trace.seg_v0[i]), float(trace.seg_veq[i])
         if trace.seg_clamped[i]:
             return v0
-        return veq + (v0 - veq) * float(np.exp(-(t - float(trace.seg_t0[i])) / trace.tau))
+        return veq + (v0 - veq) * float(np.exp(-(t - float(trace.seg_t0[i])) / trace.cfg.tau))
 
     ts = np.array(fractions) * horizon
     assert trace.sample(ts).tolist() == [closed_form(t) for t in ts.tolist()]
@@ -135,7 +135,7 @@ def test_window_integrals_match_loop(case, start, length, k):
     # tolerance is relative to the largest power the bank can draw
     p_scale = supply.max_value() ** 2 * cfg.total_units / cfg.r_unit
     for a, b in windows:
-        v_int, p_int, vmin, vmax = transient._window_integrals(trace, cfg, a, b)
+        v_int, p_int, vmin, vmax = transient._window_integrals(trace, a, b)
         v_ref, p_ref, lo_ref, hi_ref = loop_window_integrals(trace, cfg, a, b)
         assert v_int == pytest.approx(v_ref, rel=1e-12, abs=1e-300)
         assert abs(p_int - p_ref) <= 1e-12 * p_scale * (b - a)
@@ -155,7 +155,7 @@ def test_settle_bound_covers_the_start_voltage(case):
     for v0 in (0.0, vmax):
         trace = simulate_vac(cfg, sigs, w, supply, horizon, v0=v0)
         m = transient.trace_metrics(trace, cfg, supply)
-        _, _, lo, hi = transient._window_integrals(trace, cfg, w_lo, horizon)
+        _, _, lo, hi = transient._window_integrals(trace, w_lo, horizon)
         runs.append((m, lo, hi))
     (m, lo, hi), (m_top, lo_top, hi_top) = runs
     # drift is relative to the average, floored at 1e-30 V for a run that
