@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "PwmSignal",
-    "pwm_high", "pwm_edges",
+    "pwm_edges",
     "SupplyProfile",
     "ConstantSupply",
     "SinusoidSupply",
@@ -46,18 +46,19 @@ class PwmSignal:
         return 1.0 / self.frequency
 
     def high(self, ts) -> np.ndarray:
-        """True where the signal is high at the times ts (all >= 0), as a
-        bool array of ts's shape; see pwm_high."""
+        """Whether the signal is high at each time of ts (all >= 0). np.mod
+        is IEEE fmod, exact, so the state stays exact for any t."""
         ts = np.asarray(ts, dtype=np.float64)
         if ts.size and ts.min() < 0:
             raise ValueError(f"t must be >= 0, got {ts.min()}")
-        return pwm_high(ts, self.period, self.duty, self.phase)
+        local = np.mod(ts - self.phase, self.period)
+        return (local < self.duty * self.period) | (self.duty == 1.0)
 
     def edges_in(self, t0: float, t1: float) -> np.ndarray:
         """All state-change times in [t0, t1), sorted ascending; see
         pwm_edges."""
         edges = pwm_edges(self.period, self.duty, self.phase, t0, t1)
-        return np.sort(edges[edges < t1])
+        return np.sort(edges[(t0 <= edges) & (edges < t1)])
 
 
 def _faults(checks, rows: int) -> dict[int, Exception]:
@@ -109,34 +110,23 @@ def _supply_checks(vdd) -> list:
             (~(vdd > 0), lambda i: f"supply must be > 0, got {vdd[i]}")]
 
 
-def pwm_high(ts, period, duty, phase) -> np.ndarray:
-    """The pulse rule: whether PWM inputs, given by arrays that broadcast
-    with the times ts >= 0, are high at ts. An input is high for duty*period
-    from each rise at phase + m*period; duty 1 is always high, duty 0 never.
-    np.mod is IEEE fmod, which introduces no rounding error, shifted into
-    [0, period): the state stays exact for arbitrarily large t."""
-    return (np.mod(ts - phase, period) < duty * period) | (duty == 1.0)
-
-
 def pwm_edges(period, duty, phase, t0, t1) -> np.ndarray:
-    """The edge rule: the state changes in [t0, t1) of PWM inputs, given by
-    duty and phase arrays of one shape S, with periods and window ends that
-    broadcast to it. Rises lie at phase + m*period, computed (never
+    """The edge rule: the pulses around the window [t0, t1) of PWM inputs,
+    given by duty and phase arrays of one shape S, with periods and window
+    ends that broadcast to it. Rises lie at phase + m*period, computed (never
     accumulated) so that they stay exact over long horizons, and falls
-    duty*period after each; duty 0 and 1 have none. Returns shape S + (2*M,):
-    rise and fall of each of M periods from one before the window, t1 in
-    place of each edge outside it."""
+    duty*period after each; duty 0 and 1 have none. Returns shape S + (M, 2):
+    rise and fall of M periods, one to spare at each end of the window
+    against rounding; t1 for each edge of an input without pulses."""
     period, duty, phase, t0, t1 = (np.asarray(x, dtype=np.float64)
                                    for x in (period, duty, phase, t0, t1))
     pulsing = (duty != 0.0) & (duty != 1.0)
     m_lo = np.floor((t0 - phase) / period) - 1
-    m_hi = np.ceil((t1 - phase) / period) + 1
+    m_hi = np.ceil((t1 - phase) / period)
     m = m_lo[..., None] + np.arange(int(np.max(m_hi - m_lo, where=pulsing, initial=-1)) + 1)
     rises = phase[..., None] + m * period[..., None]
     edges = np.stack((rises, rises + (duty * period)[..., None]), axis=-1)
-    edges = edges.reshape(*edges.shape[:-2], -1)
-    inside = (edges >= t0[..., None]) & (edges < t1[..., None]) & pulsing[..., None]
-    return np.where(inside, edges, t1[..., None])
+    return np.where(pulsing[..., None, None], edges, t1[..., None, None])
 
 
 class SupplyProfile:

@@ -21,8 +21,8 @@ constant supply is its period map F(v) = max(A*v + B, C), closed-form in
 fixed point and iterates.
 
 Two entry points share that scan and one timeline builder, which cuts rows
-of windows [0, w] at their input edges and counts each segment's pull-down
-cells by the one edge rule and the one pulse rule of signals.py:
+of windows [0, w] at their input edges (the edge rule of signals.py) and
+counts each segment's pull-down cells by a sweep line over those edges:
 
 * StimulusBatch.solve - a constant supply and inputs of one common
   frequency per row. The periodic steady state is solved exactly over one
@@ -57,7 +57,7 @@ import numpy as np
 
 from .analytic import WeightVector
 from .signals import (PwmSignal, SupplyProfile, _check_one, _faults, _pwm_checks,
-                      _supply_checks, pwm_edges, pwm_high)
+                      _supply_checks, pwm_edges)
 
 __all__ = [
     "VacConfig",
@@ -126,7 +126,7 @@ class VacConfig:
         return self.c_out * self.r_unit / self.total_units
 
 
-@dataclass
+@dataclass(eq=False)
 class TransientTrace:
     """A simulate_vac run's exact solution, kept with its circuit and supply.
 
@@ -199,9 +199,10 @@ class TransientTrace:
             fh.write("time_s,v_cap_V,vdd_V\n")
             for lo in range(0, len(times), CSV_CHUNK):
                 rows = slice(lo, lo + CSV_CHUNK)
-                time_cells, vdd_cells = rows_of(rows)
-                fh.write("".join([f"{t},{v!r},{s}\n" for t, v, s
-                                  in zip(time_cells, v_cap[rows].tolist(), vdd_cells)]))
+                chunk = ["", ",", "", ",", "", "\n"] * len(v_cap[rows])   # cells between marks
+                chunk[0::6], chunk[4::6] = rows_of(rows)
+                chunk[2::6] = map(repr, v_cap[rows].tolist())
+                fh.write("".join(chunk))
 
 
 class TraceCells:
@@ -322,29 +323,37 @@ def _timeline(cfg: VacConfig, window, period, duty, phase, weight, supply):
 
     A row is cut at 0, at its end, at its input edges (pwm_edges) and at the
     supply's cuts, repeats dropped by exact equality; shorter rows end in
-    zero-length segments at their end. A segment's high inputs (pwm_high at
-    its midpoint) pull their cells down, the rest pull up: an integer count,
-    exact in any order. Returns the per-segment start, end, divider
-    equilibrium, supply (held from the start) and pull-up count, each
-    (rows x segments), and each row's segment count.
+    zero-length segments at their end. A sweep line over the sorted cuts
+    counts each segment's pull-down cells, exact in any order: the inputs of
+    duty 1 step the count up at 0, and each edge before the end (at 0 if
+    before it) by its input's weight, up at a rise and down at a fall.
+    Returns the per-segment start, end, divider equilibrium, supply (held
+    from the start) and pull-up count, each (rows x segments), and each
+    row's segment count.
     """
     end = np.asarray(window, dtype=np.float64)[:, None]
-    cuts = [np.zeros_like(end), end,
-            pwm_edges(period, duty, phase, 0.0, end).reshape(len(end), -1)]
+    edges = pwm_edges(period, duty, phase, 0.0, end)
+    cuts = [np.zeros_like(end), edges.reshape(len(end), -1), end]
     timed = isinstance(supply, SupplyProfile)
     if timed:
         cuts.append(supply.cuts(float(end[0, 0]))[None])
-    cuts = np.concatenate(cuts, axis=1)
-    cuts.sort(axis=1)
-    new = np.ones(cuts.shape, dtype=bool)
-    new[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
-    n_seg = new.sum(axis=1) - 1
-    bounds = np.repeat(end, n_seg.max() + 1, axis=1)
-    bounds[np.arange(bounds.shape[1]) <= n_seg[:, None]] = cuts[new]
+    cuts = np.concatenate(cuts, axis=1).clip(0.0, end)  # edges outside, onto the ends
+    steps = np.zeros(cuts.shape, dtype=weight.dtype)  # 0 at the end and the supply's
+    steps[:, 0] = np.where(duty == 1.0, weight, 0).sum(axis=1)
+    step = np.where(edges < end[..., None, None], weight[..., None, None] * [1, -1], 0)
+    steps[:, 1:1 + edges[0].size] = step.reshape(len(end), -1)  # rise, fall, ...
+    order = cuts.argsort(axis=1)
+    cuts = np.take_along_axis(cuts, order, axis=1)
+    down = np.take_along_axis(steps, order, axis=1).cumsum(axis=1)
+    last = np.ones(cuts.shape, dtype=bool)  # the last cut of each time
+    last[:, :-1] = cuts[:, :-1] != cuts[:, 1:]
+    n_seg = last.sum(axis=1) - 1
+    # each time's last cut, then the row's last again: its end
+    at = np.full((len(end), n_seg.max() + 1), cuts.shape[1] - 1)
+    at[np.arange(at.shape[1]) <= n_seg[:, None]] = np.nonzero(last)[1]
+    bounds, held = (np.take_along_axis(x, at, axis=1) for x in (cuts, down))
     t0s, t1s = bounds[:, :-1], bounds[:, 1:]
-    high = pwm_high(0.5 * (t0s + t1s)[:, None], period[..., None], duty[..., None],
-                    phase[..., None])
-    up = cfg.total_units - (weight[..., None] * high).sum(axis=1)
+    up = cfg.total_units - held[:, :-1]
     vdd = supply.values(t0s[0])[None] if timed else supply[:, None]
     return (t0s, t1s, vdd * (up / cfg.total_units), vdd, up), n_seg
 
@@ -658,14 +667,15 @@ class StimulusBatch:
                          -np.inf)
         pss = _boundaries(prefix, np.maximum(v_aff, floor))
         t_free, _ = _clamp(cfg, segments, pss)
-        v_int, p_int = _integrals(cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up)
-        average_v = v_int.sum(axis=1) / period
+        # cumsum adds in order, so the zeros that pad a row leave its sums alone
+        average_v, avg_power = (x.cumsum(axis=1)[:, -1] / period for x in _integrals(
+            cfg, t_free, t1s - t0s, pss[:, :-1], veq, vdd_seg, up))
         drift = np.abs(pss[:, -1] - pss[:, 0]) / np.maximum(np.abs(average_v), 1e-30)
         swing = np.maximum(_across(np.maximum, pss) - _across(np.minimum, pss), 0.0)
         charge_time = np.full(len(period), np.nan) if self.v0 is None else _charge_times(
             cfg, segments, prefix, pss, v_aff, floor, average_v,
             np.maximum(self.v0[kept], v_th))
-        return errors, (average_v, swing, charge_time, p_int.sum(axis=1) / period, drift)
+        return errors, (average_v, swing, charge_time, avg_power, drift)
 
 
 def steady_states(cfg: VacConfig, stimuli: list[VacStimulus] | StimulusBatch

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import re
@@ -190,6 +191,11 @@ class TestTraceIsItsOwnRecord:
     def test_another_supply_is_rejected_by_name(self):
         with pytest.raises(ValueError, match=r"^supply ConstantSupply\(.*is not the trace"):
             trace_metrics(self.trace(), VacConfig.small(), SUP25)
+
+    def test_traces_compare_by_identity(self):
+        # field-wise, == would take the truth value of whole arrays
+        trace = self.trace()
+        assert trace == trace and trace != self.trace()
 
     @pytest.mark.parametrize("name", ["times", "v_cap", "vdd"])
     def test_samples_are_read_only(self, name):
@@ -541,6 +547,48 @@ class TestPeriodicSteadyState:
         assert m.charge_time == 0.0 and math.copysign(1.0, m.charge_time) == 1.0
 
 
+class TestNetworkWidth:
+    """Rows of one neuron of a 784-input layer: byte duties on a share of
+    the inputs from 20 % to 95 %, 6-bit weights from 0-63 up to 56-63,
+    100 MHz, 1.5 V."""
+
+    ROWS = 20
+
+    def batch(self):
+        rng = np.random.default_rng(26)
+        dense = rng.random((self.ROWS, 784)) < np.linspace(0.2, 0.95, self.ROWS)[:, None]
+        duties = rng.integers(0, 256, (self.ROWS, 784)) * dense / 255.0
+        least = np.linspace(0, 56, self.ROWS).astype(int)[:, None]
+        weights = rng.integers(least, 64, (self.ROWS, 784)).astype(np.float64)
+        return transient.StimulusBatch(np.full(self.ROWS, 1e8), np.full(self.ROWS, 1.5),
+                                       np.zeros(self.ROWS), duties, np.zeros((self.ROWS, 784)),
+                                       weights, np.array([784, 784, 784, 6]))
+
+    def test_unclamped_average_is_the_closed_form(self):
+        b = self.batch()
+        errors, (average, *_) = b.solve(VacConfig.small(n=784, k=6))
+        assert errors == {}
+        want = [vac_equilibrium(list(d), WeightVector(tuple(w), 6), 1.5)
+                for d, w in zip(b.duties, b.weights)]
+        assert np.max(np.abs(average - want)) <= 1e-14 * 1.5
+
+    def test_clamped_rows_are_their_one_row_batches(self):
+        cfg = VacConfig.small(n=784, k=6, compensation_threshold=0.4)
+        b = self.batch()
+        errors, columns = b.solve(cfg)
+        assert errors == {}
+        # the densest rows pull below the threshold: their average is above
+        # the closed form's
+        assert vac_equilibrium(list(b.duties[-1]), WeightVector(tuple(b.weights[-1]), 6),
+                               1.5) < columns[0][-1]
+        for i in range(self.ROWS):
+            one = transient.StimulusBatch(*(x[i:i + 1] for x in (
+                b.frequency, b.vdd, b.v0, b.duties, b.phases, b.weights)), b.sizes)
+            _, alone = one.solve(cfg)
+            for got, want in zip(columns, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes()
+
+
 class TestEnergyBalance:
     @PRESETS
     @pytest.mark.parametrize("v_th", [0.0, 0.4])
@@ -873,24 +921,33 @@ def test_charge_time_when_the_average_is_an_equilibrium():
 
 def reference_timeline(cfg, inputs, w, supply, window):
     """Reference: one row of [0, window], cut at every edge of each input,
-    found by a loop over its periods, and at the supply's cuts; each
-    segment's pull-up count read from PwmSignal.high at its midpoint, its
-    supply from value_at at its start."""
+    found by a loop over its pulses, and at the supply's cuts; an input
+    pulls its cells down on a segment whose start t0 lies in one of its
+    pulses, rise <= t0 < fall (always at duty 1), and the rest pull up; the
+    supply is value_at at the start."""
     times = {0.0, window, *supply.cuts(window).tolist()}
-    for sig in inputs:
+    pulses = []                      # (rise, fall, weight) of each pulse
+    for sig, wi in zip(inputs, w.weights):
+        if sig.duty == 1.0:
+            pulses.append((0.0, math.inf, wi))
         if sig.duty in (0.0, 1.0):
             continue
         # the phase lies in [0, period): no earlier period reaches 0
         m = -2
         while sig.phase + m * sig.period < window:
             rise = sig.phase + m * sig.period
-            times.update(t for t in (rise, rise + sig.duty * sig.period)
-                         if 0.0 <= t < window)
+            fall = rise + sig.duty * sig.period
+            pulses.append((rise, fall, wi))
+            times.update(t for t in (rise, fall) if 0.0 <= t < window)
             m += 1
     bounds = np.array(sorted(times))
     t0, t1 = bounds[:-1], bounds[1:]
-    mids = 0.5 * (t0 + t1)
-    up = cfg.total_units - sum(wi * sig.high(mids) for sig, wi in zip(inputs, w.weights))
+    starts = t0.tolist()
+    down = np.zeros(len(starts), dtype=np.asarray(w.weights).dtype)
+    for rise, fall, wi in pulses:
+        # the segments whose start lies in [rise, fall)
+        down[bisect.bisect_left(starts, rise):bisect.bisect_left(starts, fall)] += wi
+    up = cfg.total_units - down
     vdd = np.array([supply.value_at(t) for t in t0.tolist()])
     return t0, t1, vdd * (up / cfg.total_units), up
 
@@ -978,6 +1035,25 @@ class TestTimeline:
         assert_rows_match_reference(cfg, [(inputs, W777, sup)], [20e-6], got,
                                     [len(row[0])])
         assert np.min(row[1] - row[0]) < 1e-18
+
+    def test_sliver_after_a_rise_pulls_down(self):
+        # the same trace's segment from the inputs' rise at 5 * 1e-8 s, which
+        # rounds down to 5e-8, to the supply's cut an ulp later: all three
+        # inputs are high there. Its midpoint rounds onto 5e-8, which fmod
+        # places just before the rise, where all three are low
+        cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+        inputs = [PwmSignal(1e8, d) for d in (0.9, 0.8, 0.95)]
+        trace = simulate_vac(cfg, inputs, W777, SinusoidSupply(2.5, 0.7, 1e-5), 20e-6)
+        (i,) = np.flatnonzero(trace.seg_t0 == 5e-8)
+        assert trace.seg_t1[i] == 5.0000000000000004e-08
+        assert trace.seg_up[i] == 0 and trace.seg_up[i - 1] == 21
+
+    def test_window_inside_one_pulse(self):
+        # the window [0, 1 ns] has no edge: the pulse from -4 ns to 5 ns
+        # pulls every cell down throughout
+        trace = simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.9, 6e-9)] * 3, W777,
+                             SUP25, 1e-9)
+        assert trace.seg_t0.tolist() == [0.0] and trace.seg_up.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

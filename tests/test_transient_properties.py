@@ -2,8 +2,10 @@
 and window loop it replaced, of the batched steady state against the
 one-stimulus solve it replaced and its charge time against the period search
 it replaced, of the batch's checks against the scalar checks of one stimulus
-at a time that they replaced (references in test_transient.py), and of
-trace_metrics' settle bound against runs from both ends of the start range."""
+at a time that they replaced, of the timeline builder against a timeline
+built by hand from each input's pulses (references in test_transient.py),
+and of trace_metrics' settle bound against runs from both ends of the start
+range."""
 
 import dataclasses
 import math
@@ -18,11 +20,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from pwmperc import transient  # noqa: E402
 from pwmperc.analytic import WeightVector, vac_equilibrium  # noqa: E402
-from pwmperc.signals import PwmSignal  # noqa: E402
+from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply,  # noqa: E402
+                             PwmSignal, SinusoidSupply)
 from pwmperc.transient import (VacConfig, VacStimulus, simulate_vac,  # noqa: E402
                                steady_states)
 from test_transient import (SCAN_SUPPLIES, W777,  # noqa: E402
-                            assert_matches_sequential, loop_window_integrals,
+                            assert_matches_sequential, assert_rows_match_reference,
+                            loop_window_integrals,
                             reference_charge_time, reference_check,
                             reference_steady_state)
 
@@ -451,3 +455,74 @@ def test_batch_checks_are_the_scalar_checks(case):
     assert_errors_in_place(cfg, from_0, got, [oracle_error(cfg, stim) for stim in from_0],
                            [f for f in FIELDS if f != "charge_time"])
     assert all(m.charge_time is None for m in got if isinstance(m, transient.TraceMetrics))
+
+
+@st.composite
+def timeline_rows(draw):
+    """A VAC preset and rows for the timeline builder: a batch of rows under
+    constant supplies, or one row under a constant, sinusoid or
+    piecewise-linear supply; the sinusoid cuts at drawn times or every one,
+    two or five periods of the first input, an ulp or so beside its rises.
+    Inputs take duties of 0 and 1, phases of 0 and one ulp below the
+    period, and edges equal to another input's (the same phase, or a rise on
+    the fall of an input of phase 0); a row's inputs share one period, or
+    (one row) take three. Windows run from a part of one pulse to about
+    3,000 periods."""
+    cfg = draw(st.sampled_from([VacConfig.small(), VacConfig.large()]))
+    kind = draw(st.sampled_from(["batch", "constant", "sinusoid", "pwl"]))
+    freq = draw(st.sampled_from([1e5, 1e8]) | st.floats(1e3, 1e9))
+
+    def row():
+        inputs = []
+        for _ in range(3):
+            ratio = st.just(1.0) if kind == "batch" else st.sampled_from([1.0, 1.0, 0.7, 3.0])
+            f = freq * draw(ratio)
+            p = 1.0 / f
+            duty = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+            like = [s for s in inputs if s.frequency == f]
+            phase = draw(st.sampled_from(["zero", "last", "drawn"]
+                                         + ["same", "abut"] * bool(like)))
+            if phase in ("same", "abut"):
+                other = draw(st.sampled_from(like))
+                # a rise on the other's falls: d*p + m*p, as phase 0 gives them
+                phase = other.phase if phase == "same" else (
+                    other.duty * p if other.phase == 0.0 and other.duty * p < p else 0.0)
+            else:
+                phase = min({"zero": 0.0, "last": p,
+                             "drawn": draw(st.floats(0.0, 1.0)) * p}[phase],
+                            float(np.nextafter(p, 0.0)))
+            inputs.append(PwmSignal(f, duty, phase))
+        window = inputs[0].period * 10 ** draw(st.floats(-3.0, 3.5))
+        w = WeightVector(tuple(draw(st.integers(0, 7)) for _ in range(3)), 3)
+        return inputs, w, window
+
+    rows = [row() for _ in range(draw(st.integers(1, 4)) if kind == "batch" else 1)]
+    (first, *_), _, window = rows[0]
+    # about 200 to 3,200 cuts in the window
+    cycle = draw(st.floats(1.0, 10.0).map(lambda c: window / c)
+                 | st.sampled_from([200, 400, 1000]).map(lambda n: n * first.period))
+    supply = {"batch": None, "constant": ConstantSupply(2.5),
+              "sinusoid": SinusoidSupply(2.5, 0.7, cycle),
+              "pwl": PiecewiseLinearSupply(tuple(
+                  (t * window, v) for t, v in enumerate(draw(st.lists(
+                      st.floats(1.0, 3.5), min_size=2, max_size=5))))),
+              }[kind]
+    return cfg, rows, supply
+
+
+@settings(max_examples=200, deadline=None)
+@given(timeline_rows())
+def test_timeline_matches_the_reference(case):
+    # bounds bit for bit, and every segment's pull-up count the edge order's:
+    # an input pulls down where rise <= t0 < fall
+    cfg, rows, supply = case
+    windows = [window for _, _, window in rows]
+    period, duty, phase = (np.array([[getattr(s, name) for s in inputs]
+                                     for inputs, _, _ in rows])
+                           for name in ("period", "duty", "phase"))
+    weights = np.array([w.weights for _, w, _ in rows], dtype=np.float64 if supply is None
+                       else np.int64)
+    vdd = np.full(len(rows), 2.5) if supply is None else supply
+    got, n_seg = transient._timeline(cfg, windows, period, duty, phase, weights, vdd)
+    assert_rows_match_reference(cfg, [(inputs, w, supply or ConstantSupply(2.5))
+                                      for inputs, w, _ in rows], windows, got, n_seg)
