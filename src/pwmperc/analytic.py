@@ -35,9 +35,11 @@ class WeightVector:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(
+            _whole(w, "weights", i) for i, w in enumerate(self.weights)))
         if not self.weights:
             raise ValueError("weights must hold at least one input")
+        object.__setattr__(self, "k", _whole(self.k, "k"))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         top = self.max_weight
@@ -85,6 +87,17 @@ def vac_equilibrium(duties, w: WeightVector, vdd: float):
     """Average capacitor voltage of the weighted VAC: vdd * (1 - weighted sum)."""
     _check_vdd(vdd)
     return vdd * (1.0 - weighted_dc_sum(duties, w))
+
+
+def _whole(value, name: str, index: int | None = None) -> int:
+    """value as an int; a bool, a non-number, or a number that is not finite
+    or not whole fails by name, and index if given (a whole float passes)."""
+    if type(value) is int or isinstance(value, np.integer):  # a bool's type is bool
+        return int(value)
+    if isinstance(value, (float, np.floating)) and math.isfinite(value) and value == int(value):
+        return int(value)
+    at = "" if index is None else f"[{index}]"
+    raise ValueError(f"{name}{at} must be an integer, got {value!r}")
 
 
 def _check_vdd(vdd) -> None:

@@ -212,7 +212,7 @@ TRAIN_PARAMS = {
     "max_weight": Param(int, when=("mode", ("integer",))),
     "initial_weight": Param(float, None),
     "subsample": Param(int, lambda p, ctx: ctx.get("subsample")),
-    "seed": Param(int, lambda p, ctx: ctx["seed"] + ctx["index"]),
+    "seed": Param(_at_least(0), lambda p, ctx: ctx["seed"] + ctx["index"]),
 }
 
 # kind -> (parameter table, runner); a runner yields the name of each
@@ -509,6 +509,8 @@ def _run_report(spec: ExperimentSpec):
         try:
             data = json.loads(manifest_path.read_text())
         except json.JSONDecodeError:
+            continue
+        if not isinstance(data, dict):  # parses, but is no manifest
             continue
         rows.append([
             str(manifest_path.parent),

@@ -71,6 +71,8 @@ class ConverterModel:
     def __post_init__(self):
         if self.mode not in ("raw", "compensated"):
             raise ValueError(f"unknown converter mode {self.mode!r}")
+        if len(self.coefficients) != 4:
+            raise ValueError(f"coefficients must hold 4, c3 to c0, got {self.coefficients}")
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError(f"coefficients must be finite, got {self.coefficients}")
         if not 0.0 <= self.output_cap <= 100.0:     # NaN fails too

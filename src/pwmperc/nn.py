@@ -35,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 
+from .analytic import _whole
 from .converter import ConverterModel, _like, stage_map, stage_map_and_slope
 
 __all__ = [
@@ -134,7 +135,8 @@ class NetworkConfig:
     initial_weight: float | None = None  # integer magnitude, or FP init scale
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", tuple(
+            _whole(s, "layer_sizes", i) for i, s in enumerate(self.layer_sizes)))
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output sizes")
         if min(self.layer_sizes) < 1:
@@ -142,15 +144,15 @@ class NetworkConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0, "
                              f"got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        for name, low in (("epochs", 0), ("batch", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.mode not in ("fp", "integer"):
             raise ValueError(f"unknown mode {self.mode!r}")
         init = self.initial_weight
         if self.mode == "integer":
-            if self.max_weight is None or self.max_weight < 1:
+            if self.max_weight is None or _whole(self.max_weight, "max_weight") < 1:
                 raise ValueError("integer mode needs max_weight >= 1")
             if init is not None and not (0 <= init <= self.max_weight and init == int(init)):
                 raise ValueError("integer mode needs a whole initial_weight in "

@@ -111,18 +111,22 @@ def _supply_checks(vdd) -> list:
 
 
 def pwm_edges(period, duty, phase, t0, t1) -> np.ndarray:
-    """The edge rule: the pulses around the window [t0, t1) of PWM inputs,
-    given by duty and phase arrays of one shape S, with periods and window
-    ends that broadcast to it. Rises lie at phase + m*period, computed (never
-    accumulated) so that they stay exact over long horizons, and falls
-    duty*period after each; duty 0 and 1 have none. Returns shape S + (M, 2):
-    rise and fall of M periods, one to spare at each end of the window
-    against rounding; t1 for each edge of an input without pulses."""
+    """The edge rule: the pulses that reach the window [t0, t1) of PWM
+    inputs, given by duty and phase arrays of one shape S, with periods and
+    window ends that broadcast to it. Rises lie at phase + m*period, never
+    accumulated, so they stay exact over long horizons; falls lie duty*period
+    later; duty 0 and 1 have none. Returns shape S + (M, 2): the pulses from
+    the first that falls at or after t0 to the last that rises before t1, an
+    input with fewer padded by later, dead ones; t1 for an input without."""
     period, duty, phase, t0, t1 = (np.asarray(x, dtype=np.float64)
                                    for x in (period, duty, phase, t0, t1))
     pulsing = (duty != 0.0) & (duty != 1.0)
-    m_lo = np.floor((t0 - phase) / period) - 1
-    m_hi = np.ceil((t1 - phase) / period)
+    # each check is the edges' own sum: it catches a division that rounds
+    # inward; one that rounds outward leaves at most one dead pulse
+    m_lo = np.floor((t0 - phase - duty * period) / period) + 1
+    m_lo -= phase + (m_lo - 1) * period + duty * period >= t0
+    m_hi = np.ceil((t1 - phase) / period) - 1
+    m_hi += phase + (m_hi + 1) * period < t1
     m = m_lo[..., None] + np.arange(int(np.max(m_hi - m_lo, where=pulsing, initial=-1)) + 1)
     rises = phase[..., None] + m * period[..., None]
     edges = np.stack((rises, rises + (duty * period)[..., None]), axis=-1)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import WeightVector
+from .analytic import WeightVector, _whole
 from .signals import (PwmSignal, SupplyProfile, _check_one, _faults, _pwm_checks,
                       _supply_checks, pwm_edges)
 
@@ -96,6 +96,8 @@ class VacConfig:
     compensation_threshold: float = 0.0  # volts; 0 disables the clamp
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n} k={self.k}")
         for name in ("r_unit", "c_out", "compensation_threshold"):
@@ -321,12 +323,13 @@ def _timeline(cfg: VacConfig, window, period, duty, phase, weight, supply):
     (inputs on the last axis). `supply` is a SupplyProfile for one row, or
     an array of one constant supply per row.
 
-    A row is cut at 0, at its end, at its input edges (pwm_edges) and at the
-    supply's cuts, repeats dropped by exact equality; shorter rows end in
-    zero-length segments at their end. A sweep line over the sorted cuts
-    counts each segment's pull-down cells, exact in any order: the inputs of
-    duty 1 step the count up at 0, and each edge before the end (at 0 if
-    before it) by its input's weight, up at a rise and down at a fall.
+    A row is cut at 0, at its end, at the edges of the pulses that reach
+    [0, end) (pwm_edges) and at the supply's cuts, repeats dropped by exact
+    equality; shorter rows end in zero-length segments at their end. A sweep
+    line over the sorted cuts counts each segment's pull-down cells, exact in
+    any order: the inputs of duty 1 step the count up at 0, and each edge
+    before the end (at 0 if before it) by its input's weight, up at a rise
+    and down at a fall, so a dead pulse nets 0 on the cut at 0 or the end.
     Returns the per-segment start, end, divider equilibrium, supply (held
     from the start) and pull-up count, each (rows x segments), and each
     row's segment count.

@@ -89,6 +89,24 @@ class TestWeightedDcSum:
         with pytest.raises(ValueError, match="weights"):
             WeightVector((), k=3)
 
+    # a weight and k count unit cells and bits: whole numbers only
+    @pytest.mark.parametrize("weights, k, message", [
+        ((1.5, 2, 3), 3, "weights[0] must be an integer, got 1.5"),
+        ((1, True, 3), 3, "weights[1] must be an integer, got True"),
+        ((1, 2, math.nan), 3, "weights[2] must be an integer, got nan"),
+        ((1, 2, 3), 2.5, "k must be an integer, got 2.5"),
+        ((1, 2, 3), True, "k must be an integer, got True"),
+        ((1, 2, 3), math.inf, "k must be an integer, got inf"),
+    ])
+    def test_a_weight_or_k_that_is_no_integer_is_named(self, weights, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightVector(weights, k)
+
+    def test_whole_floats_become_ints(self):
+        w = WeightVector((1.0, np.int64(2), 3), 3.0)
+        assert w.weights == (1, 2, 3) and w.max_weight == 7
+        assert all(type(x) is int for x in (*w.weights, w.k))
+
 
 class TestVacEquilibrium:
     @pytest.mark.parametrize("vdd", [math.nan, math.inf, -math.inf, 0.0, -1.0])

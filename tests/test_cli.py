@@ -291,6 +291,16 @@ class TestOtherKinds:
         assert kinds["fixed-points"] == "ok"
         assert kinds["vac-table"] == "error"
 
+    def test_report_skips_a_manifest_that_is_no_object(self, tmp_path):
+        run(make_spec("fixed-points", {}, tmp_path, sub="runs/fp"))
+        (tmp_path / "runs" / "list").mkdir()
+        (tmp_path / "runs" / "list" / cli.MANIFEST_NAME).write_text("[]\n")
+        spec = make_spec("report", {"search_dir": str(tmp_path / "runs")},
+                         tmp_path, sub="report")
+        assert run(spec)["status"] == "ok"
+        header, rows = read_rows(spec.output_dir / "report.csv")
+        assert [r[header.index("kind")] for r in rows] == ["fixed-points"]
+
 
 class TestTrainKind:
     def test_per_epoch_csv(self, tmp_path, small_mnist):
@@ -475,6 +485,14 @@ class TestMainEntry:
         assert exit_.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_flag_named(self, tmp_path, capsys):
+        cfg = tmp_path / "train.yaml"
+        cfg.write_text("topology: 784/10\nactivation: relu\n")
+        code = cli.main(["train", "--config", str(cfg), "--seed", "-1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "train.seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_main_missing_config_file(self, tmp_path):
         code = cli.main(["vac-table", "--config", str(tmp_path / "none.yaml"),
                          "--out", str(tmp_path / "o")])
@@ -592,6 +610,9 @@ class TestParameters:
          "train.epochs must be a number, got True"),
         ("response-curve", {"depths": [1, False]},
          "response-curve.depths[1] must be a number, got False"),
+        # numpy would fail on a negative seed in Network.from_config
+        ("train", {"topology": "784/10", "activation": "relu", "seed": -1},
+         "train.seed must be >= 0, got -1"),
     ])
     def test_out_of_range_key_rejected_by_name(self, kind, params, message, tmp_path):
         manifest = run(make_spec(kind, params, tmp_path))

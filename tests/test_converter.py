@@ -73,6 +73,13 @@ def test_model_rejects_non_finite(field, kwargs):
         ConverterModel(**kwargs)
 
 
+@pytest.mark.parametrize("coefficients", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)])
+def test_model_rejects_a_cubic_without_four_coefficients(coefficients):
+    # three would fail at first use, in the unpacking of c3 to c0
+    with pytest.raises(ValueError, match="coefficients must hold 4"):
+        ConverterModel(coefficients=coefficients)
+
+
 @pytest.mark.parametrize("cap", [100.5, -1.0, 120.0])
 def test_model_rejects_a_cap_outside_the_percent_range(cap):
     # a cap above 100 % would let a stage put out a duty above 1

@@ -107,10 +107,18 @@ class TestConfig:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", 0.0), ("layer_sizes", (784, 0, 10)),
         ("layer_sizes", (4,)),
+        # counts and a seed: whole numbers only, the seed >= 0
+        ("layer_sizes", (784.5, 10)), ("epochs", 1.5), ("epochs", True),
+        ("batch", 2.5), ("seed", -1), ("seed", 1.5),
     ])
     def test_ill_posed_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             NetworkConfig(**{**self.BASE, field: value})
+
+    def test_fractional_integer_max_weight_names_its_field(self):
+        # it would clip the weights to +-63.5
+        with pytest.raises(ValueError, match="max_weight must be an integer, got 63.5"):
+            NetworkConfig(**self.BASE, mode="integer", max_weight=63.5)
 
     def test_negative_integer_initial_weight_names_its_field(self):
         with pytest.raises(ValueError, match="initial_weight"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
-                             SinusoidSupply)
+                             SinusoidSupply, pwm_edges)
 
 
 class TestPwmSignalState:
@@ -107,6 +107,38 @@ class TestPwmSignalIntegral:
             if e - eps < 0:
                 continue
             assert bool(sig.high(e - eps)) != bool(sig.high(e + eps))
+
+
+class TestPwmEdges:
+    """The edge rule keeps only the pulses that reach the window."""
+
+    # duty 0.5 at 100 MHz: a pulse passes the period's end where its phase
+    # lies past half the period, and then its fall comes in the next period
+    @pytest.mark.parametrize("phase, want", [
+        (0.0, [[0.0, 5e-9]]),
+        (3e-9, [[3e-9, 3e-9 + 5e-9]]),
+        (7e-9, [[7e-9 - 1e-8, 7e-9 - 1e-8 + 5e-9], [7e-9, 7e-9 + 5e-9]])])
+    def test_one_period_window_from_zero(self, phase, want):
+        edges = pwm_edges(1e-8, 0.5, phase, 0.0, 1e-8)
+        assert edges.tolist() == want
+
+    def test_inputs_with_fewer_pulses_get_later_dead_ones(self):
+        period = np.array([[1e-8]])
+        edges = pwm_edges(period, np.array([[0.5, 0.5, 0.0]]),
+                          np.array([[0.0, 7e-9, 0.0]]), 0.0, period)
+        assert edges.shape == (1, 3, 2, 2)
+        # the first input's next pulse rises at the window's end; the input
+        # without pulses has the end for each edge
+        assert edges[0, 0, 1, 0] == 1e-8
+        assert np.all(edges[0, 2] == 1e-8)
+
+    def test_window_on_a_fall_and_a_rise(self):
+        # the pulse that falls on t0 reaches [t0, t1); the one that rises on
+        # t1 does not
+        sig = PwmSignal(1e8, 0.5)
+        edges = pwm_edges(sig.period, 0.5, 0.0, 5e-9, 2e-8)
+        assert edges.tolist() == [[0.0, 5e-9], [1e-8, 1e-8 + 5e-9]]
+        assert sig.edges_in(5e-9, 2e-8).tolist() == [5e-9, 1e-8, 1e-8 + 5e-9]
 
 
 class TestSupplyProfiles:

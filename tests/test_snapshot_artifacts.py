@@ -140,3 +140,29 @@ def test_raw_chain_run_stalls_at_every_depth(tmp_path):
         cells = [row["dc_out"] for row in rows if row["depth"] == str(depth)]
         assert len(cells) == 101
         assert 0 < cells.count("no-oscillation") < len(cells)
+
+
+def test_width_runs_depart_from_theory_where_clamped(tmp_path):
+    # no config runs a wide bank: these runs put the 784-input timeline into
+    # the snapshot, clamp off and at 0.4 V
+    runs = {name: (kind, params) for name, kind, params
+            in snapshot_artifacts.reference_runs()}
+    shares = [sum(d > 0 for d in row["duties"]) / snapshot_artifacts.WIDTH_N
+              for row in snapshot_artifacts.width_rows()]
+    assert shares == sorted(shares)
+    assert abs(shares[0] - 0.2) < 0.01 and abs(shares[-1] - 0.9) < 0.01
+    for name, v_th in snapshot_artifacts.WIDTH_RUNS:
+        kind, params = runs[name]
+        assert (params["n"], params["k"], params["vdd"]) == (784, 6, 1.5)
+        spec = cli.ExperimentSpec(kind=kind, parameters=params,
+                                  output_dir=tmp_path / name, seed=0)
+        assert cli.run(spec)["status"] == "ok"
+        rows = read_rows(tmp_path / name / "vac_table.csv")
+        assert len(rows) == 8
+        lifts = [float(r["v_sim_V"]) - float(r["v_theory_V"]) for r in rows]
+        if v_th:
+            # the densest row pulls below the threshold, which lifts its
+            # average above the closed form
+            assert max(lifts) > 1e-3 * 1.5
+        else:
+            assert max(map(abs, lifts)) <= 1e-14 * 1.5

@@ -10,7 +10,7 @@ import pytest
 from pwmperc import cli, transient
 from pwmperc.analytic import WeightVector, vac_equilibrium
 from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
-                             SinusoidSupply, SupplyProfile)
+                             SinusoidSupply, SupplyProfile, pwm_edges)
 from pwmperc.transient import (FloatingNodeError, VacConfig, VacStimulus,
                                simulate_vac, steady_state, steady_states, sweep,
                                trace_metrics)
@@ -222,6 +222,18 @@ class TestErrors:
         with pytest.raises(ValueError):
             simulate_vac(VacConfig.small(), [PwmSignal(1e8, 0.5)] * 2, W777,
                          SUP25, 1e-6)
+
+    # n and k count inputs and bits: whole numbers only
+    @pytest.mark.parametrize("make, message", [
+        (lambda: VacConfig(3.5, 3, 1e5, 1e-11), "n must be an integer, got 3.5"),
+        (lambda: VacConfig(3, 2.5, 1e5, 1e-11), "k must be an integer, got 2.5"),
+        (lambda: VacConfig(True, 3, 1e5, 1e-11), "n must be an integer, got True"),
+        (lambda: VacConfig(math.nan, 3, 1e5, 1e-11), "n must be an integer, got nan"),
+        (lambda: VacConfig.small(k=math.inf), "k must be an integer, got inf"),
+    ])
+    def test_n_or_k_that_is_no_integer_is_named(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     def test_weight_shape_mismatch(self):
         w = WeightVector((7, 7), 3)
@@ -563,6 +575,13 @@ class TestNetworkWidth:
         return transient.StimulusBatch(np.full(self.ROWS, 1e8), np.full(self.ROWS, 1.5),
                                        np.zeros(self.ROWS), duties, np.zeros((self.ROWS, 784)),
                                        weights, np.array([784, 784, 784, 6]))
+
+    def test_one_pulse_per_input(self):
+        # phases 0 and no pulse passes the period's end: the edge rule gives
+        # each input its one pulse of the period, and no other
+        b = self.batch()
+        period = 1.0 / b.frequency[:, None]
+        assert pwm_edges(period, b.duties, b.phases, 0.0, period).shape == (self.ROWS, 784, 1, 2)
 
     def test_unclamped_average_is_the_closed_form(self):
         b = self.batch()

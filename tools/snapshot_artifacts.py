@@ -5,22 +5,23 @@
 
 Runs, through ``cli.run`` with seed 0, every config in the ``configs/``
 directory of the checkout that holds the imported package, the vac-table at
-the small and large presets, fixed-points, and four runs with the
-compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: at
-0.4 V, two dynamic-vdd runs with the supply-clamp benchmark's circuit over
-20 us, the second with the regions' weights swapped so that region B has rows
-at times region A lacks, and ``sweep_vdd.yaml``; and ``sweep_vdd.yaml`` at
-1.2 V (``sweep_vdd_clamp_fails``), where the grid points 0.5 V and 1.0 V fail,
-so that their per-row error text is snapshotted too. ``RAW_CHAIN_RUN`` is
+the small and large presets and at network width (``WIDTH_RUNS``: 784 inputs,
+clamp off and at 0.4 V, on ``width_rows``), fixed-points, and four runs with
+the compensation clamp engaged (``CLAMPED_RUNS``), which no config sets: at
+0.4 V, two dynamic-vdd runs with the supply-clamp benchmark's circuit over 20
+us, the second with the regions' weights swapped so that region B has rows at
+times region A lacks, and ``sweep_vdd.yaml``; and ``sweep_vdd.yaml`` at 1.2 V
+(``sweep_vdd_clamp_fails``), where the grid points 0.5 V and 1.0 V fail, so
+that their per-row error text is snapshotted too. ``RAW_CHAIN_RUN`` is
 ``response_curve.yaml`` with the raw converter at depths 1-8 on 101 points,
 whose ends stall: no config runs the raw chain. Each run writes into
 ``OUT/<name>/``. The training configs run for ``TRAIN_EPOCHS`` epochs on a
 small seeded synthetic MNIST-shaped set written to a temporary directory, and
 a training sweep on a subsample of it. Wall times are dropped: ``wall_time_s``
 from every manifest and the ``seconds`` column from ``train_epochs.csv``, so
-two snapshots of code that behaves alike are byte-identical trees
-(``diff -rq``). A failed run is snapshotted too: its manifest holds the
-error. To snapshot another checkout, put its ``src`` on PYTHONPATH instead.
+two snapshots of code that behaves alike are byte-identical trees (``diff
+-rq``). A failed run is snapshotted too: its manifest holds the error. To
+snapshot another checkout, put its ``src`` on PYTHONPATH instead.
 
 ``--compare BASE HEAD`` reads two snapshot trees and prints, for each CSV
 that differs, one line per column with differing cells: their count and,
@@ -65,6 +66,25 @@ CLAMPED_RUNS = (
      {"compensation_threshold": 1.2}),
 )
 
+# the width runs: one neuron of a 784-input layer, clamp off and at 0.4 V
+WIDTH_N = 784
+WIDTH_RUNS = (("vac_table_width", 0.0), ("vac_table_width_clamped", CLAMP_V))
+
+
+def width_rows() -> list[dict]:
+    """The width runs' 8 vac-table rows, by a fixed integer formula: row r
+    has nonzero byte duties on (20 + 10r) % of the inputs and 6-bit weights
+    from 8r to 63, so that the densest rows pull below 0.4 V at 1.5 V."""
+    rows = []
+    for r in range(8):
+        least = 8 * r
+        duties = [(1 + (73 * i + 29 * r) % 255) / 255 if (37 * i + 11 * r) % 100 < 20 + 10 * r
+                  else 0.0 for i in range(WIDTH_N)]
+        weights = [least + (11 * i + 7 * r) % (64 - least) for i in range(WIDTH_N)]
+        rows.append({"duties": duties, "weights": weights})
+    return rows
+
+
 # (name, kind, the config it starts from, overrides), like a clamped run
 RAW_CHAIN_RUN = ("response_curve_raw", "response-curve", "response_curve",
                  {"converter": "raw", "depths": list(range(1, 9)), "grid_points": 101})
@@ -93,6 +113,9 @@ def reference_runs():
         yield path.stem, kind, params
     for preset in ("small", "large"):
         yield f"vac_table_{preset}", "vac-table", {"preset": preset}
+    for name, v_th in WIDTH_RUNS:
+        yield name, "vac-table", {"preset": "small", "n": WIDTH_N, "k": 6, "vdd": 1.5,
+                                  "compensation_threshold": v_th, "rows": width_rows()}
     yield "fixed_points", "fixed-points", {}
     for name, kind, base, overrides in (*CLAMPED_RUNS, RAW_CHAIN_RUN):
         params = {} if base is None else yaml.safe_load(
