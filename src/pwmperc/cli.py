@@ -2,10 +2,11 @@
 
 Each subcommand materializes one experiment kind from a YAML config file
 (flags override config), runs it, and writes CSV artifacts plus a JSON run
-manifest (spec hash, seed, wall time, artifact list, error record). Runs are
-reproducible: identical spec + seed produce byte-identical CSVs. Only
-train-sweep runs in parallel, its configs over ``--jobs`` worker processes,
-and its CSV is byte-identical whatever ``--jobs`` is.
+manifest (spec hash, seed, wall time, artifact list with each artifact's
+seconds, error record). Runs are reproducible: identical spec + seed produce
+byte-identical CSVs. Only train-sweep runs in parallel, its configs over
+``--jobs`` worker processes, and its CSV is byte-identical whatever
+``--jobs`` is.
 
 Each kind declares every key it reads once, with its type and default. A run
 first resolves the given parameters: unread keys are rejected, and missing
@@ -507,19 +508,23 @@ def _run_report(spec: ExperimentSpec):
     for manifest_path in sorted(Path(spec.parameters["search_dir"]).glob(
             f"**/{MANIFEST_NAME}")):
         try:
-            data = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError:
+            data = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
             continue
         if not isinstance(data, dict):  # parses, but is no manifest
             continue
+        error, artifacts = data.get("error") or {}, data.get("artifacts", [])
+        if not (isinstance(error, dict) and isinstance(artifacts, list)
+                and all(isinstance(a, str) for a in artifacts)):
+            continue  # a field of another type than a run writes
         rows.append([
             str(manifest_path.parent),
             data.get("kind", ""),
             data.get("status", ""),
             data.get("seed", ""),
             data.get("spec_hash", ""),
-            ";".join(data.get("artifacts", [])),
-            (data.get("error") or {}).get("class", ""),
+            ";".join(artifacts),
+            error.get("class", ""),
         ])
     _write_csv(spec.output_dir / "report.csv",
                ["run_dir", "kind", "status", "seed", "spec_hash", "artifacts",
@@ -546,16 +551,18 @@ def run(spec: ExperimentSpec) -> dict:
 
     Returns the manifest dict; status is "ok" or "error" with a distinct
     error class name. It records the resolved parameters, once they resolve,
-    and every artifact written, a failed run's included.
+    and every artifact written, a failed run's included, with the seconds
+    from the previous artifact (the first: from the start) to each.
     """
     spec.output_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = mark = time.perf_counter()
     manifest = {
         "kind": spec.kind,
         "seed": spec.seed,
         "spec_hash": spec.spec_hash(),
         "parameters": spec.parameters,
         "artifacts": [],
+        "artifact_seconds": [],
         "status": "ok",
         "error": None,
         "wall_time_s": None,
@@ -564,11 +571,14 @@ def run(spec: ExperimentSpec) -> dict:
         spec = dataclasses.replace(spec, parameters=resolve(spec))
         manifest.update(spec_hash=spec.spec_hash(), parameters=spec.parameters)
         for name in KINDS[spec.kind][1](spec):
+            now = time.perf_counter()
             manifest["artifacts"].append(name)
+            manifest["artifact_seconds"].append(now - mark)
+            mark = now
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
-    manifest["wall_time_s"] = time.time() - started
+    manifest["wall_time_s"] = time.perf_counter() - started
     (spec.output_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, default=str) + "\n")
     return manifest

@@ -192,19 +192,28 @@ class TransientTrace:
 
     def write_csv(self, path, cells: TraceCells | None = None) -> None:
         """Write a time_s, v_cap_V, vdd_V row per sample, each float as its
-        repr, CSV_CHUNK rows at a time. The time and supply cells come from
+        repr, CSV_CHUNK rows at a time. Each column formats each of its
+        distinct floats once (_reprs). The time and supply cells come from
         `cells` (a fresh TraceCells if None), which calls the supply only at
         rows whose cells it does not hold."""
-        times, v_cap = self._waveform
-        rows_of = (cells or TraceCells()).rows(self)
+        time_cells, vdd_cells = (cells or TraceCells()).cells(self)
+        v_cells = _reprs(self._waveform[1])
         with open(path, "w", newline="") as fh:
             fh.write("time_s,v_cap_V,vdd_V\n")
-            for lo in range(0, len(times), CSV_CHUNK):
+            for lo in range(0, len(v_cells), CSV_CHUNK):
                 rows = slice(lo, lo + CSV_CHUNK)
-                chunk = ["", ",", "", ",", "", "\n"] * len(v_cap[rows])   # cells between marks
-                chunk[0::6], chunk[4::6] = rows_of(rows)
-                chunk[2::6] = map(repr, v_cap[rows].tolist())
+                chunk = ["", ",", "", ",", "", "\n"] * len(v_cells[rows])   # cells between marks
+                chunk[0::6], chunk[2::6], chunk[4::6] = (
+                    x[rows].tolist() for x in (time_cells, v_cells, vdd_cells))
                 fh.write("".join(chunk))
+
+
+def _reprs(x: np.ndarray) -> np.ndarray:
+    """The repr of each float of `x`, as an object array that holds one
+    shared str per distinct bit pattern (so 0.0 and -0.0 stay apart), each
+    formatted once."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse]
 
 
 class TraceCells:
@@ -215,43 +224,29 @@ class TraceCells:
     A later trace under the kept supply takes the cells of each row whose
     time equals a kept row's bit for bit (so 0.0 and -0.0 stay apart): a
     supply is a function of time, so its value there is the kept one. It
-    calls its supply at its other rows only, and formats them. Traces of one
-    supply over one horizon share most of their times, and so most of these
-    cells. The cells are kept as numpy byte strings, one array per column, a
-    third of the memory of str objects: a float's repr has at most 24
-    characters.
+    calls its supply at its other rows only, in order, and formats them.
+    Traces of one supply over one horizon share most of their times, and so
+    most of these cells.
     """
 
     def __init__(self):
         self._times = self._supply = None  # the kept trace's
         self._kept = None                  # its time and supply cells
 
-    def rows(self, trace: TransientTrace):
-        """A function giving the time and supply cells of a slice of rows
-        of `trace`."""
+    def cells(self, trace: TransientTrace) -> tuple[np.ndarray, np.ndarray]:
+        """The time and supply cells of every row of `trace`, as _reprs
+        gives them."""
         times, _ = trace._waveform
         if self._times is None or trace.supply != self._supply:
             self._times, self._supply = times, trace.supply
-            self._kept = np.empty(len(times), "S24"), np.empty(len(times), "S24")
-
-            def first(rows):                   # format and keep
-                cells = [list(map(repr, x[rows].tolist())) for x in (trace.times, trace.vdd)]
-                self._kept[0][rows], self._kept[1][rows] = cells
-                return cells
-            return first
-
-        def later(rows):
-            ts = times[rows]
-            i = np.minimum(np.searchsorted(self._times, ts), len(self._times) - 1)
-            new = self._times[i].view(np.int64) != ts.view(np.int64)
-            # no cell holds a newline: join, decode and split in three C passes
-            time_cells, vdd_cells = (b"\n".join(kept[i].tolist()).decode().split("\n")
-                                     for kept in self._kept)
-            value_at = trace.supply.value_at
-            for k, t in zip(np.flatnonzero(new).tolist(), ts[new].tolist()):
-                time_cells[k], vdd_cells[k] = repr(t), repr(value_at(t))
-            return time_cells, vdd_cells
-        return later
+            self._kept = _reprs(times), _reprs(trace.vdd)
+            return self._kept
+        i = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
+        new = self._times[i].view(np.int64) != times.view(np.int64)
+        time_cells, vdd_cells = (kept[i] for kept in self._kept)
+        time_cells[new] = _reprs(times[new])
+        vdd_cells[new] = _reprs(trace.supply.values(times[new]))
+        return time_cells, vdd_cells
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -176,7 +177,8 @@ class TestSweeps:
         # manifests identical after normalizing wall time
         ma = json.loads((spec1.output_dir / cli.MANIFEST_NAME).read_text())
         mb = json.loads((spec2.output_dir / cli.MANIFEST_NAME).read_text())
-        ma["wall_time_s"] = mb["wall_time_s"] = None
+        for key in ("wall_time_s", "artifact_seconds"):
+            ma[key] = mb[key] = None
         assert ma == mb
 
 
@@ -300,6 +302,43 @@ class TestOtherKinds:
         assert run(spec)["status"] == "ok"
         header, rows = read_rows(spec.output_dir / "report.csv")
         assert [r[header.index("kind")] for r in rows] == ["fixed-points"]
+
+    @pytest.mark.parametrize("content", [
+        '{"kind": "caf\u00e9"}'.encode("latin-1"),
+        b'{"kind": "fixed-points", "error": "boom"}',
+        b'{"kind": "fixed-points", "artifacts": [1, 2]}',
+    ], ids=["not-utf-8", "error-no-object", "artifacts-no-names"])
+    def test_report_skips_a_malformed_manifest(self, tmp_path, content):
+        run(make_spec("fixed-points", {}, tmp_path, sub="runs/fp"))
+        (tmp_path / "runs" / "bad").mkdir()
+        (tmp_path / "runs" / "bad" / cli.MANIFEST_NAME).write_bytes(content)
+        spec = make_spec("report", {"search_dir": str(tmp_path / "runs")},
+                         tmp_path, sub="report")
+        assert run(spec)["status"] == "ok"
+        header, rows = read_rows(spec.output_dir / "report.csv")
+        assert [r[header.index("run_dir")] for r in rows] == [str(tmp_path / "runs" / "fp")]
+
+
+class TestManifest:
+    def test_wall_time_ignores_a_wall_clock_step(self, tmp_path, monkeypatch):
+        clock = itertools.count(2e9, -3600.0)   # an hour back at each reading
+        monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+        manifest = run(make_spec("fixed-points", {}, tmp_path))
+        assert manifest["status"] == "ok"
+        assert 0.0 <= manifest["wall_time_s"] < 60.0
+
+    @pytest.mark.parametrize("weights_b, status", [([2, 2, 2], "ok"), ([0, 0, 0], "error")])
+    def test_each_artifact_has_its_seconds(self, tmp_path, weights_b, status):
+        # weights 0 with the clamp off fail region B after region A's files
+        spec = make_spec("dynamic-vdd", {"weights_b": weights_b, "horizon": 5e-6},
+                         tmp_path)
+        manifest = run(spec)
+        assert manifest["status"] == status
+        seconds = manifest["artifact_seconds"]
+        assert len(seconds) == len(manifest["artifacts"]) == {"ok": 4, "error": 2}[status]
+        assert all(s >= 0.0 for s in seconds)
+        assert sum(seconds) <= manifest["wall_time_s"]
+        assert json.loads((spec.output_dir / cli.MANIFEST_NAME).read_text()) == manifest
 
 
 class TestTrainKind:

@@ -39,7 +39,7 @@ def test_main_writes_a_clean_manifest_per_run(tmp_path, capsys):
     for name in names:
         manifest = json.loads((tmp_path / name / cli.MANIFEST_NAME).read_text())
         assert manifest["status"] == "ok", (name, manifest["error"])
-        assert "wall_time_s" not in manifest
+        assert "wall_time_s" not in manifest and "artifact_seconds" not in manifest
         for artifact in manifest["artifacts"]:
             assert (tmp_path / name / artifact).is_file()
     # training curves keep their errors and lose the wall-clock column

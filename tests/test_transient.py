@@ -1,4 +1,5 @@
 import bisect
+import builtins
 import dataclasses
 import math
 import re
@@ -798,6 +799,20 @@ def test_shared_cells_call_the_supply_at_unshared_rows(tmp_path, supply_calls,
     assert supply_calls == t0s.tolist() + unshared.tolist()
     b.write_csv(tmp_path / "b-alone.csv")
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "b-alone.csv").read_bytes()
+
+
+def test_trace_csv_formats_each_distinct_float_once(tmp_path, monkeypatch):
+    cfg = VacConfig(3, 3, 1e5, 1e-10, compensation_threshold=0.4)
+    trace = simulate_vac(cfg, CLAMP_SIGNALS, W777, SAMPLED_SUPPLIES[0], 3e-6)
+    assert trace.seg_clamped.any()
+    columns = trace.times, trace.v_cap, trace.vdd
+    distinct = [len(np.unique(x.view(np.int64))) for x in columns]
+    assert distinct[1] < len(trace.times)       # rows held at the clamp
+    formatted = []
+    monkeypatch.setattr(transient, "repr", lambda x: formatted.append(x) or builtins.repr(x),
+                        raising=False)
+    trace.write_csv(tmp_path / "trace.csv")
+    assert len(formatted) == sum(distinct)
 
 
 # ---------------------------------------------------------------------------

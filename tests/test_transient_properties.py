@@ -4,8 +4,8 @@ one-stimulus solve it replaced and its charge time against the period search
 it replaced, of the batch's checks against the scalar checks of one stimulus
 at a time that they replaced, of the timeline builder against a timeline
 built by hand from each input's pulses (references in test_transient.py),
-and of trace_metrics' settle bound against runs from both ends of the start
-range."""
+of trace_metrics' settle bound against runs from both ends of the start
+range, and of the trace CSV cells against repr."""
 
 import dataclasses
 import math
@@ -526,3 +526,31 @@ def test_timeline_matches_the_reference(case):
     got, n_seg = transient._timeline(cfg, windows, period, duty, phase, weights, vdd)
     assert_rows_match_reference(cfg, [(inputs, w, supply or ConstantSupply(2.5))
                                       for inputs, w, _ in rows], windows, got, n_seg)
+
+
+# bit patterns at the edges of float formatting: signed zeros, the least
+# subnormal and normal, the widest exponents, infinities and NaNs with other
+# signs and payloads
+REPR_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       2.225073858507201e-308, 1.7976931348623157e308,
+                       -1.7976931348623157e308, math.inf, -math.inf, 1.0, 0.1,
+                       1e16, 1e-5]).view(np.int64).tolist() + [
+    0x7FF8000000000000, 0xFFF8000000000000 - 2**64, 0x7FF0000000000001, 0x7FF8000000000123]
+
+
+@st.composite
+def float_columns(draw):
+    """A float64 array drawn with replacement from REPR_EDGES and a few
+    drawn floats, so that bit patterns repeat."""
+    pool = REPR_EDGES + np.array(draw(st.lists(st.floats(), max_size=4))).view(
+        np.int64).tolist()
+    bits = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return np.array(bits, np.int64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_columns())
+@example(np.empty(0))
+@example(np.array([-0.0]))
+def test_reprs_are_each_floats_repr(x):
+    assert transient._reprs(x).tolist() == list(map(repr, x.tolist()))

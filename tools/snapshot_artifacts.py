@@ -18,10 +18,11 @@ whose ends stall: no config runs the raw chain. Each run writes into
 ``OUT/<name>/``. The training configs run for ``TRAIN_EPOCHS`` epochs on a
 small seeded synthetic MNIST-shaped set written to a temporary directory, and
 a training sweep on a subsample of it. Wall times are dropped: ``wall_time_s``
-from every manifest and the ``seconds`` column from ``train_epochs.csv``, so
-two snapshots of code that behaves alike are byte-identical trees (``diff
--rq``). A failed run is snapshotted too: its manifest holds the error. To
-snapshot another checkout, put its ``src`` on PYTHONPATH instead.
+and ``artifact_seconds`` from every manifest and the ``seconds`` column from
+``train_epochs.csv``, so two snapshots of code that behaves alike are
+byte-identical trees (``diff -rq``). A failed run is snapshotted too: its
+manifest holds the error. To snapshot another checkout, put its ``src`` on
+PYTHONPATH instead.
 
 ``--compare BASE HEAD`` reads two snapshot trees and prints, for each CSV
 that differs, one line per column with differing cells: their count and,
@@ -213,6 +214,7 @@ def main(argv=None) -> int:
                 data_dir=data_dir if kind.startswith("train") else None)
             manifest = cli.run(spec)
             del manifest["wall_time_s"]
+            manifest.pop("artifact_seconds", None)  # an older checkout writes none
             (spec.output_dir / cli.MANIFEST_NAME).write_text(
                 json.dumps(manifest, indent=2, default=str) + "\n")
             epochs_csv = spec.output_dir / "train_epochs.csv"
