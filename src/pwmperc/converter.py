@@ -11,9 +11,9 @@ Two models of the ring-oscillator output stage:
 
 The stage functions take floats or arrays: a float in gives a float out, an
 array gives an array of the same shape, NaN at every stalled point. They
-never write their inputs. ``v_to_dc`` runs in place on one buffer per call,
-v/vdd, and one array more for the compensated cubic or the raw map's lower
-segment.
+never write their inputs. The compensated ``v_to_dc`` runs in place on one
+buffer per call, v/vdd, and one array more for the cubic; the raw one is a
+single np.interp over v/vdd through the calibration points, one new array.
 
 Also the cubic least-squares fit used to recover stage models from response
 data, and the fixed points of the stage map (which explain where chained
@@ -184,13 +184,14 @@ def v_to_dc(v, vdd, model: ConverterModel):
 
 
 def _v_to_dc(frac: np.ndarray, model: ConverterModel, spare=None) -> np.ndarray:
-    """v_to_dc of the array frac = v/vdd, unchecked and in place: frac is
-    overwritten, and so is ``spare``, an array of frac's shape that is not
-    frac (a new one if None). Returns the one of them that holds the duties.
+    """v_to_dc of the array frac = v/vdd, unchecked. A NaN frac is a stall.
 
-    Each step is v_to_dc's operation on the same operands, np.clip as
-    np.maximum then np.minimum, so the duties are the same bit for bit. A
-    NaN frac is a stall.
+    compensated: in place, frac and ``spare`` (an array of frac's shape that
+    is not frac, a new one if None) overwritten; returns the one of them that
+    holds the duties. Each step is v_to_dc's operation on the same operands,
+    np.clip as np.maximum then np.minimum, so the duties are the same bit for
+    bit. raw: one np.interp over the calibration points, a new float64 array;
+    frac and spare are not written.
     """
     if model.mode == "compensated":
         np.subtract(1.0, frac, out=frac)
@@ -199,26 +200,11 @@ def _v_to_dc(frac: np.ndarray, model: ConverterModel, spare=None) -> np.ndarray:
         # stage_map, unchecked
         return _cap_percent(model.cubic_percent(_floats(frac), spare), model)
     lo, hi = LINEAR_REGION
-    oscillating = frac >= lo - 1e-12
-    oscillating &= frac <= hi + 1e-12
-    np.maximum(frac, lo, out=frac)
-    np.minimum(frac, hi, out=frac)
     d_lo, d_hi = RAW_EDGE_DUTIES
-    # two-segment monotone map hitting the midpoint calibration exactly: each
-    # segment over every point, the lower one in spare, then put in at its
-    # points (a masked ufunc takes about 15 times as long)
-    lower = frac <= 0.5
-    spare = np.subtract(frac, lo, out=spare)
-    np.multiply(0.5 - d_lo, spare, out=spare)
-    spare /= 0.5 - lo
-    np.add(d_lo, spare, out=spare)
-    frac -= 0.5
-    np.multiply(d_hi - 0.5, frac, out=frac)
-    frac /= hi - 0.5
-    np.add(0.5, frac, out=frac)
-    np.putmask(frac, lower, spare)
-    np.putmask(frac, ~oscillating, np.nan)
-    return frac
+    # the flat pieces are the clip within 1e-12 of the region, and beyond it
+    # the oscillator stalls
+    return np.interp(frac, (lo - 1e-12, lo, 0.5, hi, hi + 1e-12),
+                     (d_lo, d_lo, 0.5, d_hi, d_hi), left=np.nan, right=np.nan)
 
 
 @dataclass(frozen=True)
@@ -231,12 +217,17 @@ def fit_cubic(xs, ys) -> FitResult:
     """Least-squares cubic through (xs, ys) plus R^2 on the same data.
 
     R^2 = 1 - SS_res/SS_tot; defined as 0 when ys is constant (SS_tot == 0).
-    Needs at least 4 distinct xs for a well-posed design matrix.
+    Needs at least 4 distinct xs for a well-posed design matrix, and data
+    that is finite: the first value that is not is named with its index.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-D arrays of equal length")
+    for name, a in (("xs", xs), ("ys", ys)):
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {a[bad[0]]} at index {bad[0]}")
     if len(np.unique(xs)) < 4:
         raise ValueError(f"need >= 4 distinct xs, got {len(np.unique(xs))}")
     design = np.vander(xs, 4)  # columns x^3, x^2, x, 1

@@ -11,7 +11,8 @@ in one call; a stalled raw oscillator reads NaN at its point. They never
 write their inputs. A chain checks its inputs once, where it is entered: a
 stage's output is a duty (a cap is a percent in [0, 100]) or NaN, so each
 behavioral stage is one unchecked pass, in place on the chain's one buffer
-(its copy of the input) and one working array.
+(its copy of the input) and one working array; a raw stage's map returns a
+new array, np.interp's, which becomes the next stage's buffer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import WeightVector, _check_duty, _check_vdd, vac_equilibrium
+from .analytic import WeightVector, _check_duty, _check_vdd, _whole, vac_equilibrium
 from .converter import ConverterModel, _like, _v_to_dc, v_to_dc
 from .signals import PwmSignal, SupplyProfile, _check_one
 from .transient import (StimulusBatch, TransientTrace, VacConfig, _shape_checks,
@@ -93,6 +94,7 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
     dc_in is a float or an array; a point whose oscillator stalls at any stage
     is NaN from there on.
     """
+    depth = _whole(depth, "depth")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     w = cfg.max_weights()
@@ -111,9 +113,10 @@ def chain_eval(cfg: PerceptronConfig, depth: int, dc_in, vdd: float = 2.5):
         return _like(dc_in, dc)
     # perceptron_eval's arithmetic on n equal inputs, less its checks, each
     # operation on the same operands in the same order, in place on duty and
-    # acc. A stalled point's NaN goes through the later stages, where the raw
-    # converter stalls it again: the output is what the oscillating points
-    # alone give, bit for bit
+    # acc. The raw map returns np.interp's new array, which is neither: it is
+    # taken as duty, and the old duty as acc. A stalled point's NaN goes
+    # through the later stages, where the raw converter stalls it again: the
+    # output is what the oscillating points alone give, bit for bit
     acc = np.empty_like(duty)
     for _ in range(depth):
         np.multiply(duty, w.max_weight, out=duty)

@@ -195,18 +195,24 @@ class TestOtherKinds:
         assert float(dev[1][1]) > float(dev[0][1])
 
     def test_raw_response_curve_golden(self, tmp_path):
-        # pins the raw chain's no-oscillation cells and its deviation sums;
-        # the hashes were taken from the scalar per-point implementation
+        # pins the raw chain's no-oscillation cells and its deviation sums.
+        # The hash of which points stall was taken from the two-segment map,
+        # which the np.interp form keeps; the whole files' hashes are the
+        # np.interp form's, whose duties differ in the last bits
         spec = make_spec("response-curve", {"converter": "raw", "grid_points": 41,
                                             "depths": [1, 2, 3, 4]}, tmp_path)
         assert run(spec)["status"] == "ok"
         curve = (spec.output_dir / "response_curve.csv").read_bytes()
-        assert b"no-oscillation" in curve
+        stalls = "".join(f"{r['dc_in']},{r['depth']},{r['dc_out'] == 'no-oscillation'}\n"
+                         for r in csv.DictReader(curve.decode().splitlines()))
+        assert stalls.count("True") == 81
+        assert hashlib.sha256(stalls.encode()).hexdigest() == \
+            "7a6eded1e88312306cdad0aba94466e66cb850ffe4202e2f7fffeafa33f2a7a3"
         assert hashlib.sha256(curve).hexdigest() == \
-            "91accf0b8942b3bd2060cb4af36808a44ded8d157677a0a1e60106fce9e497c3"
+            "b267803e04347f84768f071671a45100559c8c522afd0ea8d4011346b22a9b44"
         deviation = (spec.output_dir / "response_deviation.csv").read_bytes()
         assert hashlib.sha256(deviation).hexdigest() == \
-            "2762face52ce0305a7a00baef8e64891931bf37d7e9b9b5bee19e6816488b877"
+            "c21dabb8d5e4a10fcda2ae6e961204819e1085de7dc14710fd33a9303a88c7de"
 
     def test_fit_exact_source(self, tmp_path):
         spec = make_spec("fit", {"source": "exact", "points": 50,

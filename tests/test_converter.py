@@ -136,6 +136,11 @@ class TestVToDc:
         assert all(type(y) is float for y in want)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("model", [MODEL, ConverterModel.raw()], ids=["compensated", "raw"])
+    def test_float32_voltage_gives_float64_duties(self, model):
+        got = v_to_dc(np.array([0.5, 1.25, 2.0], dtype=np.float32), 2.5, model)
+        assert got.dtype == np.float64
+
     def test_array_supply(self):
         vs = np.array([0.5, 1.25, 2.0])
         vdds = np.array([2.5, 2.5, 2.1])
@@ -187,6 +192,17 @@ class TestFitCubic:
             fit_cubic([0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             fit_cubic([0.0, 0.0, 0.5, 0.5, 1.0], [0.1, 0.1, 0.2, 0.2, 0.3])
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, math.nan, 3.0, 4.0],
+         "ys must be finite, got nan at index 2"),
+        ([0.0, 0.25, 0.5, math.inf, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0],
+         "xs must be finite, got inf at index 3"),
+    ], ids=["ys", "xs"])
+    def test_data_that_is_not_finite_is_named(self, xs, ys, message, capfd):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_cubic(xs, ys)
+        assert capfd.readouterr().err == ""     # LAPACK never sees it
 
     def test_noisy_fit_r2_below_one(self):
         rng = np.random.default_rng(9)

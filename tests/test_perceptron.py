@@ -160,6 +160,18 @@ class TestChain:
         with pytest.raises(ValueError):
             chain_eval(BEHAVIORAL, 0, 0.5)
 
+    @pytest.mark.parametrize("depth", [True, 2.5])
+    def test_depth_that_is_no_integer_is_named(self, depth):
+        message = f"depth must be an integer, got {depth!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chain_eval(BEHAVIORAL, depth, 0.5)
+
+    def test_whole_float_depth_runs_its_stages(self):
+        grid = np.linspace(0, 1, 5)
+        assert chain_eval(BEHAVIORAL, 2.0, 0.5) == chain_eval(BEHAVIORAL, 2, 0.5)
+        np.testing.assert_array_equal(response_curve(BEHAVIORAL, grid, 2.0).dc_out,
+                                      response_curve(BEHAVIORAL, grid, 2).dc_out)
+
     @pytest.mark.parametrize("path", ["behavioral", "transient"])
     @pytest.mark.parametrize("dc_in, where", [
         ([[0.2, -0.1], [0.3, 0.4]], " at index (0, 1)"),

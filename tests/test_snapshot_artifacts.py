@@ -104,6 +104,11 @@ def test_compare_reports_each_differing_column(tmp_path, capsys):
         "vdd,average_v_V,error\n1.0,0.5,\n2.0,1.0000000000000002,\n3.0,1.5,\n")
     (head / "run" / "sweep.csv").write_text(
         "vdd,average_v_V,error\n1.0,0.5000000000000001,\n2.0,1.0,\n3.0,1.5,boom\n")
+    # ulps of the base cell: 3 at 0.1, 1 at 0.0 (the least subnormal, relative 1),
+    # half of one at a power of two (below it floats lie twice as close)
+    (base / "run" / "ulps.csv").write_text("a,b,c\n0.1,0.0,2.0\n0.25,1.0,1.0\n")
+    (head / "run" / "ulps.csv").write_text(
+        "a,b,c\n0.10000000000000005,5e-324,1.9999999999999998\n0.25,1.0,1.0\n")
     (base / "run" / "shape.csv").write_text("a\n1\n")
     (head / "run" / "shape.csv").write_text("a\n1\n2\n")
     (head / "new.csv").write_text("a\n1\n")
@@ -112,8 +117,11 @@ def test_compare_reports_each_differing_column(tmp_path, capsys):
     assert lines == [
         "new.csv: only in head",
         "run/shape.csv: header or shape differs",
-        "run/sweep.csv average_v_V: 2 cells, max abs 2.22e-16, max rel 2.22e-16",
+        "run/sweep.csv average_v_V: 2 cells, max abs 2.22e-16, max rel 2.22e-16, max 1 ulp",
         "run/sweep.csv error: 1 cells, not numeric",
+        "run/ulps.csv a: 1 cells, max abs 4.16e-17, max rel 4.16e-16, max 3 ulp",
+        "run/ulps.csv b: 1 cells, max abs 4.94e-324, max rel 1, max 1 ulp",
+        "run/ulps.csv c: 1 cells, max abs 2.22e-16, max rel 1.11e-16, max 0.5 ulp",
     ]
 
 

@@ -18,21 +18,18 @@ from pwmperc.perceptron import PerceptronConfig, chain_eval, response_curve  # n
 
 def oracle_v_to_dc(v, vdd, model):
     """The converter's transfer as one expression per step, each a new
-    array: np.clip for the clips and np.where for the raw map's segments and
-    its stalls."""
+    array: np.clip for the compensated clips, and for the raw map np.interp
+    over v/vdd through its calibration points, flat within 1e-12 of the
+    linear region and NaN beyond."""
     if model.mode == "compensated":
         x = _floats(np.clip(1.0 - v / vdd, 0.0, 1.0))
         c3, c2, c1, c0 = model.coefficients
         y = ((c3 * x + c2) * x + c1) * x + c0
         return np.maximum(np.minimum(y, model.output_cap), 0.0) / 100.0
     lo, hi = LINEAR_REGION
-    frac = v / vdd
-    stalled = (frac < lo - 1e-12) | (frac > hi + 1e-12)
-    frac = np.clip(frac, lo, hi)
     d_lo, d_hi = RAW_EDGE_DUTIES
-    duty = np.where(frac <= 0.5, d_lo + (0.5 - d_lo) * (frac - lo) / (0.5 - lo),
-                    0.5 + (d_hi - 0.5) * (frac - 0.5) / (hi - 0.5))
-    return np.where(stalled, np.nan, duty)
+    return np.interp(v / vdd, (lo - 1e-12, lo, 0.5, hi, hi + 1e-12),
+                     (d_lo, d_lo, 0.5, d_hi, d_hi), left=np.nan, right=np.nan)
 
 
 def weighted_sum(terms, total_units):

@@ -27,8 +27,9 @@ PYTHONPATH instead.
 ``--compare BASE HEAD`` reads two snapshot trees and prints, for each CSV
 that differs, one line per column with differing cells: their count and,
 where every differing cell holds a number in both trees, the largest
-absolute and relative difference; a column whose differing cells are not
-all numbers reads "not numeric". CSVs found in one tree only, or of
+absolute and relative difference and the largest difference in ulps of the
+base cell (``np.spacing``); a column whose differing cells are not all
+numbers reads "not numeric". CSVs found in one tree only, or of
 different shapes, are listed as such. It exits 0 either way: it reports.
 """
 
@@ -156,9 +157,10 @@ def _number(cell: str) -> float | None:
 
 
 def column_diffs(base: list[list[str]], head: list[list[str]]):
-    """(column, differing cells, max absolute and max relative difference)
-    of each column with differing cells, between two CSVs of one shape; the
-    differences are None where a differing cell is not a number in both."""
+    """(column, differing cells, max absolute, max relative and max ulp
+    difference) of each column with differing cells, between two CSVs of one
+    shape; an ulp is the spacing of floats at the base cell (``np.spacing``).
+    The differences are None where a differing cell is not a number in both."""
     out = []
     for j, name in enumerate(head[0]):
         pairs = [(a[j], b[j]) for a, b in zip(base[1:], head[1:]) if a[j] != b[j]]
@@ -166,11 +168,12 @@ def column_diffs(base: list[list[str]], head: list[list[str]]):
             continue
         nums = [(_number(a), _number(b)) for a, b in pairs]
         if any(a is None or b is None for a, b in nums):
-            out.append((name, len(pairs), None, None))
+            out.append((name, len(pairs), None, None, None))
             continue
         # 0.0 against -0.0 differs by 0
-        gaps = [(abs(a - b), abs(a - b) / (max(abs(a), abs(b)) or 1.0)) for a, b in nums]
-        out.append((name, len(pairs), max(g for g, _ in gaps), max(r for _, r in gaps)))
+        gaps = [(abs(a - b), abs(a - b) / (max(abs(a), abs(b)) or 1.0),
+                 abs(a - b) / abs(float(np.spacing(a)))) for a, b in nums]
+        out.append((name, len(pairs), *map(max, zip(*gaps))))
     return out
 
 
@@ -190,9 +193,9 @@ def compare(base: Path, head: Path) -> list[str]:
         if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[0] != rows_b[0]:
             lines.append(f"{name}: header or shape differs")
             continue
-        for column, cells, gap, rel in column_diffs(rows_a, rows_b):
+        for column, cells, gap, rel, ulps in column_diffs(rows_a, rows_b):
             detail = ("not numeric" if gap is None
-                      else f"max abs {gap:.3g}, max rel {rel:.3g}")
+                      else f"max abs {gap:.3g}, max rel {rel:.3g}, max {ulps:.3g} ulp")
             lines.append(f"{name} {column}: {cells} cells, {detail}")
     return lines or ["No CSV differs."]
 
