@@ -307,24 +307,23 @@ def _run_sweep(spec: ExperimentSpec, axis: str):
     stim = VacStimulus(duties=tuple(p["duties"]),
                        w=WeightVector(tuple(p["weights"]), cfg.k),
                        v0=p["v0"], **fixed)
-    points = sweep(cfg, stim, axis, p["grid"])
+    results = sweep(cfg, stim, axis, p["grid"])
     rows = []
-    for pt in points:
-        if pt.metrics is None:
-            rows.append([pt.axis_value, "", "", "", "", "", pt.error])
+    for v, m in zip(p["grid"], results):
+        if isinstance(m, Exception):
+            rows.append([v, "", "", "", "", "", f"{type(m).__name__}: {m}"])
         else:
-            m = pt.metrics
-            rows.append([pt.axis_value, m.average_v, pt.ratio, m.swing,
-                         m.charge_time, m.avg_power, ""])
+            ratio = m.average_v / (v if axis == "vdd" else p["vdd"])
+            rows.append([v, m.average_v, ratio, m.swing, m.charge_time, m.avg_power, ""])
     name = "sweep_vdd.csv" if axis == "vdd" else "sweep_freq.csv"
     _write_csv(spec.output_dir / name,
                [axis, "average_v_V", "ratio_v_over_vdd", "swing_V",
                 "charge_time_s", "avg_power_W", "error"],
                rows)
     yield name
-    if all(pt.metrics is None for pt in points):
-        raise SweepFailedError(f"all {len(points)} sweep points failed; first: "
-                               f"{points[0].error}")
+    if all(isinstance(m, Exception) for m in results):
+        raise SweepFailedError(f"all {len(rows)} sweep points failed; first: "
+                               f"{rows[0][-1]}")
 
 
 # The reference dynamic run pairs the small-VAC resistors with the large
@@ -437,8 +436,16 @@ def _run_fixed_points(spec: ExperimentSpec):
     yield "fixed_points.csv"
 
 
+def _network_config(p: dict) -> nn.NetworkConfig:
+    """A training run's NetworkConfig, built (and so checked) before any data is read."""
+    # the other training keys are NetworkConfig fields
+    fields = {k: v for k, v in p.items() if k not in ("topology", "activation", "subsample")}
+    return nn.NetworkConfig(layer_sizes=tuple(p["topology"]),
+                            activation=nn.ActivationKind(p["activation"]), **fields)
+
+
 def _train_one(args):
-    p, subsample_seed, data_dir = args
+    p, cfg, subsample_seed, data_dir = args
     found = mnist.find_data_dir(data_dir)
     if found is None:
         raise MissingDatasetError(
@@ -448,10 +455,6 @@ def _train_one(args):
     test_ds = mnist.load_mnist(found, "test")
     if p["subsample"] is not None:
         train_ds = mnist.subsample(train_ds, p["subsample"], subsample_seed)
-    # the other training keys are NetworkConfig fields
-    fields = {k: v for k, v in p.items() if k not in ("topology", "activation", "subsample")}
-    cfg = nn.NetworkConfig(layer_sizes=tuple(p["topology"]),
-                           activation=nn.ActivationKind(p["activation"]), **fields)
     net = nn.Network.from_config(cfg)
     report = nn.train(net, train_ds, test_ds, cfg)
     return {**p, "topology": cfg.topology(), "train_error": report.train_error,
@@ -468,7 +471,8 @@ TRAIN_HEADER = ["topology", "activation", "mode", "learning_rate",
 
 @_kind("train", TRAIN_PARAMS)
 def _run_train(spec: ExperimentSpec):
-    row = _train_one((spec.parameters, spec.seed, spec.data_dir))
+    p = spec.parameters
+    row = _train_one((p, _network_config(p), spec.seed, spec.data_dir))
     _write_csv(spec.output_dir / "train.csv", TRAIN_HEADER,
                [[row[k] for k in TRAIN_HEADER]])
     yield "train.csv"
@@ -485,8 +489,12 @@ def _run_train(spec: ExperimentSpec):
 def _run_train_sweep(spec: ExperimentSpec):
     if spec.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {spec.jobs}")
-    tasks = [(cfg, spec.seed + i, spec.data_dir)
-             for i, cfg in enumerate(spec.parameters["configs"])]
+    tasks = []
+    for i, p in enumerate(spec.parameters["configs"]):   # all checked before any trains
+        try:
+            tasks.append((p, _network_config(p), spec.seed + i, spec.data_dir))
+        except ValueError as exc:
+            raise ValueError(f"train-sweep.configs[{i}]: {exc}") from None
     workers = min(spec.jobs, len(tasks))  # a worker per config at most
     if workers > 1:
         # imported here: the pool loads multiprocessing, socket and pickle,

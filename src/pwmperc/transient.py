@@ -66,7 +66,6 @@ __all__ = [
     "TraceMetrics",
     "VacStimulus",
     "StimulusBatch",
-    "SweepPoint",
     "FloatingNodeError",
     "simulate_vac",
     "trace_metrics",
@@ -654,13 +653,10 @@ class StimulusBatch:
                        for x in _prefix(cfg, segments))
         # the one-period map F(v) = max(A*v + B, C) as v_aff = B/(1-A) and its
         # floor C (-inf where no segment pulls below the threshold). 1 - A is
-        # taken as -expm1(-period/tau): with A near 1 (inputs much faster than
-        # tau), 1 minus the rounded product would lose digits. math.expm1, as in
-        # the segment-by-segment solve: numpy's rounds differently in the last
-        # bit for about one argument in 20
-        one_minus_a = -np.fromiter(map(math.expm1, (-period / cfg.tau).tolist()),
-                                   np.float64, len(period))
-        v_aff = prefix[1][:, -1] / one_minus_a
+        # taken as -expm1(-period/tau), as _prefix takes each segment's: with A
+        # near 1 (inputs much faster than tau), 1 minus the rounded product
+        # would lose digits
+        v_aff = prefix[1][:, -1] / -np.expm1(-period / cfg.tau)
         floor = np.where(_across(np.logical_or, real & (veq < v_th)), prefix[2][:, -1],
                          -np.inf)
         pss = _boundaries(prefix, np.maximum(v_aff, floor))
@@ -775,27 +771,16 @@ class VacStimulus:
     phases: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    axis_value: float
-    metrics: TraceMetrics | None
-    ratio: float | None            # average_v / vdd
-    error: str | None = None
-
-
 def sweep(cfg: VacConfig, stimulus: VacStimulus, axis: str,
-          grid: list[float]) -> list[SweepPoint]:
-    """The steady state of each grid point, in grid order, with ``axis``
-    ("vdd" or "frequency") set to the point's value, solved as one batch;
-    failures are recorded per point."""
+          grid: list[float]) -> list[TraceMetrics | Exception]:
+    """steady_states of ``stimulus`` with ``axis`` ("vdd" or "frequency") set
+    to each grid value, solved as one batch: a row per grid point, in grid
+    order, a failing point's error in its place."""
     if axis not in ("vdd", "frequency"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be ascending")
-    values = [float(v) for v in grid]
-    stimuli = [dataclasses.replace(stimulus, **{axis: v}) for v in values]
-    return [SweepPoint(v, m, m.average_v / stim.vdd) if isinstance(m, TraceMetrics)
-            else SweepPoint(v, None, None, error=f"{type(m).__name__}: {m}")
-            for v, stim, m in zip(values, stimuli, steady_states(cfg, stimuli))]
+    return steady_states(cfg, [dataclasses.replace(stimulus, **{axis: float(v)})
+                               for v in grid])

@@ -377,6 +377,32 @@ class TestTrainKind:
         assert manifest["status"] == "error"
         assert manifest["error"]["class"] == "MissingDatasetError"
 
+    def test_network_config_checked_before_the_dataset(self, tmp_path, monkeypatch):
+        # no IDX files: the config's own fault is reported, not the missing data
+        monkeypatch.delenv("PWMPERC_DATA_DIR", raising=False)
+        monkeypatch.setattr("pwmperc.mnist._DEFAULT_DATA_DIRS", ())
+        spec = make_spec("train", {"topology": "784/10", "activation": "relu",
+                                   "batch": 0}, tmp_path,
+                         data_dir=str(tmp_path / "nowhere"))
+        manifest = run(spec)
+        assert manifest["error"] == {"class": "ValueError",
+                                     "message": "batch must be >= 1, got 0"}
+        assert manifest["artifacts"] == []
+
+    def test_train_sweep_checks_every_config_before_any_trains(
+            self, tmp_path, small_mnist, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.nn, "train", lambda *args: calls.append("train"))
+        monkeypatch.setattr(cli.mnist, "load_mnist", lambda *args: calls.append("load"))
+        config = {"topology": "784/10", "activation": "relu", "epochs": 1}
+        spec = make_spec("train-sweep", {"configs": [config, {**config, "batch": 0}]},
+                         tmp_path, data_dir=str(small_mnist))
+        manifest = run(spec)
+        assert manifest["error"] == {
+            "class": "ValueError",
+            "message": "train-sweep.configs[1]: batch must be >= 1, got 0"}
+        assert calls == [] and manifest["artifacts"] == []
+
     def test_small_subsampled_run(self, tmp_path, train_dir):
         spec = make_spec("train", {"topology": "784/10", "activation": "cap_relu",
                                    "learning_rate": 0.008, "epochs": 1,

@@ -12,9 +12,9 @@ from pwmperc import cli, transient
 from pwmperc.analytic import WeightVector, vac_equilibrium
 from pwmperc.signals import (ConstantSupply, PiecewiseLinearSupply, PwmSignal,
                              SinusoidSupply, SupplyProfile, pwm_edges)
-from pwmperc.transient import (FloatingNodeError, VacConfig, VacStimulus,
-                               simulate_vac, steady_state, steady_states, sweep,
-                               trace_metrics)
+from pwmperc.transient import (FloatingNodeError, TraceMetrics, VacConfig,
+                               VacStimulus, simulate_vac, steady_state, steady_states,
+                               sweep, trace_metrics)
 
 W777 = WeightVector((7, 7, 7), 3)
 SUP25 = ConstantSupply(2.5)
@@ -400,24 +400,46 @@ class TestSweep:
     def test_vdd_ratio_constant(self):
         cfg = VacConfig.small()
         stim = VacStimulus(duties=(0.5, 0.5, 0.5), frequency=100e6, w=W777)
-        points = sweep(cfg, stim, "vdd", [1.0, 1.5, 2.0, 2.5, 3.0])
-        ratios = [p.ratio for p in points]
-        assert all(p.error is None for p in points)
+        grid = [1.0, 1.5, 2.0, 2.5, 3.0]
+        points = sweep(cfg, stim, "vdd", grid)
+        assert all(isinstance(m, TraceMetrics) for m in points)
+        ratios = [m.average_v / v for m, v in zip(points, grid)]
         assert max(ratios) - min(ratios) < 0.01 * 0.5
 
     def test_frequency_sweep_average_stable(self):
         cfg = VacConfig.small()
         stim = VacStimulus(duties=(0.5, 0.5, 0.5), frequency=100e6, w=W777)
         points = sweep(cfg, stim, "frequency", [1e3, 1e5, 1e7, 1e9])
-        for p in points:
-            assert p.metrics.average_v == pytest.approx(1.25, rel=0.02)
+        for m in points:
+            assert m.average_v == pytest.approx(1.25, rel=0.02)
 
     def test_failed_point_recorded_not_fatal(self):
         cfg = VacConfig.small()
         stim = VacStimulus(duties=(0.5, 0.5, 0.5), frequency=100e6, w=W777)
         points = sweep(cfg, stim, "vdd", [0.0, 2.5])  # vdd=0 is invalid
-        assert points[0].error is not None and points[0].metrics is None
-        assert points[1].error is None
+        assert isinstance(points[0], ValueError)
+        assert isinstance(points[1], TraceMetrics)
+
+    @pytest.mark.parametrize("threshold, axis, grid, w", [
+        (0.4, "vdd", [-1.0, 0.0, 0.3, 1.5, 3.5], WeightVector((5, 6, 7), 3)),  # 3 fail
+        (0.0, "frequency", [1e3, 1e6, 3e7, 1e8, 1e9], WeightVector((5, 6, 7), 3)),
+        (0.0, "vdd", [1.0, 2.5], WeightVector((0, 0, 0), 3)),    # every point floats
+    ])
+    def test_rows_are_the_batch_rows(self, threshold, axis, grid, w):
+        # a row per grid point, each steady_states' own: the same metrics bit
+        # for bit, or the same exception, in grid order
+        cfg = VacConfig.small(compensation_threshold=threshold)
+        stim = VacStimulus((0.3, 0.6, 0.9), 100e6, w, v0=0.2, phases=(0.0, 1e-10, 4e-10))
+        rows = sweep(cfg, stim, axis, grid)
+        expected = steady_states(cfg, [dataclasses.replace(stim, **{axis: v}) for v in grid])
+        assert len(rows) == len(grid)
+        for got, want in zip(rows, expected):
+            # repr round-trips each float exactly, and holds an exception's message
+            assert type(got) is type(want) and repr(got) == repr(want)
+        if w.weights == (0, 0, 0):
+            assert all(isinstance(m, FloatingNodeError) for m in rows)
+        elif axis == "vdd":
+            assert [type(m) for m in rows] == [ValueError] * 3 + [TraceMetrics] * 2
 
     def test_grid_validation(self):
         cfg = VacConfig.small()
@@ -1166,7 +1188,7 @@ def period_map(cfg, prefix, period, veq):
     the scan's C is B, which StimulusBatch.solve does not take as a floor
     either)."""
     _, b, c = prefix
-    v_aff = float(b[-1]) / -math.expm1(-period / cfg.tau)
+    v_aff = float(b[-1]) / -float(np.expm1(-period / cfg.tau))
     return v_aff, float(c[-1]) if (veq < cfg.compensation_threshold).any() else None
 
 
